@@ -8,17 +8,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import autograd as ag
+from . import index as findex  # via the module, so a replaced index.search is used
 from .encoder import EncoderConfig
 from .errors import CorruptFileError, DataFormatError, TrainingDivergedError
 from .evaluation import load_qrels, load_run, mrr_at_k, recall_at_k, write_run
 from .gradcheck import DEFAULT_EPS, DEFAULT_TOLERANCE, run_gradient_check
-from .index import InvertedIndex, search as index_search
+from .index import InvertedIndex
 from .model import FecTekModel, load_model, save_model
 from .synth import SynthConfig, write_dataset
 from .tokenizer import Vocabulary, vocabulary_coverage
@@ -98,6 +97,45 @@ def _encoder_config(args: argparse.Namespace) -> EncoderConfig:
     )
 
 
+def _trainer_config(args: argparse.Namespace, enable_term_loss: bool) -> TrainerConfig:
+    return TrainerConfig(
+        epochs=args.epochs,
+        batch_queries=args.batch_queries,
+        max_negatives=args.negatives,
+        peak_lr=args.lr,
+        warmup_ratio=args.warmup_ratio,
+        weight_decay=args.weight_decay,
+        clip_norm=args.clip_norm,
+        seed=args.seed,
+        enable_term_loss=enable_term_loss,
+    )
+
+
+def _weigh(
+    model: FecTekModel, vocab: Vocabulary, text: str, max_len: int
+) -> dict[int, float]:
+    """Term weights of one text cut to `max_len` tokens; call under `no_grad`."""
+    seq = model.encode_ids(vocab.encode(text, max_len))
+    return model.term_weights(seq).as_dict()
+
+
+def _rank(
+    model: FecTekModel,
+    vocab: Vocabulary,
+    index: InvertedIndex,
+    queries: list[tuple[str, str]],
+    k: int,
+) -> dict[str, list[tuple[str, float]]]:
+    """Top-k (docid, score) hits for each query id."""
+    results = {}
+    with ag.no_grad():
+        for qid, text in queries:
+            weights = _weigh(model, vocab, text, model.config.max_query_len)
+            hits = findex.search(index, weights, k)
+            results[qid] = [(hit.docid, hit.value) for hit in hits]
+    return results
+
+
 def _check_vocab_match(model: FecTekModel, vocab: Vocabulary, source: str) -> None:
     if model.vocab_size != len(vocab):
         raise DataFormatError(
@@ -136,17 +174,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             aggregation=args.aggregation,
             seed=args.seed,
         )
-    trainer_config = TrainerConfig(
-        epochs=args.epochs,
-        batch_queries=args.batch_queries,
-        max_negatives=args.negatives,
-        peak_lr=args.lr,
-        warmup_ratio=args.warmup_ratio,
-        weight_decay=args.weight_decay,
-        clip_norm=args.clip_norm,
-        seed=args.seed,
-        enable_term_loss=not args.no_tkgm,
-    )
+    trainer_config = _trainer_config(args, enable_term_loss=not args.no_tkgm)
     resolved = {
         "triples": str(args.triples),
         "vocab": str(args.vocab),
@@ -181,25 +209,14 @@ def cmd_encode(args: argparse.Namespace) -> int:
     vocab = Vocabulary.load(args.vocab)
     _check_vocab_match(model, vocab, str(args.checkpoint))
     rows = _read_tsv_pairs(args.corpus, "corpus")
-    max_len = model.config.max_passage_len
-
-    def weigh(row: tuple[str, str]) -> str:
-        docid, text = row
-        seq = model.encode_ids(vocab.encode(text, max_len))
-        weights = model.term_weights(seq).as_dict()
-        payload = {str(term): weights[term] for term in sorted(weights)}
-        return json.dumps({"docid": docid, "weights": payload})
-
-    threads = max(1, args.threads)
+    lines = []
     with ag.no_grad():
-        if threads == 1:
-            lines = [weigh(row) for row in rows]
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                lines = list(pool.map(weigh, rows))
+        for docid, text in rows:
+            weights = _weigh(model, vocab, text, model.config.max_passage_len)
+            payload = {str(term): weights[term] for term in sorted(weights)}
+            lines.append(json.dumps({"docid": docid, "weights": payload}) + "\n")
     with open(args.out, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+        fh.writelines(lines)
     print(f"encoded {len(rows)} passages -> {args.out}")
     return 0
 
@@ -225,14 +242,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             f"match the given vocabulary ({len(vocab)})"
         )
     queries = _read_tsv_pairs(args.queries, "queries")
-    results = {}
-    with ag.no_grad():
-        for qid, text in queries:
-            seq = model.encode_ids(vocab.encode(text, model.config.max_query_len))
-            weights = model.term_weights(seq).as_dict()
-            hits = index_search(index, weights, args.k)
-            results[qid] = [(hit.docid, hit.value) for hit in hits]
-    write_run(results, args.tag, args.out)
+    write_run(_rank(model, vocab, index, queries, args.k), args.tag, args.out)
     print(f"searched {len(queries)} queries (top {args.k}) -> {args.out}")
     return 0
 
@@ -325,32 +335,15 @@ def cmd_ablation(args: argparse.Namespace) -> int:
             aggregation=args.aggregation,
             seed=args.seed,
         )
-        trainer_config = TrainerConfig(
-            epochs=args.epochs,
-            batch_queries=args.batch_queries,
-            max_negatives=args.negatives,
-            peak_lr=args.lr,
-            warmup_ratio=args.warmup_ratio,
-            weight_decay=args.weight_decay,
-            clip_norm=args.clip_norm,
-            seed=args.seed,
-            enable_term_loss=use_guidance,
-        )
+        trainer_config = _trainer_config(args, enable_term_loss=use_guidance)
         train(model, triples, vocab, trainer_config, run_dir, {"ablation": name})
-
-        results = {}
         with ag.no_grad():
-            stream = []
-            for docid, text in corpus_rows:
-                seq = model.encode_ids(vocab.encode(text, config.max_passage_len))
-                stream.append((docid, model.term_weights(seq).as_dict()))
-            index = InvertedIndex.build(lambda: iter(stream), len(vocab))
-            for qid, text in queries:
-                seq = model.encode_ids(vocab.encode(text, config.max_query_len))
-                weights = model.term_weights(seq).as_dict()
-                hits = index_search(index, weights, 10)
-                results[qid] = [(h.docid, h.value) for h in hits]
-        mrr = mrr_at_k(results, qrels, k=10)
+            stream = [
+                (docid, _weigh(model, vocab, text, config.max_passage_len))
+                for docid, text in corpus_rows
+            ]
+        index = InvertedIndex.build(lambda: iter(stream), len(vocab))
+        mrr = mrr_at_k(_rank(model, vocab, index, queries, 10), qrels, k=10)
         rows.append({"config": name, "fcm": use_gate, "tkgm": use_guidance, "mrr@10": mrr})
 
     header = f"{'config':16s} {'FCM':>4s} {'TKGM':>5s} {'MRR@10':>8s}"
@@ -442,14 +435,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("index", help="build the impact index from encoded weights")
     p.add_argument("--weights", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("search", help="run queries against an index")

@@ -1,9 +1,9 @@
-"""Impact-quantized inverted index with exact document-at-a-time search.
+"""Impact-quantized inverted index with exact score-at-a-time search.
 
 Weights are mapped to 8-bit impacts with a single document-side scale
 (`max weight / 255`), postings store ordinal gaps as LEB128 varints plus a
-one-byte impact, and search merges posting cursors document-at-a-time into
-a bounded min-heap, so top-k results are exact: identical to brute-force
+one-byte impact, and search accumulates integer impact products over the
+query's posting lists, so top-k results are exact: identical to brute-force
 scoring of every document, with ties broken by ascending ordinal.
 
 On-disk layout (little-endian throughout), magic "FTEK":
@@ -16,7 +16,6 @@ On-disk layout (little-endian throughout), magic "FTEK":
 
 from __future__ import annotations
 
-import heapq
 import math
 import struct
 from collections.abc import Callable, Iterable
@@ -144,9 +143,9 @@ class InvertedIndex:
         max_weight = 0.0
         for _, weights in stream_factory():
             for term, weight in weights.items():
-                if weight < 0.0:
+                if not 0.0 <= weight < math.inf:
                     raise DataFormatError(
-                        f"negative weight {weight} for term {term}"
+                        f"weight {weight} for term {term} is negative or not finite"
                     )
                 if weight > max_weight:
                     max_weight = weight
@@ -332,46 +331,28 @@ def search(
     query_step = quantization_step(max(query_weights.values(), default=0.0))
     query_impacts = quantize_weights(query_weights, query_step)
 
-    cursors = []
-    for term in sorted(query_impacts):
-        entry = index.postings.get(term)
-        if entry is None:
-            continue
-        ordinals, impacts = entry
-        cursors.append((ordinals, impacts, query_impacts[term]))
-    if not cursors:
+    lists = [
+        (index.postings[term], query_impact)
+        for term, query_impact in query_impacts.items()
+        if term in index.postings
+    ]
+    if not lists:
         return []
 
-    # Document-at-a-time: a heap of cursor heads keyed by ordinal; all
-    # cursors sitting on the current document are advanced together.
-    frontier = [
-        (int(ordinals[0]), idx, 0) for idx, (ordinals, _, _) in enumerate(cursors)
-    ]
-    heapq.heapify(frontier)
-    # Bounded min-heap of (score, -ordinal): the root is the weakest kept hit.
-    kept: list[tuple[int, int]] = []
-    while frontier:
-        current = frontier[0][0]
-        score = 0
-        while frontier and frontier[0][0] == current:
-            _, idx, at = heapq.heappop(frontier)
-            ordinals, impacts, query_impact = cursors[idx]
-            score += query_impact * int(impacts[at])
-            if at + 1 < len(ordinals):
-                heapq.heappush(frontier, (int(ordinals[at + 1]), idx, at + 1))
-        candidate = (score, -current)
-        if len(kept) < k:
-            heapq.heappush(kept, candidate)
-        elif candidate > kept[0]:
-            heapq.heapreplace(kept, candidate)
-
-    ranked = sorted(kept, key=lambda item: (-item[0], -item[1]))
+    ordinals = np.concatenate([ords for (ords, _), _ in lists])
+    products = np.concatenate(
+        [impacts * query_impact for (_, impacts), query_impact in lists]
+    )
+    candidates, slots = np.unique(ordinals, return_inverse=True)
+    scores = np.zeros(len(candidates), dtype=np.int64)
+    np.add.at(scores, slots, products)
+    top = np.lexsort((candidates, -scores))[:k]
     return [
         SearchHit(
-            docid=index.docids[-neg_ordinal],
-            ordinal=-neg_ordinal,
+            docid=index.docids[ordinal],
+            ordinal=ordinal,
             score=score,
             value=score * query_step * index.scale,
         )
-        for score, neg_ordinal in ranked
+        for ordinal, score in zip(candidates[top].tolist(), scores[top].tolist())
     ]

@@ -98,7 +98,6 @@ def workspace(tmp_path_factory):
             "--vocab", str(vocab),
             "--corpus", str(corpus),
             "--out", str(weights),
-            "--threads", "2",
         ),
         (
             "index",
@@ -173,20 +172,17 @@ class TestPipeline:
                 int(term)
                 assert weight >= 0.0
 
-    def test_encode_deterministic_across_threads(self, workspace, tmp_path):
-        first = workspace["weights"].read_bytes()
-        for threads in ("1", "4"):
-            out = tmp_path / f"weights{threads}.jsonl"
-            code, _, _ = run_cli(
-                "encode",
-                "--checkpoint", str(workspace["checkpoint"]),
-                "--vocab", str(workspace["vocab"]),
-                "--corpus", str(workspace["corpus"]),
-                "--out", str(out),
-                "--threads", threads,
-            )
-            assert code == 0
-            assert out.read_bytes() == first
+    def test_encode_rerun_identical(self, workspace, tmp_path):
+        out = tmp_path / "again.jsonl"
+        code, _, _ = run_cli(
+            "encode",
+            "--checkpoint", str(workspace["checkpoint"]),
+            "--vocab", str(workspace["vocab"]),
+            "--corpus", str(workspace["corpus"]),
+            "--out", str(out),
+        )
+        assert code == 0
+        assert out.read_bytes() == workspace["weights"].read_bytes()
 
     def test_search_rerun_identical(self, workspace, tmp_path):
         out = tmp_path / "again.tsv"
@@ -222,7 +218,6 @@ class TestPipeline:
             "--vocab", str(workspace["vocab"]),
             "--corpus", str(corpus),
             "--out", str(out),
-            "--threads", "1",
         )
         assert code == 0
         first = json.loads(out.read_text().splitlines()[0])
@@ -326,6 +321,24 @@ class TestExitCodes:
             "--out-dir", str(tmp_path),
         )
         assert code == 4
+
+    @pytest.mark.parametrize("weight", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_weight_is_4(self, workspace, tmp_path, weight):
+        weights = tmp_path / "weights.jsonl"
+        weights.write_text(
+            '{"docid": "a", "weights": {"5": 1.0}}\n'
+            f'{{"docid": "b", "weights": {{"7": {weight}}}}}\n'
+        )
+        out = tmp_path / "index.ftek"
+        code, _, err = run_cli(
+            "index",
+            "--weights", str(weights),
+            "--vocab", str(workspace["vocab"]),
+            "--out", str(out),
+        )
+        assert code == 4
+        assert "term 7" in err
+        assert not out.exists()
 
     def test_vocab_mismatch_is_4(self, workspace, tmp_path):
         other_corpus = tmp_path / "corpus.tsv"

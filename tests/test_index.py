@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fectek.errors import CorruptFileError, DataFormatError
@@ -46,6 +46,9 @@ def brute_force(index, query_weights, k):
         (index.docids[o], int(scores[o]), int(scores[o]) * qstep * index.scale)
         for o in ranked[:k]
     ]
+
+
+TIED_LEVELS = (0.0, 0.5, 1.0, 2.0)
 
 
 def random_corpus(rng, docs, terms, density=0.3, max_weight=4.0):
@@ -401,6 +404,33 @@ class TestSearch:
                 assert [(d, s) for d, s, _ in got] == [(d, s) for d, s, _ in want]
                 for (_, _, gv), (_, _, wv) in zip(got, want):
                     assert gv == pytest.approx(wv, rel=1e-12)
+
+    # Few weight levels make tied scores common.  Documents use terms 0..4,
+    # so term 5 has no postings and terms 6..9 lie outside the vocabulary.
+    @given(
+        docs=st.lists(
+            st.dictionaries(
+                st.integers(0, 4), st.sampled_from(TIED_LEVELS), max_size=5
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        query=st.dictionaries(
+            st.integers(0, 9), st.sampled_from(TIED_LEVELS), min_size=1, max_size=5
+        ),
+    )
+    @example(docs=[{1: 2.0, 3: 0.5}], query={1: 1.0, 5: 2.0, 8: 3.0})
+    @example(docs=[{0: 1.0}, {0: 1.0}, {0: 1.0, 2: 0.5}], query={0: 0.0, 2: 0.0})
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force_with_ties_and_edge_cases(self, docs, query):
+        index = build_from([(f"doc{d}", weights) for d, weights in enumerate(docs)], 6)
+        hits = len(brute_force(index, query, index.doc_count))
+        for k in (1, hits, hits + 3):
+            got = [(h.docid, h.score, h.value) for h in search(index, query, k)]
+            want = brute_force(index, query, k)
+            assert [(d, s) for d, s, _ in got] == [(d, s) for d, s, _ in want]
+            for (_, _, gv), (_, _, wv) in zip(got, want):
+                assert gv == pytest.approx(wv, rel=1e-12)
 
     def test_integer_scores_are_exact_sums(self):
         rows = [("a", {1: 2.0, 2: 1.0}), ("b", {1: 1.0})]
