@@ -60,7 +60,7 @@ def _iter_weight_stream(path: str | Path):
                 continue
             try:
                 row = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
                 raise DataFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             if (
                 not isinstance(row, dict)
@@ -74,15 +74,22 @@ def _iter_weight_stream(path: str | Path):
             for key, value in row["weights"].items():
                 try:
                     term = int(key)
-                except ValueError as exc:
+                except ValueError:
+                    term = None
+                if key != str(term):  # "07", " 7", "+7" and "0_7" would alias term 7
                     raise DataFormatError(
-                        f"{path}:{lineno}: term id {key!r} is not an integer"
-                    ) from exc
+                        f"{path}:{lineno}: term id {key!r} is not a canonical integer"
+                    )
                 if not isinstance(value, (int, float)) or isinstance(value, bool):
                     raise DataFormatError(
                         f"{path}:{lineno}: weight for term {key} is not a number"
                     )
-                weights[term] = float(value)
+                try:
+                    weights[term] = float(value)
+                except OverflowError as exc:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: weight for term {key} is too large"
+                    ) from exc
             yield row["docid"], weights
 
 
@@ -223,7 +230,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 def cmd_index(args: argparse.Namespace) -> int:
     vocab = Vocabulary.load(args.vocab)
-    index = InvertedIndex.build(lambda: _iter_weight_stream(args.weights), len(vocab))
+    index = InvertedIndex.build(_iter_weight_stream(args.weights), len(vocab))
     index.save(args.out)
     print(
         f"index: {index.doc_count} docs, scale {index.scale:.6g} -> {args.out}"
@@ -342,7 +349,7 @@ def cmd_ablation(args: argparse.Namespace) -> int:
                 (docid, _weigh(model, vocab, text, config.max_passage_len))
                 for docid, text in corpus_rows
             ]
-        index = InvertedIndex.build(lambda: iter(stream), len(vocab))
+        index = InvertedIndex.build(stream, len(vocab))
         mrr = mrr_at_k(_rank(model, vocab, index, queries, 10), qrels, k=10)
         rows.append({"config": name, "fcm": use_gate, "tkgm": use_guidance, "mrr@10": mrr})
 

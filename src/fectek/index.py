@@ -1,10 +1,12 @@
 """Impact-quantized inverted index with exact score-at-a-time search.
 
-Weights are mapped to 8-bit impacts with a single document-side scale
-(`max weight / 255`), postings store ordinal gaps as LEB128 varints plus a
-one-byte impact, and search accumulates integer impact products over the
-query's posting lists, so top-k results are exact: identical to brute-force
-scoring of every document, with ties broken by ascending ordinal.
+`InvertedIndex.build` reads the weight stream once, maps every weight to an
+8-bit impact with a single document-side scale (`max weight / 255`) and sorts
+the nonzero impacts by term into flat CSR arrays: term t's postings are
+`ordinals[offsets[t]:offsets[t + 1]]` and the matching `impacts`, by ascending
+ordinal.  Search accumulates integer impact products over the query's posting
+lists, so top-k results are exact: identical to brute-force scoring of every
+document, with ties broken by ascending ordinal.
 
 On-disk layout (little-endian throughout), magic "FTEK":
 
@@ -12,13 +14,16 @@ On-disk layout (little-endian throughout), magic "FTEK":
     offsets (vocab_size + 1) x u64      byte offsets into the postings region
     postings region                      per term: (varint gap, u8 impact)*
     docid table                          per doc: varint byte-length + UTF-8
+
+A term's first posting stores its ordinal in place of a gap.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from collections.abc import Callable, Iterable
+from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -74,26 +79,29 @@ def read_varint(buf: bytes, pos: int, end: int | None = None) -> tuple[int, int]
 
 def quantization_step(max_weight: float) -> float:
     """Width of one impact level; 1.0 sentinel when every weight is zero."""
-    if max_weight < 0.0:
-        raise ValueError(f"weights must be non-negative, got max {max_weight}")
+    if not 0.0 <= max_weight < math.inf:
+        raise ValueError(f"max weight must be finite and non-negative, got {max_weight}")
     return max_weight / (LEVELS - 1) if max_weight > 0.0 else 1.0
 
 
-def quantize_value(weight: float, step: float) -> int:
-    """Round half away from zero to an impact in [0, 255]."""
-    if weight < 0.0:
-        raise ValueError(f"weights must be non-negative, got {weight}")
-    return min(int(math.floor(weight / step + 0.5)), LEVELS - 1)
+def quantize_value(weight: float | np.ndarray, step: float) -> int | np.ndarray:
+    """Round half away from zero to an impact in [0, 255], elementwise.
+
+    A scalar weight gives an int, an array of weights an int64 array.
+    """
+    weight = np.asarray(weight, dtype=np.float64)
+    bad = ~(weight >= 0.0)  # NaN too
+    if bad.any():
+        raise ValueError(f"weights must be non-negative, got {weight[bad][0]}")
+    impact = np.minimum(np.floor(weight / step + 0.5), LEVELS - 1).astype(np.int64)
+    return impact if impact.ndim else int(impact)
 
 
 def quantize_weights(weights: dict[int, float], step: float) -> dict[int, int]:
     """Quantize a sparse vector, dropping terms whose impact rounds to zero."""
-    out: dict[int, int] = {}
-    for term, weight in weights.items():
-        impact = quantize_value(weight, step)
-        if impact > 0:
-            out[term] = impact
-    return out
+    values = np.fromiter(weights.values(), np.float64, len(weights))
+    impacts = quantize_value(values, step).tolist()
+    return {term: impact for term, impact in zip(weights, impacts) if impact > 0}
 
 
 def dequantize(impact: int, step: float) -> float:
@@ -113,101 +121,87 @@ class SearchHit:
     value: float
 
 
+@dataclass(eq=False)
 class InvertedIndex:
-    """In-memory postings plus the document-side quantization scale."""
+    """CSR postings (int64 `offsets`, `ordinals`, `impacts`) plus the
+    document-side quantization scale."""
 
-    def __init__(
-        self,
-        vocab_size: int,
-        scale: float,
-        docids: list[str],
-        postings: dict[int, tuple[np.ndarray, np.ndarray]],
-    ):
-        self.vocab_size = vocab_size
-        self.scale = scale
-        self.docids = docids
-        self.postings = postings
+    scale: float
+    docids: list[str]
+    offsets: np.ndarray
+    ordinals: np.ndarray
+    impacts: np.ndarray
+
+    @property
+    def vocab_size(self) -> int:
+        return len(self.offsets) - 1
 
     @property
     def doc_count(self) -> int:
         return len(self.docids)
 
     @classmethod
-    def build(
-        cls, stream_factory: Callable[[], WeightStream], vocab_size: int
-    ) -> "InvertedIndex":
-        """Two passes over the weight stream: find the global maximum weight,
-        then quantize and append postings in document order."""
+    def build(cls, stream: WeightStream, vocab_size: int) -> "InvertedIndex":
+        """One pass over the weight stream, then one quantization with the
+        global maximum weight and a stable sort of the postings by term."""
         if vocab_size <= 0:
             raise ValueError("vocab_size must be positive")
-        max_weight = 0.0
-        for _, weights in stream_factory():
-            for term, weight in weights.items():
-                if not 0.0 <= weight < math.inf:
-                    raise DataFormatError(
-                        f"weight {weight} for term {term} is negative or not finite"
-                    )
-                if weight > max_weight:
-                    max_weight = weight
-        step = quantization_step(max_weight)
-
         docids: list[str] = []
         seen: set[str] = set()
-        accum: dict[int, tuple[list[int], list[int]]] = {}
-        for docid, weights in stream_factory():
+        lengths, terms, weights = array("q"), array("q"), array("d")
+        for docid, row in stream:
             if docid in seen:
                 raise DataFormatError(f"duplicate docid {docid!r} in weight stream")
             seen.add(docid)
-            ordinal = len(docids)
             docids.append(docid)
-            for term in sorted(weights):
-                if not 0 <= term < vocab_size:
-                    raise DataFormatError(
-                        f"term id {term} outside vocabulary of size {vocab_size}"
-                    )
-                impact = quantize_value(weights[term], step)
-                if impact == 0:
-                    continue
-                ords, imps = accum.setdefault(term, ([], []))
-                ords.append(ordinal)
-                imps.append(impact)
-        postings = {
-            term: (
-                np.asarray(ords, dtype=np.int64),
-                np.asarray(imps, dtype=np.int64),
+            if row and not (0 <= min(row) and max(row) < vocab_size):
+                term = next(t for t in sorted(row) if not 0 <= t < vocab_size)
+                raise DataFormatError(
+                    f"term id {term} outside vocabulary of size {vocab_size}"
+                )
+            lengths.append(len(row))
+            terms.extend(row.keys())
+            weights.extend(row.values())
+        term_ids = np.frombuffer(terms, dtype=np.int64)
+        values = np.frombuffer(weights, dtype=np.float64)
+        bad = np.flatnonzero(~((values >= 0.0) & (values < math.inf)))
+        if bad.size:
+            raise DataFormatError(
+                f"weight {float(values[bad[0]])} for term {int(term_ids[bad[0]])} "
+                "is negative or not finite"
             )
-            for term, (ords, imps) in accum.items()
-        }
-        return cls(vocab_size, step, docids, postings)
+        step = quantization_step(float(values.max(initial=0.0)))
+        impacts = quantize_value(values, step)
+        ordinals = np.repeat(np.arange(len(docids)), lengths)
+        kept = np.flatnonzero(impacts > 0)
+        kept = kept[np.argsort(term_ids[kept], kind="stable")]
+        offsets = np.searchsorted(term_ids[kept], np.arange(vocab_size + 1))
+        return cls(step, docids, offsets, ordinals[kept], impacts[kept])
 
     # -- persistence ----
 
     def save(self, path: str | Path) -> None:
-        region = bytearray()
-        offsets = np.zeros(self.vocab_size + 1, dtype="<u8")
-        for term in range(self.vocab_size):
-            offsets[term] = len(region)
-            entry = self.postings.get(term)
-            if entry is None:
-                continue
-            ordinals, impacts = entry
-            previous = -1
-            for ordinal, impact in zip(ordinals.tolist(), impacts.tolist()):
-                # First value is the ordinal itself (gap from -1 minus the
-                # implicit +1 would complicate nothing: store ordinal, then
-                # strictly positive gaps).
-                gap = ordinal - previous if previous >= 0 else ordinal
-                if previous >= 0 and gap <= 0:
-                    raise ValueError(f"ordinals not strictly increasing for term {term}")
-                write_varint(region, gap)
-                region.append(impact)
-                previous = ordinal
-        offsets[self.vocab_size] = len(region)
+        first = np.isin(np.arange(len(self.ordinals)), self.offsets)
+        gaps = np.where(first, self.ordinals, np.diff(self.ordinals, prepend=0))
+        bad = np.flatnonzero(~first & (gaps <= 0))
+        if bad.size:
+            term = int(np.searchsorted(self.offsets, bad[0], side="right")) - 1
+            raise ValueError(f"ordinals not strictly increasing for term {term}")
+
+        # Varint bytes per gap: one, plus one per 7-bit boundary reached.
+        widths = 1 + (gaps[:, None] >= 1 << 7 * np.arange(1, 9)).sum(axis=1)
+        starts = np.concatenate(([0], np.cumsum(widths + 1)))
+        region = np.empty(int(starts[-1]), dtype=np.uint8)
+        region[starts[:-1] + widths] = self.impacts
+        for byte in range(int(widths.max(initial=0))):
+            live = widths > byte
+            payload = (gaps[live] >> (7 * byte)) & 0x7F
+            region[starts[:-1][live] + byte] = payload | ((widths[live] > byte + 1) << 7)
 
         out = bytearray()
         out += _HEADER.pack(MAGIC, VERSION, self.vocab_size, self.doc_count, self.scale)
-        out += offsets.tobytes()
-        out += region
+        out += starts[self.offsets].astype("<u8").tobytes()
+        out += region.tobytes()
         for docid in self.docids:
             encoded = docid.encode("utf-8")
             write_varint(out, len(encoded))
@@ -250,14 +244,13 @@ class InvertedIndex:
         region = blob[pos : pos + region_len]
         pos += region_len
 
-        postings: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # An impact byte >= 0x80 looks like a varint continuation byte, so
+        # record boundaries can only be found by parsing in order.
+        ordinals, impacts = array("q"), array("q")
+        posting_offsets = array("q", [0])
+        byte_offsets = offsets.tolist()
         for term in range(vocab_size):
-            start, end = int(offsets[term]), int(offsets[term + 1])
-            if start == end:
-                continue
-            cursor = start
-            ordinals: list[int] = []
-            impacts: list[int] = []
+            cursor, end = byte_offsets[term], byte_offsets[term + 1]
             previous = -1
             while cursor < end:
                 try:
@@ -289,10 +282,7 @@ class InvertedIndex:
                 ordinals.append(ordinal)
                 impacts.append(impact)
                 previous = ordinal
-            postings[term] = (
-                np.asarray(ordinals, dtype=np.int64),
-                np.asarray(impacts, dtype=np.int64),
-            )
+            posting_offsets.append(len(ordinals))
 
         docids: list[str] = []
         for i in range(doc_count):
@@ -315,7 +305,13 @@ class InvertedIndex:
             )
         if len(set(docids)) != len(docids):
             raise CorruptFileError(f"{label}: duplicate docid in table")
-        return cls(int(vocab_size), float(scale), docids, postings)
+        return cls(
+            float(scale),
+            docids,
+            np.frombuffer(posting_offsets, dtype=np.int64),
+            np.frombuffer(ordinals, dtype=np.int64),
+            np.frombuffer(impacts, dtype=np.int64),
+        )
 
 
 def search(
@@ -331,17 +327,18 @@ def search(
     query_step = quantization_step(max(query_weights.values(), default=0.0))
     query_impacts = quantize_weights(query_weights, query_step)
 
+    offsets = index.offsets
     lists = [
-        (index.postings[term], query_impact)
+        (slice(offsets[term], offsets[term + 1]), query_impact)
         for term, query_impact in query_impacts.items()
-        if term in index.postings
+        if 0 <= term < index.vocab_size
     ]
     if not lists:
         return []
 
-    ordinals = np.concatenate([ords for (ords, _), _ in lists])
+    ordinals = np.concatenate([index.ordinals[span] for span, _ in lists])
     products = np.concatenate(
-        [impacts * query_impact for (_, impacts), query_impact in lists]
+        [index.impacts[span] * query_impact for span, query_impact in lists]
     )
     candidates, slots = np.unique(ordinals, return_inverse=True)
     scores = np.zeros(len(candidates), dtype=np.int64)

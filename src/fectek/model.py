@@ -128,9 +128,6 @@ class TermWeightVector:
     def __len__(self) -> int:
         return len(self.term_ids)
 
-    def __contains__(self, term_id: int) -> bool:
-        return term_id in self._index
-
     def weight_of(self, term_id: int) -> float:
         i = self._index.get(term_id)
         return float(self.weights.data[i]) if i is not None else 0.0
@@ -332,27 +329,21 @@ def triple_loss(
     model: FecTekModel,
     triple: EncodedTriple,
     *,
-    enable_text: bool = True,
     enable_term: bool = True,
 ) -> tuple[Tensor, float, float]:
     """Loss for one triple; returns (total, text part, term part as floats)."""
-    if not enable_text and not enable_term:
-        raise ValueError("at least one loss branch must be enabled")
     query_seq = model.encode_ids(triple.query_ids)
     positive_seq = model.encode_ids(triple.positive_ids)
 
-    total = Tensor(0.0)
-    text_value = 0.0
+    query_vec = model.term_weights(query_seq)
+    positive_vec = model.term_weights(positive_seq)
+    negative_vecs = [
+        model.term_weights(model.encode_ids(ids)) for ids in triple.negative_ids
+    ]
+    text = text_level_loss(query_vec, positive_vec, negative_vecs)
+    text_value = text.item()
+    total = ag.add(Tensor(0.0), text)
     term_value = 0.0
-    if enable_text:
-        query_vec = model.term_weights(query_seq)
-        positive_vec = model.term_weights(positive_seq)
-        negative_vecs = [
-            model.term_weights(model.encode_ids(ids)) for ids in triple.negative_ids
-        ]
-        text = text_level_loss(query_vec, positive_vec, negative_vecs)
-        text_value = text.item()
-        total = ag.add(total, text)
     if enable_term:
         # Guidance comes from the positive passage only; negatives are
         # untouched by this branch.
@@ -372,20 +363,17 @@ def batch_loss(
     model: FecTekModel,
     triples: Sequence[EncodedTriple],
     *,
-    enable_text: bool = True,
     enable_term: bool = True,
 ) -> tuple[Tensor, dict[str, float]]:
     """Mean triple loss over a batch, plus float metrics for logging."""
     if not triples:
         raise ValueError("batch_loss on an empty batch")
-    if not enable_text and not enable_term:
-        raise ValueError("at least one loss branch must be enabled")
     total = Tensor(0.0)
     text_sum = 0.0
     term_sum = 0.0
     for triple in triples:
         loss, text_value, term_value = triple_loss(
-            model, triple, enable_text=enable_text, enable_term=enable_term
+            model, triple, enable_term=enable_term
         )
         total = ag.add(total, loss)
         text_sum += text_value
@@ -490,6 +478,8 @@ def load_model(path: str | Path) -> FecTekModel:
                 f"{path}: parameter {name!r} has shape {stored.shape}, "
                 f"expected {tensor.data.shape}"
             )
+        if not np.isfinite(stored).all():
+            raise CorruptFileError(f"{path}: parameter {name!r} is not finite")
         tensor.data = stored.astype(np.float64)
     return model
 

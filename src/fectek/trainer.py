@@ -42,7 +42,7 @@ def load_triples(path: str | Path) -> list[TrainingTriple]:
                 continue
             try:
                 row = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
                 raise DataFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             if not isinstance(row, dict):
                 raise DataFormatError(f"{path}:{lineno}: expected an object")

@@ -91,7 +91,7 @@ def pipeline(tmp_path_factory) -> Pipeline:
         for docid, text in data.corpus:
             seq = model.encode_ids(vocab.encode(text, config.max_passage_len))
             stream.append((docid, model.term_weights(seq).as_dict()))
-        index = InvertedIndex.build(lambda: iter(stream), len(vocab))
+        index = InvertedIndex.build(stream, len(vocab))
         query_weights: dict[str, dict[int, float]] = {}
         hits: dict[str, list[SearchHit]] = {}
         for qid, text in data.queries:
@@ -203,11 +203,9 @@ def dense_top10(index: InvertedIndex, query_weights: dict[int, float]):
     qimp = quantize_weights(query_weights, qstep)
     scores = np.zeros(index.doc_count, dtype=np.int64)
     for term, qi in qimp.items():
-        entry = index.postings.get(term)
-        if entry is None:
-            continue
-        ordinals, impacts = entry
-        scores[ordinals] += qi * impacts
+        if 0 <= term < index.vocab_size:
+            span = slice(index.offsets[term], index.offsets[term + 1])
+            scores[index.ordinals[span]] += qi * index.impacts[span]
     ranked = sorted(
         (o for o in range(index.doc_count) if scores[o] > 0),
         key=lambda o: (-scores[o], o),
@@ -346,7 +344,7 @@ def build_small_index() -> InvertedIndex:
         rows.append(
             (f"doc{d:03d}", {int(t): float(rng.uniform(0.1, 5.0)) for t in chosen})
         )
-    return InvertedIndex.build(lambda: iter(rows), 20)
+    return InvertedIndex.build(rows, 20)
 
 
 def survives_corruption(blob: bytes, load, path: Path) -> tuple[int, list[str]]:

@@ -5,8 +5,10 @@ import json
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 
+from fectek.checkpoint import load_tensors, save_tensors
 from fectek.cli import main
 
 TINY_ENCODER = [
@@ -338,6 +340,83 @@ class TestExitCodes:
         )
         assert code == 4
         assert "term 7" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, row",
+        [
+            pytest.param(
+                "index", '{"docid": "b", "weights": {"7": %s}}' % ("9" * 400),
+                id="index-400-digit-weight",
+            ),
+            pytest.param(
+                "index", '{"docid": "b", "weights": {"7": %s}}' % ("9" * 5000),
+                id="index-5000-digit-weight",
+            ),
+            pytest.param(
+                "train", '{"query": "a", "positive": "b", "n": %s}' % ("9" * 5000),
+                id="train-5000-digit-integer",
+            ),
+        ],
+    )
+    def test_huge_json_integer_is_4(self, workspace, tmp_path, command, row):
+        data = tmp_path / "data.jsonl"
+        first = {
+            "index": '{"docid": "a", "weights": {"5": 1.0}}',
+            "train": '{"query": "a", "positive": "b", "negatives": []}',
+        }[command]
+        data.write_text(f"{first}\n{row}\n")
+        out = tmp_path / "out"
+        flags = {
+            "index": ("--weights", str(data), "--out", str(out)),
+            "train": ("--triples", str(data), "--out-dir", str(out)),
+        }[command]
+        code, _, err = run_cli(command, "--vocab", str(workspace["vocab"]), *flags)
+        assert code == 4
+        assert f"{data}:2:" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["07", " 8", "1_0", "+7", "-0"])
+    def test_non_canonical_term_id_is_4(self, workspace, tmp_path, key):
+        weights = tmp_path / "weights.jsonl"
+        weights.write_text(
+            json.dumps({"docid": "a", "weights": {"7": 1.0, key: 2.0}}) + "\n"
+        )
+        out = tmp_path / "index.ftek"
+        code, _, err = run_cli(
+            "index",
+            "--weights", str(weights),
+            "--vocab", str(workspace["vocab"]),
+            "--out", str(out),
+        )
+        assert code == 4
+        assert repr(key) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("command", ["encode", "search"])
+    def test_non_finite_checkpoint_is_4(self, workspace, tmp_path, command, value):
+        entries = load_tensors(workspace["checkpoint"])
+        entries["weight_head.bias"].flat[-1] = value
+        broken = tmp_path / "broken.ftck"
+        save_tensors(broken, entries)
+        out = tmp_path / "out"
+        inputs = {
+            "encode": ("--corpus", str(workspace["corpus"])),
+            "search": (
+                "--index", str(workspace["index"]),
+                "--queries", str(workspace["queries"]),
+            ),
+        }[command]
+        code, _, err = run_cli(
+            command,
+            "--checkpoint", str(broken),
+            "--vocab", str(workspace["vocab"]),
+            *inputs,
+            "--out", str(out),
+        )
+        assert code == 4
+        assert "weight_head.bias" in err
         assert not out.exists()
 
     def test_vocab_mismatch_is_4(self, workspace, tmp_path):

@@ -25,6 +25,12 @@ from fectek.index import (
 HEADER = struct.Struct("<4sIQQd")
 
 
+def postings(index, term):
+    """(ordinals, impacts) of one term: its slice of the CSR arrays."""
+    span = slice(index.offsets[term], index.offsets[term + 1])
+    return index.ordinals[span], index.impacts[span]
+
+
 def brute_force(index, query_weights, k):
     """Dense reference ranking: same quantization, same tie rule."""
     if k <= 0 or not query_weights:
@@ -33,11 +39,9 @@ def brute_force(index, query_weights, k):
     qimp = quantize_weights(query_weights, qstep)
     scores = np.zeros(index.doc_count, dtype=np.int64)
     for term, qi in qimp.items():
-        entry = index.postings.get(term)
-        if entry is None:
-            continue
-        ordinals, impacts = entry
-        scores[ordinals] += qi * impacts
+        if 0 <= term < index.vocab_size:
+            ordinals, impacts = postings(index, term)
+            scores[ordinals] += qi * impacts
     ranked = sorted(
         (ordinal for ordinal in range(index.doc_count) if scores[ordinal] > 0),
         key=lambda o: (-scores[o], o),
@@ -46,6 +50,19 @@ def brute_force(index, query_weights, k):
         (index.docids[o], int(scores[o]), int(scores[o]) * qstep * index.scale)
         for o in ranked[:k]
     ]
+
+
+def reference_region(index):
+    """The postings region written one posting at a time with `write_varint`."""
+    region = bytearray()
+    for term in range(index.vocab_size):
+        ordinals, impacts = postings(index, term)
+        previous = None
+        for ordinal, impact in zip(ordinals.tolist(), impacts.tolist()):
+            write_varint(region, ordinal if previous is None else ordinal - previous)
+            region.append(impact)
+            previous = ordinal
+    return bytes(region)
 
 
 TIED_LEVELS = (0.0, 0.5, 1.0, 2.0)
@@ -63,7 +80,7 @@ def random_corpus(rng, docs, terms, density=0.3, max_weight=4.0):
 
 
 def build_from(rows, vocab_size):
-    return InvertedIndex.build(lambda: iter(rows), vocab_size)
+    return InvertedIndex.build(rows, vocab_size)
 
 
 class TestQuantization:
@@ -145,14 +162,15 @@ class TestBuild:
         ]
         index = build_from(rows, 8)
         assert index.doc_count == 3
-        ords, imps = index.postings[2]
+        ords, imps = postings(index, 2)
         assert ords.tolist() == [0, 1]
         assert imps.tolist() == [255, 128]
         assert index.docids == ["a", "b", "c"]
 
     def test_zero_weights_produce_no_postings(self):
         index = build_from([("a", {2: 0.0}), ("b", {})], 8)
-        assert index.postings == {}
+        assert index.offsets.tolist() == [0] * 9
+        assert index.ordinals.size == index.impacts.size == 0
         assert index.scale == 1.0
         assert index.doc_count == 2
 
@@ -184,11 +202,9 @@ class TestPersistence:
         assert loaded.vocab_size == index.vocab_size
         assert loaded.scale == index.scale
         assert loaded.docids == index.docids
-        assert set(loaded.postings) == set(index.postings)
-        for term, (ords, imps) in index.postings.items():
-            l_ords, l_imps = loaded.postings[term]
-            assert np.array_equal(l_ords, ords), term
-            assert np.array_equal(l_imps, imps), term
+        assert np.array_equal(loaded.offsets, index.offsets)
+        assert np.array_equal(loaded.ordinals, index.ordinals)
+        assert np.array_equal(loaded.impacts, index.impacts)
 
     def test_save_bytes_deterministic(self, tmp_path, rng):
         rows = random_corpus(rng, docs=10, terms=8)
@@ -197,6 +213,84 @@ class TestPersistence:
         index.save(p1)
         build_from(rows, 8).save(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_format_v1_multi_byte_gaps(self, tmp_path):
+        # Term 1 holds ordinals 127, 255 and 16639 (stored as 127, then gaps
+        # 128 and 16384) with impacts 1, 128 and 255; term 2 holds ordinal 0
+        # with impact 2.  Every other document is empty.
+        weights = {0: {2: 2.0}, 127: {1: 1.0}, 255: {1: 128.0}, 16639: {1: 255.0}}
+        index = build_from([(f"d{o}", weights.get(o, {})) for o in range(16640)], 3)
+        path = tmp_path / "idx.ftek"
+        index.save(path)
+        blob = path.read_bytes()
+        assert HEADER.unpack_from(blob) == (MAGIC, VERSION, 3, 16640, 1.0)
+        assert struct.unpack_from("<4Q", blob, HEADER.size) == (0, 0, 9, 11)
+        region_start = HEADER.size + 4 * 8
+        assert blob[region_start : region_start + 11] == bytes.fromhex(
+            "7f01" "800180" "808001ff" "0002"
+        )
+        resaved = tmp_path / "again.ftek"
+        InvertedIndex.load(path).save(resaved)
+        assert resaved.read_bytes() == blob
+
+    @given(
+        doc_count=st.integers(1, 3000),
+        weights=st.dictionaries(
+            st.integers(0, 2999),
+            st.dictionaries(
+                st.integers(0, 7), st.floats(0.0, 1e3), min_size=1, max_size=4
+            ),
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_sparse_ordinals(self, tmp_path_factory, doc_count, weights):
+        rows = [(f"d{o}", weights.get(o, {})) for o in range(doc_count)]
+        index = build_from(rows, 8)
+        step = quantization_step(
+            max((w for _, ws in rows for w in ws.values()), default=0.0)
+        )
+        for term in range(8):
+            ordinals, impacts = postings(index, term)
+            expected = [
+                (o, impact)
+                for o, (_, ws) in enumerate(rows)
+                for t, impact in quantize_weights(ws, step).items()
+                if t == term
+            ]
+            assert list(zip(ordinals.tolist(), impacts.tolist())) == expected
+
+        path = tmp_path_factory.mktemp("sparse") / "idx.ftek"
+        index.save(path)
+        region = reference_region(index)
+        region_start = HEADER.size + 9 * 8
+        assert path.read_bytes()[region_start : region_start + len(region)] == region
+        loaded = InvertedIndex.load(path)
+        assert np.array_equal(loaded.offsets, index.offsets)
+        assert np.array_equal(loaded.ordinals, index.ordinals)
+        assert np.array_equal(loaded.impacts, index.impacts)
+
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 2**62), unique=True, max_size=5), max_size=4
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_save_encodes_any_gap_as_write_varint_does(self, tmp_path_factory, lists):
+        # Gaps of up to 62 bits (9-byte varints) need no documents to save.
+        ordinals = [sorted(ords) for ords in lists]
+        index = InvertedIndex(
+            1.0,
+            ["a"],
+            np.cumsum([0] + [len(ords) for ords in ordinals]),
+            np.array([o for ords in ordinals for o in ords], dtype=np.int64),
+            np.array([1 + o % 255 for ords in ordinals for o in ords], dtype=np.int64),
+        )
+        path = tmp_path_factory.mktemp("gaps") / "idx.ftek"
+        index.save(path)
+        region = reference_region(index)
+        region_start = HEADER.size + (len(ordinals) + 1) * 8
+        assert path.read_bytes()[region_start : region_start + len(region)] == region
 
     def test_search_agrees_after_round_trip(self, tmp_path, rng):
         rows = random_corpus(rng, docs=30, terms=10)

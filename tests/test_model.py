@@ -394,11 +394,6 @@ class TestLosses:
         assert term_value == 0.0
         assert total.item() == pytest.approx(text_value, abs=1e-12)
 
-    def test_both_branches_off_rejected(self, tiny_model, tiny_vocab, tiny_config):
-        triple = make_triple(tiny_vocab, tiny_config, "quick", "quick fox", [])
-        with pytest.raises(ValueError):
-            triple_loss(tiny_model, triple, enable_text=False, enable_term=False)
-
     def test_batch_loss_averages_over_triples(
         self, tiny_model, tiny_vocab, tiny_config
     ):
@@ -463,6 +458,17 @@ class TestPersistence:
         path = tmp_path / "model.ftck"
         save_model(model, path)
         assert load_model(path).use_feature_gate is False
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_rejected(
+        self, tiny_vocab, tiny_config, tmp_path, value
+    ):
+        model = FecTekModel(len(tiny_vocab), tiny_config, seed=9)
+        model.named_parameters()["embeddings.token"].data[5, 1] = value
+        path = tmp_path / "model.ftck"
+        save_model(model, path)
+        with pytest.raises(CorruptFileError, match="'embeddings.token' is not finite"):
+            load_model(path)
 
     def test_truncated_file_rejected(self, tiny_vocab, tiny_config, tmp_path):
         model = FecTekModel(len(tiny_vocab), tiny_config, seed=9)
