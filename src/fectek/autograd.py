@@ -44,10 +44,6 @@ def no_grad():
         _grad_enabled = previous
 
 
-def is_grad_enabled() -> bool:
-    return _grad_enabled
-
-
 class Tensor:
     """Dense float64 array that can participate in gradient computation."""
 
@@ -65,22 +61,8 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def backward(self) -> None:
         """Reverse-replay the tape below this scalar, filling `.grad` buffers."""
@@ -96,53 +78,6 @@ class Tensor:
         for node in reversed(tape):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    # -- arithmetic sugar -------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor division is not supported; multiply by a reciprocal")
-        return mul(self, 1.0 / float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def relu(self):
-        return relu(self)
-
-    def sigmoid(self):
-        return sigmoid(self)
-
-    def log1p(self):
-        return log1p(self)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def sum(self, axis=None):
-        return reduce_sum(self, axis)
-
-    def mean(self, axis=None):
-        return reduce_mean(self, axis)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -224,17 +159,6 @@ def add(a, b) -> Tensor:
     return _record(data, (a, b), backward, "add")
 
 
-def sub(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    data = a.data - b.data
-
-    def backward(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(-g, b.data.shape))
-
-    return _record(data, (a, b), backward, "sub")
-
-
 def mul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     data = a.data * b.data
@@ -244,15 +168,6 @@ def mul(a, b) -> Tensor:
         _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _record(data, (a, b), backward, "mul")
-
-
-def neg(a) -> Tensor:
-    a = _coerce(a)
-
-    def backward(g):
-        _accumulate(a, -g)
-
-    return _record(-a.data, (a,), backward, "neg")
 
 
 def relu(a) -> Tensor:
@@ -356,50 +271,15 @@ def concat(tensors, axis: int = 0) -> Tensor:
 # -- reductions ------------------------------------------------------------
 
 
-def _normalize_axis(axis: int, ndim: int) -> int:
-    if not -ndim <= axis < ndim:
-        raise ShapeError(f"axis {axis} out of range for {ndim}-d tensor")
-    return axis % ndim
-
-
-def reduce_sum(a, axis: int | None = None) -> Tensor:
+def reduce_sum(a) -> Tensor:
+    """Sum of every element, as a scalar."""
     a = _coerce(a)
-    if axis is None:
-        data = a.data.sum()
+    data = a.data.sum()
 
-        def backward(g):
-            _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
-
-    else:
-        ax = _normalize_axis(axis, a.data.ndim)
-        data = a.data.sum(axis=ax)
-
-        def backward(g):
-            _accumulate(a, np.broadcast_to(np.expand_dims(g, ax), a.data.shape).copy())
+    def backward(g):
+        _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
 
     return _record(data, (a,), backward, "sum")
-
-
-def reduce_mean(a, axis: int | None = None) -> Tensor:
-    a = _coerce(a)
-    if axis is None:
-        n = a.data.size
-        data = a.data.mean()
-
-        def backward(g):
-            _accumulate(a, np.broadcast_to(g / n, a.data.shape).copy())
-
-    else:
-        ax = _normalize_axis(axis, a.data.ndim)
-        n = a.data.shape[ax]
-        data = a.data.mean(axis=ax)
-
-        def backward(g):
-            _accumulate(
-                a, np.broadcast_to(np.expand_dims(g / n, ax), a.data.shape).copy()
-            )
-
-    return _record(data, (a,), backward, "mean")
 
 
 # -- linear algebra ---------------------------------------------------------

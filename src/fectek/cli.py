@@ -187,12 +187,13 @@ def cmd_train(args: argparse.Namespace) -> int:
         "vocab": str(args.vocab),
         "vocab_size": len(vocab),
         "queries": len(triples),
-        "dim": config.dim,
-        "layers": config.layers,
-        "heads": config.heads,
-        "ffn_multiplier": config.ffn_multiplier,
-        "max_query_len": config.max_query_len,
-        "max_passage_len": config.max_passage_len,
+        # A loaded checkpoint keeps its own encoder shape, whatever the flags say.
+        "dim": model.config.dim,
+        "layers": model.config.layers,
+        "heads": model.config.heads,
+        "ffn_multiplier": model.config.ffn_multiplier,
+        "max_query_len": model.config.max_query_len,
+        "max_passage_len": model.config.max_passage_len,
         "feature_gate": not args.no_fcm,
         "term_guidance": not args.no_tkgm,
         "aggregation": args.aggregation,
@@ -503,12 +504,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (DataFormatError, CorruptFileError) as exc:
+    # UnicodeDecodeError is a ValueError, so it must be caught before the usage branch.
+    except (DataFormatError, CorruptFileError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

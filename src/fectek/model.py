@@ -128,10 +128,6 @@ class TermWeightVector:
     def __len__(self) -> int:
         return len(self.term_ids)
 
-    def weight_of(self, term_id: int) -> float:
-        i = self._index.get(term_id)
-        return float(self.weights.data[i]) if i is not None else 0.0
-
     def as_dict(self) -> dict[int, float]:
         """Plain float mapping; exact zeros are dropped (term absent)."""
         return {
@@ -342,7 +338,7 @@ def triple_loss(
     ]
     text = text_level_loss(query_vec, positive_vec, negative_vecs)
     text_value = text.item()
-    total = ag.add(Tensor(0.0), text)
+    total = text
     term_value = 0.0
     if enable_term:
         # Guidance comes from the positive passage only; negatives are

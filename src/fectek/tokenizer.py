@@ -64,9 +64,6 @@ class Vocabulary:
         """Id for `token`, or UNK_ID when out of vocabulary."""
         return self._token_to_id.get(token, UNK_ID)
 
-    def token(self, idx: int) -> str:
-        return self._id_to_token[idx]
-
     @classmethod
     def build(cls, texts: Iterable[str], min_freq: int = 1) -> "Vocabulary":
         """Count tokens over `texts` and keep those seen at least `min_freq`

@@ -10,6 +10,7 @@ import pytest
 
 from fectek.checkpoint import load_tensors, save_tensors
 from fectek.cli import main
+from fectek.model import load_model
 
 TINY_ENCODER = [
     "--dim", "16",
@@ -162,6 +163,28 @@ class TestPipeline:
         assert header["config"]["seed"] == 42
         # 3 triples, batch 2 -> 2 steps per epoch, 2 epochs.
         assert len(lines) == 1 + 4
+
+    def test_init_checkpoint_header_records_loaded_shape(self, workspace, tmp_path):
+        # The encoder flags cannot reshape a loaded checkpoint, so the header
+        # must report the shape the continued model really has.
+        code, _, err = run_cli(
+            "train",
+            "--triples", str(workspace["triples"]),
+            "--vocab", str(workspace["vocab"]),
+            "--out-dir", str(tmp_path),
+            "--init-checkpoint", str(workspace["checkpoint"]),
+            "--layers", "4",
+            "--max-passage-len", "50",
+            "--epochs", "1",
+        )
+        assert code == 0, err
+        header = json.loads((tmp_path / "metrics.jsonl").read_text().splitlines()[0])
+        saved = load_model(tmp_path / "model.ftck").config
+        assert (saved.dim, saved.layers, saved.max_passage_len) == (16, 1, 24)
+        for field in (
+            "dim", "layers", "heads", "ffn_multiplier", "max_query_len", "max_passage_len"
+        ):
+            assert header["config"][field] == getattr(saved, field), field
 
     def test_weight_stream_shape(self, workspace):
         rows = [
@@ -391,6 +414,41 @@ class TestExitCodes:
         )
         assert code == 4
         assert repr(key) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("build-vocab", "--corpus"),
+            ("index", "--vocab"),
+            ("index", "--weights"),
+            ("train", "--triples"),
+            ("evaluate", "--qrels"),
+        ],
+    )
+    def test_non_utf8_input_is_4(self, workspace, tmp_path, command, flag):
+        out = tmp_path / "out"
+        inputs = {
+            "build-vocab": {"--corpus": workspace["corpus"], "--out": out},
+            "index": {
+                "--weights": workspace["weights"],
+                "--vocab": workspace["vocab"],
+                "--out": out,
+            },
+            "train": {
+                "--triples": workspace["triples"],
+                "--vocab": workspace["vocab"],
+                "--out-dir": out,
+            },
+            "evaluate": {"--run": workspace["run_file"], "--qrels": workspace["qrels"]},
+        }[command]
+        bad = tmp_path / "bad"
+        bad.write_bytes(inputs[flag].read_bytes() + b"stray \xff byte\n")
+        inputs[flag] = bad
+        argv = [part for name, path in inputs.items() for part in (name, str(path))]
+        code, _, err = run_cli(command, *argv)
+        assert code == 4
+        assert "can't decode byte 0xff" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

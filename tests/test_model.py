@@ -86,8 +86,8 @@ class TestTermWeightVector:
         ids = np.array([CLS_ID, 8, 9, 8, SEP_ID])
         weights = Tensor(np.array([5.0, 1.0, 2.0, 3.0, 5.0]), requires_grad=True)
         vec = TermWeightVector.from_positions(ids, weights, "max")
-        assert vec.weight_of(8) == 3.0
-        assert vec.weight_of(9) == 2.0
+        assert vec.as_dict()[8] == 3.0
+        assert vec.as_dict()[9] == 2.0
 
     def test_max_gradient_routes_to_argmax_only(self):
         ids = np.array([CLS_ID, 8, 8, SEP_ID])
@@ -107,7 +107,7 @@ class TestTermWeightVector:
         ids = np.array([CLS_ID, 8, 9, 8, SEP_ID])
         weights = Tensor(np.array([5.0, 1.0, 2.0, 3.0, 5.0]), requires_grad=True)
         vec = TermWeightVector.from_positions(ids, weights, "sum")
-        assert vec.weight_of(8) == 4.0
+        assert vec.as_dict()[8] == 4.0
         ag.reduce_sum(vec.weights).backward()
         assert weights.grad.tolist() == [0.0, 1.0, 1.0, 1.0, 0.0]
 
