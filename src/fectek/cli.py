@@ -9,12 +9,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import autograd as ag
 from . import index as findex  # via the module, so a replaced index.search is used
 from .encoder import EncoderConfig
-from .errors import CorruptFileError, DataFormatError, TrainingDivergedError
+from .errors import CorruptFileError, DataFormatError, TrainingDivergedError, open_text
 from .evaluation import load_qrels, load_run, mrr_at_k, recall_at_k, write_run
 from .gradcheck import DEFAULT_EPS, DEFAULT_TOLERANCE, run_gradient_check
 from .index import InvertedIndex
@@ -28,7 +29,7 @@ def _read_tsv_pairs(path: str | Path, what: str) -> list[tuple[str, str]]:
     """Parse `id \\t text` rows; the text may be empty but the tab may not."""
     rows: list[tuple[str, str]] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -53,7 +54,7 @@ def _read_tsv_pairs(path: str | Path, what: str) -> list[tuple[str, str]]:
 
 def _iter_weight_stream(path: str | Path):
     """Yield (docid, {term_id: weight}) rows from an encoded-weights file."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -94,14 +95,7 @@ def _iter_weight_stream(path: str | Path):
 
 
 def _encoder_config(args: argparse.Namespace) -> EncoderConfig:
-    return EncoderConfig(
-        dim=args.dim,
-        layers=args.layers,
-        heads=args.heads,
-        ffn_multiplier=args.ffn_multiplier,
-        max_query_len=args.max_query_len,
-        max_passage_len=args.max_passage_len,
-    )
+    return EncoderConfig(**{f.name: getattr(args, f.name) for f in fields(EncoderConfig)})
 
 
 def _trainer_config(args: argparse.Namespace, enable_term_loss: bool) -> TrainerConfig:
@@ -165,9 +159,10 @@ def cmd_build_vocab(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    config = _encoder_config(args)
+    trainer_config = _trainer_config(args, enable_term_loss=not args.no_tkgm)
     vocab = Vocabulary.load(args.vocab)
     triples = load_triples(args.triples)
-    config = _encoder_config(args)
     if args.init_checkpoint:
         model = load_model(args.init_checkpoint)
         _check_vocab_match(model, vocab, str(args.init_checkpoint))
@@ -181,19 +176,13 @@ def cmd_train(args: argparse.Namespace) -> int:
             aggregation=args.aggregation,
             seed=args.seed,
         )
-    trainer_config = _trainer_config(args, enable_term_loss=not args.no_tkgm)
     resolved = {
         "triples": str(args.triples),
         "vocab": str(args.vocab),
         "vocab_size": len(vocab),
         "queries": len(triples),
         # A loaded checkpoint keeps its own encoder shape, whatever the flags say.
-        "dim": model.config.dim,
-        "layers": model.config.layers,
-        "heads": model.config.heads,
-        "ffn_multiplier": model.config.ffn_multiplier,
-        "max_query_len": model.config.max_query_len,
-        "max_passage_len": model.config.max_passage_len,
+        **asdict(model.config),
         "feature_gate": not args.no_fcm,
         "term_guidance": not args.no_tkgm,
         "aggregation": args.aggregation,
@@ -240,6 +229,8 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    if args.k <= 0:
+        raise ValueError(f"--k must be positive, got {args.k}")
     index = InvertedIndex.load(args.index)
     model = load_model(args.checkpoint)
     vocab = Vocabulary.load(args.vocab)
@@ -321,6 +312,8 @@ def cmd_ablation(args: argparse.Namespace) -> int:
     for path in (corpus_path, triples_path, queries_path, qrels_path):
         if not path.exists():
             raise FileNotFoundError(f"missing dataset file: {path}")
+    config = _encoder_config(args)
+    trainer_config = _trainer_config(args, enable_term_loss=True)
 
     out_root = Path(args.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
@@ -331,7 +324,6 @@ def cmd_ablation(args: argparse.Namespace) -> int:
     triples = load_triples(triples_path)
     queries = _read_tsv_pairs(queries_path, "queries")
     qrels = load_qrels(qrels_path)
-    config = _encoder_config(args)
 
     rows = []
     for name, use_gate, use_guidance in _ABLATION_GRID:
@@ -343,8 +335,8 @@ def cmd_ablation(args: argparse.Namespace) -> int:
             aggregation=args.aggregation,
             seed=args.seed,
         )
-        trainer_config = _trainer_config(args, enable_term_loss=use_guidance)
-        train(model, triples, vocab, trainer_config, run_dir, {"ablation": name})
+        run_config = replace(trainer_config, enable_term_loss=use_guidance)
+        train(model, triples, vocab, run_config, run_dir, {"ablation": name})
         with ag.no_grad():
             stream = [
                 (docid, _weigh(model, vocab, text, config.max_passage_len))
@@ -379,25 +371,29 @@ def cmd_ablation(args: argparse.Namespace) -> int:
 
 
 def _add_encoder_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dim", type=int, default=64, help="hidden width")
-    parser.add_argument("--layers", type=int, default=2, help="transformer layers")
-    parser.add_argument("--heads", type=int, default=2, help="attention heads")
-    parser.add_argument("--ffn-multiplier", type=int, default=4)
-    parser.add_argument("--max-query-len", type=int, default=64)
-    parser.add_argument("--max-passage-len", type=int, default=192)
+    config = EncoderConfig
+    parser.add_argument("--dim", type=int, default=config.dim, help="hidden width")
+    parser.add_argument(
+        "--layers", type=int, default=config.layers, help="transformer layers"
+    )
+    parser.add_argument("--heads", type=int, default=config.heads, help="attention heads")
+    parser.add_argument("--ffn-multiplier", type=int, default=config.ffn_multiplier)
+    parser.add_argument("--max-query-len", type=int, default=config.max_query_len)
+    parser.add_argument("--max-passage-len", type=int, default=config.max_passage_len)
 
 
 def _add_training_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--epochs", type=int, default=5)
-    parser.add_argument("--batch-queries", type=int, default=4)
+    config = TrainerConfig
+    parser.add_argument("--epochs", type=int, default=config.epochs)
+    parser.add_argument("--batch-queries", type=int, default=config.batch_queries)
     parser.add_argument(
-        "--negatives", type=int, default=7, help="negatives used per query"
+        "--negatives", type=int, default=config.max_negatives, help="negatives used per query"
     )
-    parser.add_argument("--lr", type=float, default=1e-3, help="peak learning rate")
-    parser.add_argument("--warmup-ratio", type=float, default=0.1)
-    parser.add_argument("--weight-decay", type=float, default=0.01)
-    parser.add_argument("--clip-norm", type=float, default=1.0)
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--lr", type=float, default=config.peak_lr, help="peak learning rate")
+    parser.add_argument("--warmup-ratio", type=float, default=config.warmup_ratio)
+    parser.add_argument("--weight-decay", type=float, default=config.weight_decay)
+    parser.add_argument("--clip-norm", type=float, default=config.clip_norm)
+    parser.add_argument("--seed", type=int, default=config.seed)
     parser.add_argument(
         "--aggregation",
         choices=("max", "sum"),
@@ -477,11 +473,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic retrieval dataset")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--passages", type=int, default=1000)
-    p.add_argument("--terms", type=int, default=300)
-    p.add_argument("--queries", type=int, default=100)
-    p.add_argument("--negatives", type=int, default=15)
-    p.add_argument("--seed", type=int, default=13)
+    p.add_argument("--passages", type=int, default=SynthConfig.passages)
+    p.add_argument("--terms", type=int, default=SynthConfig.terms)
+    p.add_argument("--queries", type=int, default=SynthConfig.queries)
+    p.add_argument("--negatives", type=int, default=SynthConfig.negatives)
+    p.add_argument("--seed", type=int, default=SynthConfig.seed)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser(
@@ -504,8 +500,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    # UnicodeDecodeError is a ValueError, so it must be caught before the usage branch.
-    except (DataFormatError, CorruptFileError, UnicodeDecodeError) as exc:
+    except (DataFormatError, CorruptFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except OSError as exc:

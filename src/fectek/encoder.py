@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -27,7 +28,10 @@ MASK_BIAS = -1e30
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """Shape of the encoder stack and the two truncation lengths."""
+    """Shape of the encoder stack and the two truncation lengths.
+
+    The field order is the order of the `config.*` entries in a checkpoint.
+    """
 
     dim: int = 64
     layers: int = 2
@@ -36,19 +40,24 @@ class EncoderConfig:
     max_query_len: int = 64
     max_passage_len: int = 192
 
+    # Inclusive range of every field; a length must fit CLS + token + SEP.
+    BOUNDS: ClassVar[dict[str, tuple[int, int]]] = {
+        "dim": (1, 4096),
+        "layers": (1, 64),
+        "heads": (1, 256),
+        "ffn_multiplier": (1, 32),
+        "max_query_len": (3, 65_536),
+        "max_passage_len": (3, 65_536),
+    }
+
     def __post_init__(self):
-        if self.dim <= 0 or self.layers <= 0 or self.heads <= 0:
-            raise ValueError("dim, layers and heads must be positive")
+        for f in fields(self):
+            low, high = self.BOUNDS[f.name]
+            value = getattr(self, f.name)
+            if not low <= value <= high:
+                raise ValueError(f"{f.name} must be in [{low}, {high}], got {value}")
         if self.dim % self.heads != 0:
             raise ValueError(f"dim {self.dim} not divisible by heads {self.heads}")
-        if self.min_len < 3:
-            raise ValueError("truncation lengths must be at least 3 (CLS + token + SEP)")
-        if self.ffn_multiplier <= 0:
-            raise ValueError("ffn_multiplier must be positive")
-
-    @property
-    def min_len(self) -> int:
-        return min(self.max_query_len, self.max_passage_len)
 
     @property
     def max_len(self) -> int:
@@ -71,7 +80,6 @@ class EncodedSequence:
     token_ids: np.ndarray
     hidden: Tensor
     real_mask: np.ndarray
-    attention: list[np.ndarray] | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.token_ids)
@@ -133,9 +141,7 @@ class ContextEncoder:
     def named_parameters(self) -> dict[str, Tensor]:
         return dict(self.params)
 
-    def forward(
-        self, token_ids: Sequence[int], collect_attention: bool = False
-    ) -> EncodedSequence:
+    def forward(self, token_ids: Sequence[int]) -> EncodedSequence:
         cfg = self.config
         ids = np.asarray(token_ids, dtype=np.int64)
         if ids.ndim != 1 or ids.size == 0:
@@ -151,77 +157,40 @@ class ContextEncoder:
             )
         real = ids != PAD_ID
         p = self.params
+        h = cfg.heads
+        dh = cfg.head_dim
+        scale = 1.0 / math.sqrt(dh)
+
+        def linear(t: Tensor, name: str) -> Tensor:
+            return ag.add(ag.matmul(t, p[f"{name}.weight"]), p[f"{name}.bias"])
+
+        def norm(t: Tensor, name: str) -> Tensor:
+            return ag.layer_norm(t, p[f"{name}.gain"], p[f"{name}.bias"], LAYER_NORM_EPS)
+
+        def split_heads(t: Tensor) -> Tensor:
+            return ag.permute(ag.reshape(t, (n, h, dh)), (1, 0, 2))
 
         x = ag.add(
             ag.gather(p["embeddings.token"], ids),
             ag.gather(p["embeddings.position"], np.arange(n)),
         )
-        x = ag.layer_norm(
-            x, p["embeddings.norm.gain"], p["embeddings.norm.bias"], LAYER_NORM_EPS
-        )
+        x = norm(x, "embeddings.norm")
 
         # Padded columns get a huge negative bias; rows stay untouched, so
         # every row (real or pad) still softmaxes to a proper distribution.
-        bias = np.where(real, 0.0, MASK_BIAS).reshape(1, 1, n)
-        mask_bias = Tensor(bias)
-
-        h = cfg.heads
-        dh = cfg.head_dim
-        scale = 1.0 / math.sqrt(dh)
-        attentions: list[np.ndarray] | None = [] if collect_attention else None
-
-        def split_heads(t: Tensor) -> Tensor:
-            return ag.permute(ag.reshape(t, (n, h, dh)), (1, 0, 2))
+        mask_bias = Tensor(np.where(real, 0.0, MASK_BIAS).reshape(1, 1, n))
 
         for i in range(cfg.layers):
-            q = split_heads(
-                ag.add(
-                    ag.matmul(x, p[f"layers.{i}.attn.query.weight"]),
-                    p[f"layers.{i}.attn.query.bias"],
-                )
-            )
-            k = split_heads(
-                ag.add(
-                    ag.matmul(x, p[f"layers.{i}.attn.key.weight"]),
-                    p[f"layers.{i}.attn.key.bias"],
-                )
-            )
-            v = split_heads(
-                ag.add(
-                    ag.matmul(x, p[f"layers.{i}.attn.value.weight"]),
-                    p[f"layers.{i}.attn.value.bias"],
-                )
+            layer = f"layers.{i}"
+            q, k, v = (
+                split_heads(linear(x, f"{layer}.attn.{part}"))
+                for part in ("query", "key", "value")
             )
             logits = ag.add(ag.mul(ag.matmul(q, ag.transpose_last_two(k)), scale), mask_bias)
             weights = ag.softmax(logits, axis=-1)
-            if attentions is not None:
-                attentions.append(weights.data.copy())
             ctx = ag.reshape(ag.permute(ag.matmul(weights, v), (1, 0, 2)), (n, cfg.dim))
-            attended = ag.add(
-                ag.matmul(ctx, p[f"layers.{i}.attn.output.weight"]),
-                p[f"layers.{i}.attn.output.bias"],
-            )
-            x = ag.layer_norm(
-                ag.add(x, attended),
-                p[f"layers.{i}.norm1.gain"],
-                p[f"layers.{i}.norm1.bias"],
-                LAYER_NORM_EPS,
-            )
-            expanded = ag.relu(
-                ag.add(
-                    ag.matmul(x, p[f"layers.{i}.ffn.expand.weight"]),
-                    p[f"layers.{i}.ffn.expand.bias"],
-                )
-            )
-            contracted = ag.add(
-                ag.matmul(expanded, p[f"layers.{i}.ffn.contract.weight"]),
-                p[f"layers.{i}.ffn.contract.bias"],
-            )
-            x = ag.layer_norm(
-                ag.add(x, contracted),
-                p[f"layers.{i}.norm2.gain"],
-                p[f"layers.{i}.norm2.bias"],
-                LAYER_NORM_EPS,
-            )
+            x = norm(ag.add(x, linear(ctx, f"{layer}.attn.output")), f"{layer}.norm1")
+            expanded = ag.relu(linear(x, f"{layer}.ffn.expand"))
+            x = norm(ag.add(x, linear(expanded, f"{layer}.ffn.contract")), f"{layer}.norm2")
 
-        return EncodedSequence(ids, x, real, attentions)
+        return EncodedSequence(ids, x, real)

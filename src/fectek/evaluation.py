@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from pathlib import Path
 
-from .errors import DataFormatError
+from .errors import DataFormatError, open_text
 
 Run = dict[str, list[tuple[str, float]]]
 Qrels = dict[str, set[str]]
@@ -20,7 +20,7 @@ Qrels = dict[str, set[str]]
 def load_qrels(path: str | Path) -> Qrels:
     """Relevant docids per query; rows with relevance <= 0 are ignored."""
     qrels: Qrels = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -57,7 +57,7 @@ def write_run(
 def load_run(path: str | Path) -> Run:
     """Parse a run file back into ranked (docid, score) lists per query."""
     rows: dict[str, list[tuple[int, str, float]]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

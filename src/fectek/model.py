@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ import numpy as np
 from . import autograd as ag
 from . import checkpoint as ckpt
 from .autograd import Tensor
-from .encoder import ContextEncoder, EncoderConfig, EncodedSequence
+from .encoder import INIT_STD, ContextEncoder, EncoderConfig, EncodedSequence
 from .errors import CorruptFileError, ShapeError
 from .tokenizer import SPECIAL_IDS
 
@@ -165,8 +165,6 @@ class FeatureContextGate:
     def __init__(self, dim: int, rng: np.random.Generator):
         self.dim = dim
         self.bottleneck = max(1, dim // 16)
-        from .encoder import INIT_STD
-
         self.params = {
             "feature_gate.squeeze.weight": Tensor(
                 rng.normal(0.0, INIT_STD, size=(dim, self.bottleneck)),
@@ -234,8 +232,6 @@ class FecTekModel:
         self.encoder = ContextEncoder(vocab_size, self.config, rng=rng)
         self.feature_gate = FeatureContextGate(self.config.dim, rng)
         d = self.config.dim
-        from .encoder import INIT_STD
-
         self.weight_w = Tensor(rng.normal(0.0, INIT_STD, size=(d,)), requires_grad=True)
         self.weight_b = Tensor(0.0, requires_grad=True)
         self.prob_w = Tensor(rng.normal(0.0, INIT_STD, size=(d,)), requires_grad=True)
@@ -254,10 +250,8 @@ class FecTekModel:
         for p in self.named_parameters().values():
             p.grad = None
 
-    def encode_ids(
-        self, token_ids: Sequence[int], collect_attention: bool = False
-    ) -> EncodedSequence:
-        return self.encoder.forward(token_ids, collect_attention)
+    def encode_ids(self, token_ids: Sequence[int]) -> EncodedSequence:
+        return self.encoder.forward(token_ids)
 
     def term_weights(self, seq: EncodedSequence) -> TermWeightVector:
         """Sparse weight vector for one encoded text."""
@@ -391,17 +385,13 @@ _AGGREGATION_CODES = {name: float(i) for i, name in enumerate(AGGREGATIONS)}
 
 def save_model(model: FecTekModel, path: str | Path) -> None:
     """Checkpoint the model: config scalars first, then every parameter."""
-    entries: dict[str, np.ndarray] = {
-        "config.vocab_size": np.float64(model.vocab_size),
-        "config.dim": np.float64(model.config.dim),
-        "config.layers": np.float64(model.config.layers),
-        "config.heads": np.float64(model.config.heads),
-        "config.ffn_multiplier": np.float64(model.config.ffn_multiplier),
-        "config.max_query_len": np.float64(model.config.max_query_len),
-        "config.max_passage_len": np.float64(model.config.max_passage_len),
-        "config.use_feature_gate": np.float64(1.0 if model.use_feature_gate else 0.0),
-        "config.aggregation": np.float64(_AGGREGATION_CODES[model.aggregation]),
+    config = {
+        "vocab_size": model.vocab_size,
+        **asdict(model.config),
+        "use_feature_gate": 1.0 if model.use_feature_gate else 0.0,
+        "aggregation": _AGGREGATION_CODES[model.aggregation],
     }
+    entries = {f"config.{name}": np.float64(value) for name, value in config.items()}
     for name, tensor in model.named_parameters().items():
         entries[name] = tensor.data
     ckpt.save_tensors(path, entries)
@@ -427,18 +417,24 @@ def load_model(path: str | Path) -> FecTekModel:
         return int(raw)
 
     vocab_size = scalar("config.vocab_size", len(SPECIAL_IDS) + 1, 50_000_000)
-    dim = scalar("config.dim", 1, 4096)
-    max_query_len = scalar("config.max_query_len", 3, 65_536)
-    max_passage_len = scalar("config.max_passage_len", 3, 65_536)
-    aggregation_code = scalar("config.aggregation", 0, len(AGGREGATIONS) - 1)
+    stored = {
+        f.name: scalar(f"config.{f.name}", *EncoderConfig.BOUNDS[f.name])
+        for f in fields(EncoderConfig)
+    }
+    use_feature_gate = bool(scalar("config.use_feature_gate", 0, 1))
+    aggregation = AGGREGATIONS[scalar("config.aggregation", 0, len(AGGREGATIONS) - 1)]
+    try:
+        config = EncoderConfig(**stored)
+    except ValueError as exc:
+        raise CorruptFileError(f"{path}: inconsistent stored config: {exc}") from exc
 
     # The two embedding tables dominate the constructor's allocations, and
     # their stored shapes are bounded by the file's actual size, so checking
     # them against the config scalars first keeps a corrupted header from
     # provoking a huge allocation before the ordinary shape checks run.
     for name, expected in (
-        ("embeddings.token", (vocab_size, dim)),
-        ("embeddings.position", (max(max_query_len, max_passage_len), dim)),
+        ("embeddings.token", (vocab_size, config.dim)),
+        ("embeddings.position", (config.max_len, config.dim)),
     ):
         if name not in entries:
             raise CorruptFileError(f"{path}: missing parameter {name!r}")
@@ -448,23 +444,9 @@ def load_model(path: str | Path) -> FecTekModel:
                 f"expected {expected}"
             )
 
-    try:
-        config = EncoderConfig(
-            dim=dim,
-            layers=scalar("config.layers", 1, 64),
-            heads=scalar("config.heads", 1, 256),
-            ffn_multiplier=scalar("config.ffn_multiplier", 1, 32),
-            max_query_len=max_query_len,
-            max_passage_len=max_passage_len,
-        )
-        model = FecTekModel(
-            vocab_size=vocab_size,
-            config=config,
-            use_feature_gate=bool(scalar("config.use_feature_gate", 0, 1)),
-            aggregation=AGGREGATIONS[aggregation_code],
-        )
-    except ValueError as exc:
-        raise CorruptFileError(f"{path}: inconsistent stored config: {exc}") from exc
+    model = FecTekModel(
+        vocab_size, config, use_feature_gate=use_feature_gate, aggregation=aggregation
+    )
     for name, tensor in model.named_parameters().items():
         if name not in entries:
             raise CorruptFileError(f"{path}: missing parameter {name!r}")

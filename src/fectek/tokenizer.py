@@ -13,7 +13,7 @@ from collections import Counter
 from collections.abc import Iterable
 from pathlib import Path
 
-from .errors import DataFormatError
+from .errors import DataFormatError, open_text
 
 PAD_ID = 0
 UNK_ID = 1
@@ -68,6 +68,8 @@ class Vocabulary:
     def build(cls, texts: Iterable[str], min_freq: int = 1) -> "Vocabulary":
         """Count tokens over `texts` and keep those seen at least `min_freq`
         times, ordered by descending frequency then alphabetically."""
+        if min_freq < 0:
+            raise ValueError(f"min_freq cannot be negative, got {min_freq}")
         counts: Counter[str] = Counter()
         for text in texts:
             counts.update(tokenize(text))
@@ -89,7 +91,8 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        raw = Path(path).read_text(encoding="utf-8").splitlines()
+        with open_text(path) as fh:
+            raw = fh.read().splitlines()
         if not raw:
             raise DataFormatError(f"{path}: empty vocabulary file")
         m = _HEADER_RE.match(raw[0])

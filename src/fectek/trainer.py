@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .autograd import Tensor
-from .errors import DataFormatError, TrainingDivergedError
+from .errors import DataFormatError, TrainingDivergedError, open_text
 from .model import EncodedTriple, FecTekModel, batch_loss, save_model
 from .tokenizer import Vocabulary
 
@@ -35,7 +35,7 @@ class TrainingTriple:
 def load_triples(path: str | Path) -> list[TrainingTriple]:
     """Parse a JSONL triples file, reporting the offending line on errors."""
     triples: list[TrainingTriple] = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -169,6 +169,15 @@ class TrainerConfig:
             raise ValueError("epochs and batch_queries must be positive")
         if self.max_negatives < 0:
             raise ValueError("max_negatives cannot be negative")
+        if not (math.isfinite(self.peak_lr) and self.peak_lr > 0.0):
+            raise ValueError(f"peak_lr must be positive and finite, got {self.peak_lr}")
+        if not 0.0 <= self.warmup_ratio < 1.0:
+            raise ValueError(f"warmup_ratio must be in [0, 1), got {self.warmup_ratio}")
+        # A clip_norm of 0 turns clipping off.
+        for name in ("weight_decay", "clip_norm"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
 def encode_triples(

@@ -424,6 +424,8 @@ class TestExitCodes:
             ("index", "--weights"),
             ("train", "--triples"),
             ("evaluate", "--qrels"),
+            ("evaluate", "--run"),
+            ("search", "--queries"),
         ],
     )
     def test_non_utf8_input_is_4(self, workspace, tmp_path, command, flag):
@@ -441,14 +443,87 @@ class TestExitCodes:
                 "--out-dir": out,
             },
             "evaluate": {"--run": workspace["run_file"], "--qrels": workspace["qrels"]},
+            "search": {
+                "--index": workspace["index"],
+                "--checkpoint": workspace["checkpoint"],
+                "--vocab": workspace["vocab"],
+                "--queries": workspace["queries"],
+                "--out": out,
+            },
         }[command]
         bad = tmp_path / "bad"
-        bad.write_bytes(inputs[flag].read_bytes() + b"stray \xff byte\n")
+        good = inputs[flag].read_bytes()
+        bad.write_bytes(good + b"stray \xff byte\n")
+        line = good.count(b"\n") + 1
         inputs[flag] = bad
         argv = [part for name, path in inputs.items() for part in (name, str(path))]
         code, _, err = run_cli(command, *argv)
         assert code == 4
+        assert f"{bad}:{line}:" in err
         assert "can't decode byte 0xff" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("train", ("--warmup-ratio", "1.5")),
+            ("train", ("--warmup-ratio", "-0.1")),
+            ("train", ("--lr", "nan")),
+            ("train", ("--lr", "-1")),
+            ("train", ("--lr", "0")),
+            ("train", ("--weight-decay", "inf")),
+            ("train", ("--clip-norm", "-1")),
+            ("build-vocab", ("--min-freq", "-1")),
+            ("search", ("--k", "0")),
+        ],
+    )
+    def test_bad_numeric_flag_is_2_and_writes_nothing(
+        self, workspace, tmp_path, command, flags
+    ):
+        out = tmp_path / "out"
+        inputs = {
+            "train": (
+                "--triples", str(workspace["triples"]),
+                "--vocab", str(workspace["vocab"]),
+                "--out-dir", str(out),
+            ),
+            "build-vocab": ("--corpus", str(workspace["corpus"]), "--out", str(out)),
+            "search": (
+                "--index", str(workspace["index"]),
+                "--checkpoint", str(workspace["checkpoint"]),
+                "--vocab", str(workspace["vocab"]),
+                "--queries", str(workspace["queries"]),
+                "--out", str(out),
+            ),
+        }[command]
+        code, _, err = run_cli(command, *inputs, *flags)
+        assert code == 2
+        assert "error:" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        # One value just past each end of each encoder bound.
+        [
+            ("--dim", 0), ("--dim", 4097), ("--layers", 0), ("--layers", 65),
+            ("--heads", 0), ("--heads", 257),
+            ("--ffn-multiplier", 0), ("--ffn-multiplier", 33),
+            ("--max-query-len", 2), ("--max-query-len", 65_537),
+            ("--max-passage-len", 2), ("--max-passage-len", 65_537),
+        ],
+    )
+    def test_encoder_flag_out_of_bounds_is_2(self, workspace, tmp_path, flag, value):
+        out = tmp_path / "run"
+        code, _, err = run_cli(
+            "train",
+            "--triples", str(workspace["triples"]),
+            "--vocab", str(workspace["vocab"]),
+            "--out-dir", str(out),
+            *TINY_ENCODER,
+            flag, str(value),
+        )
+        assert code == 2
+        assert flag[2:].replace("-", "_") in err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

@@ -82,6 +82,13 @@ class TestQrelsFile:
         with pytest.raises(DataFormatError, match=":2:"):
             load_qrels(path)
 
+    def test_non_utf8_byte_names_line_across_newline_styles(self, tmp_path):
+        # "\r\n", "\r" and "\n" each end one line, as when the file is iterated.
+        path = tmp_path / "qrels.tsv"
+        path.write_bytes(b"q1 0 d1 1\r\nq2 0 d2 1\rq3 0 d3 1\nq4 0 d\xe94 1\n")
+        with pytest.raises(DataFormatError, match=r"qrels.tsv:4: .*can't decode byte 0xe9"):
+            load_qrels(path)
+
     def test_non_integer_relevance_rejected(self, tmp_path):
         path = tmp_path / "qrels.tsv"
         path.write_text("q1 0 d1 yes\n")

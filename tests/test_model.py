@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import fectek.autograd as ag
 from fectek.autograd import Tensor
+from fectek.checkpoint import load_tensors, save_tensors
 from fectek.encoder import EncoderConfig
 from fectek.errors import CorruptFileError, ShapeError
 from fectek.model import (
@@ -27,6 +28,11 @@ from fectek.model import (
     triple_loss,
 )
 from fectek.tokenizer import CLS_ID, PAD_ID, SEP_ID, UNK_ID
+
+
+ENCODER_FIELDS = (
+    "dim", "layers", "heads", "ffn_multiplier", "max_query_len", "max_passage_len"
+)
 
 
 @pytest.fixture
@@ -450,6 +456,47 @@ class TestPersistence:
         save_model(model, b)
         assert a.read_bytes() == b.read_bytes()
         assert checkpoints_equal(a, b)
+
+    def test_config_entries_lead_in_format_order(self, tiny_vocab, tiny_config, tmp_path):
+        # Format v1 pins this order; it follows the EncoderConfig field order.
+        path = tmp_path / "model.ftck"
+        save_model(FecTekModel(len(tiny_vocab), tiny_config, seed=9), path)
+        assert list(load_tensors(path))[:10] == [
+            "config.vocab_size",
+            "config.dim",
+            "config.layers",
+            "config.heads",
+            "config.ffn_multiplier",
+            "config.max_query_len",
+            "config.max_passage_len",
+            "config.use_feature_gate",
+            "config.aggregation",
+            "embeddings.token",
+        ]
+
+    @pytest.mark.parametrize(
+        "name, value",
+        # One value just past each end of each encoder bound, then non-integers,
+        # then a head count that does not divide the width.
+        [
+            ("dim", 0), ("dim", 4097), ("layers", 0), ("layers", 65),
+            ("heads", 0), ("heads", 257), ("ffn_multiplier", 0), ("ffn_multiplier", 33),
+            ("max_query_len", 2), ("max_query_len", 65_537),
+            ("max_passage_len", 2), ("max_passage_len", 65_537),
+        ]
+        + [(name, value) for name in ENCODER_FIELDS for value in (2.5, math.nan)]
+        + [("layers", math.inf), ("heads", 3)],
+    )
+    def test_bad_stored_encoder_field_rejected(
+        self, tiny_vocab, tiny_config, tmp_path, name, value
+    ):
+        path = tmp_path / "model.ftck"
+        save_model(FecTekModel(len(tiny_vocab), tiny_config, seed=9), path)
+        entries = load_tensors(path)
+        entries[f"config.{name}"] = np.float64(value)
+        save_tensors(path, entries)
+        with pytest.raises(CorruptFileError, match=name):
+            load_model(path)
 
     def test_gate_flag_round_trips(self, tiny_vocab, tiny_config, tmp_path):
         model = FecTekModel(
