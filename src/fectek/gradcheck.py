@@ -134,6 +134,14 @@ def run_gradient_check(
     subsamples coordinates (seeded) for quicker smoke runs; the default
     checks every coordinate.
     """
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
+    if not 0.0 <= tolerance < np.inf:
+        raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
+    if max_coords_per_group is not None and max_coords_per_group < 1:
+        raise ValueError(
+            f"max coords per group must be at least 1, got {max_coords_per_group}"
+        )
     model, triples = _toy_setup(seed)
     params = model.named_parameters()
     if corrupt_group is not None and corrupt_group not in params:

@@ -11,11 +11,14 @@ document, with ties broken by ascending ordinal.
 On-disk layout (little-endian throughout), magic "FTEK":
 
     magic 4s | version u32 | vocab_size u64 | doc_count u64 | scale f64
-    offsets (vocab_size + 1) x u64      byte offsets into the postings region
-    postings region                      per term: (varint gap, u8 impact)*
-    docid table                          per doc: varint byte-length + UTF-8
+    offsets (vocab_size + 1) x u64      the CSR posting offsets
+    gaps, then impacts                   per posting: a varint; then a u8 each
+    docid lengths, then docids           per doc: a varint; then UTF-8 bytes
 
-A term's first posting stores its ordinal in place of a gap.
+A term's first posting stores its ordinal in place of a gap.  A varint ends
+at its first byte below 0x80, so `load` finds every end at once.  Files of
+other versions (version 1 put each impact after its gap) are rejected:
+rebuild them with `fectek index`.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 from .errors import CorruptFileError, DataFormatError
 
 MAGIC = b"FTEK"
-VERSION = 1
+VERSION = 2
 LEVELS = 256
 _HEADER = struct.Struct("<4sIQQd")
 
@@ -42,46 +45,45 @@ WeightStream = Iterable[tuple[str, dict[int, float]]]
 # -- varint codec -------------------------------------------------------------
 
 
-def write_varint(out: bytearray, value: int) -> None:
-    """Append an unsigned LEB128 varint (7 payload bits per byte)."""
-    if value < 0:
-        raise ValueError(f"varint cannot encode negative value {value}")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
+def _encode_varints(values: np.ndarray) -> np.ndarray:
+    """Unsigned LEB128 bytes (7 payload bits per byte) of non-negative int64s."""
+    # Bytes per value: one, plus one per 7-bit boundary reached.
+    widths = 1 + np.searchsorted(1 << 7 * np.arange(1, 9), values, side="right")
+    starts = np.cumsum(widths) - widths
+    out = np.empty(int(widths.sum()), dtype=np.uint8)
+    for byte in range(int(widths.max(initial=0))):
+        live = widths > byte
+        payload = (values[live] >> (7 * byte)) & 0x7F
+        out[starts[live] + byte] = payload | ((widths[live] > byte + 1) << 7)
+    return out
 
 
-def read_varint(buf: bytes, pos: int, end: int | None = None) -> tuple[int, int]:
-    """Decode a varint at `pos`; returns (value, next position)."""
-    limit = len(buf) if end is None else end
-    result = 0
-    shift = 0
-    while True:
-        if pos >= limit:
-            raise CorruptFileError("varint truncated")
-        byte = buf[pos]
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
-        shift += 7
-        if shift > 63:
-            raise CorruptFileError("varint longer than 64 bits")
+def _decode_varints(buf: np.ndarray, count: int) -> tuple[np.ndarray, int]:
+    """Decode the first `count` varints of uint8 `buf`: (int64 values, bytes used).
+
+    Fewer than `count` values come back when `buf` ends first.
+    """
+    ends = np.flatnonzero(buf < 0x80)[:count]
+    widths = np.diff(ends, prepend=-1)
+    if (widths > 9).any():  # 9 bytes carry 63 bits, all an int64 holds
+        raise CorruptFileError("varint longer than 64 bits")
+    starts = ends - widths + 1
+    values = np.zeros(len(ends), dtype=np.int64)
+    for byte in range(int(widths.max(initial=0))):
+        live = widths > byte
+        values[live] |= (buf[starts[live] + byte] & 0x7F).astype(np.int64) << (7 * byte)
+    return values, (int(ends[-1]) + 1 if len(ends) else 0)
 
 
 # -- quantization --------------------------------------------------------------
 
 
 def quantization_step(max_weight: float) -> float:
-    """Width of one impact level; 1.0 sentinel when every weight is zero."""
+    """Width of one impact level; 1.0 sentinel when every weight is zero or the
+    width underflows to zero (a subnormal maximum weight)."""
     if not 0.0 <= max_weight < math.inf:
         raise ValueError(f"max weight must be finite and non-negative, got {max_weight}")
-    return max_weight / (LEVELS - 1) if max_weight > 0.0 else 1.0
+    return max_weight / (LEVELS - 1) or 1.0
 
 
 def quantize_value(weight: float | np.ndarray, step: float) -> int | np.ndarray:
@@ -187,131 +189,98 @@ class InvertedIndex:
         if bad.size:
             term = int(np.searchsorted(self.offsets, bad[0], side="right")) - 1
             raise ValueError(f"ordinals not strictly increasing for term {term}")
-
-        # Varint bytes per gap: one, plus one per 7-bit boundary reached.
-        widths = 1 + (gaps[:, None] >= 1 << 7 * np.arange(1, 9)).sum(axis=1)
-        starts = np.concatenate(([0], np.cumsum(widths + 1)))
-        region = np.empty(int(starts[-1]), dtype=np.uint8)
-        region[starts[:-1] + widths] = self.impacts
-        for byte in range(int(widths.max(initial=0))):
-            live = widths > byte
-            payload = (gaps[live] >> (7 * byte)) & 0x7F
-            region[starts[:-1][live] + byte] = payload | ((widths[live] > byte + 1) << 7)
-
-        out = bytearray()
-        out += _HEADER.pack(MAGIC, VERSION, self.vocab_size, self.doc_count, self.scale)
-        out += starts[self.offsets].astype("<u8").tobytes()
-        out += region.tobytes()
-        for docid in self.docids:
-            encoded = docid.encode("utf-8")
-            write_varint(out, len(encoded))
-            out += encoded
-        Path(path).write_bytes(bytes(out))
+        docids = [docid.encode("utf-8") for docid in self.docids]
+        parts = [
+            _HEADER.pack(MAGIC, VERSION, self.vocab_size, self.doc_count, self.scale),
+            self.offsets.astype("<u8"),
+            _encode_varints(gaps),
+            self.impacts.astype(np.uint8),
+            _encode_varints(np.fromiter(map(len, docids), np.int64, len(docids))),
+            *docids,
+        ]
+        Path(path).write_bytes(b"".join(parts))
 
     @classmethod
     def load(cls, path: str | Path) -> "InvertedIndex":
-        label = str(path)
-        blob = Path(path).read_bytes()
+        try:
+            return cls._parse(Path(path).read_bytes())
+        except CorruptFileError as exc:
+            raise CorruptFileError(f"{path}: {exc}") from exc
+
+    @classmethod
+    def _parse(cls, blob: bytes) -> "InvertedIndex":
         if len(blob) < _HEADER.size:
-            raise CorruptFileError(f"{label}: file shorter than the header")
+            raise CorruptFileError("file shorter than the header")
         magic, version, vocab_size, doc_count, scale = _HEADER.unpack_from(blob, 0)
         if magic != MAGIC:
-            raise CorruptFileError(f"{label}: bad magic {magic!r}, expected {MAGIC!r}")
+            raise CorruptFileError(f"bad magic {magic!r}, expected {MAGIC!r}")
         if version != VERSION:
-            raise CorruptFileError(f"{label}: unsupported version {version}")
+            raise CorruptFileError(f"unsupported version {version}: rebuild with fectek index")
         if not math.isfinite(scale) or scale <= 0.0:
-            raise CorruptFileError(f"{label}: invalid scale {scale}")
-        pos = _HEADER.size
-        table_bytes = (vocab_size + 1) * 8
-        if pos + table_bytes > len(blob):
-            raise CorruptFileError(f"{label}: truncated offset table")
-        offsets = np.frombuffer(blob, dtype="<u8", count=vocab_size + 1, offset=pos)
-        pos += table_bytes
+            raise CorruptFileError(f"invalid scale {scale}")
+        pos = _HEADER.size + (vocab_size + 1) * 8
+        if pos > len(blob):
+            raise CorruptFileError("truncated offset table")
+        offsets = np.frombuffer(blob, "<u8", vocab_size + 1, _HEADER.size).astype(np.int64)
         if offsets[0] != 0:
-            raise CorruptFileError(f"{label}: offset table must start at 0")
-        diffs = np.diff(offsets.astype(np.int64))
+            raise CorruptFileError("offset table must start at 0")
+        diffs = np.diff(offsets)
         if (diffs < 0).any():
-            term = int(np.flatnonzero(diffs < 0)[0])
-            raise CorruptFileError(f"{label}: non-monotone offset at term {term}")
-        region_len = int(offsets[-1])
-        if pos + region_len > len(blob):
-            available = len(blob) - pos
-            cut = int(np.searchsorted(offsets, available, side="right") - 1)
+            raise CorruptFileError(f"non-monotone offset at term {np.argmax(diffs < 0)}")
+
+        def term_of(posting: int) -> int:
+            return int(np.searchsorted(offsets, posting, side="right")) - 1
+
+        data = np.frombuffer(blob, dtype=np.uint8)
+        count = int(offsets[-1])
+        gaps, used = _decode_varints(data[pos:], count)
+        impacts = data[pos + used : pos + used + count].astype(np.int64)
+        cut = len(gaps) if len(gaps) < count else len(impacts)  # first missing posting
+        if cut < count:
+            raise CorruptFileError(f"postings region truncated inside term {term_of(cut)}")
+        pos += used + count
+        lengths, used = _decode_varints(data[pos:], doc_count)
+        # Clipping at the file size keeps the running sum from overflowing.
+        bounds = pos + used + np.append(0, np.cumsum(np.minimum(lengths, len(blob))))
+        # The first entry that runs past the end of the file or lacks its length.
+        short = np.append(np.flatnonzero(bounds[1:] > len(blob)), len(lengths))[0]
+        if short < doc_count:
+            raise CorruptFileError(f"docid table entry {short} truncated")
+        bounds = bounds.tolist()
+        if bounds[-1] != len(blob):
+            trailing = len(blob) - bounds[-1]
+            raise CorruptFileError(f"{trailing} trailing bytes after docid table")
+
+        first = np.isin(np.arange(count), offsets)
+        bad = np.flatnonzero(~first & (gaps == 0))
+        if bad.size:
+            raise CorruptFileError(f"term {term_of(bad[0])} postings not strictly increasing")
+        # doc_count is below the file size now, so the clipped sums cannot
+        # overflow, and a clipped posting still lands at or past doc_count.
+        clipped = np.minimum(gaps, doc_count)
+        sums = np.append(0, np.cumsum(clipped))
+        ordinals = sums[1:] - np.repeat(sums[offsets[:-1]], diffs)
+        bad = np.flatnonzero(ordinals >= doc_count)
+        if bad.size:
+            ordinal = int(ordinals[bad[0]] - clipped[bad[0]]) + int(gaps[bad[0]])
             raise CorruptFileError(
-                f"{label}: postings region truncated inside term {cut} "
-                f"(offset {int(offsets[cut])})"
+                f"term {term_of(bad[0])} references ordinal {ordinal} "
+                f"beyond doc count {doc_count}"
             )
-        region = blob[pos : pos + region_len]
-        pos += region_len
+        bad = np.flatnonzero(impacts == 0)
+        if bad.size:
+            raise CorruptFileError(f"term {term_of(bad[0])} stores a zero impact")
 
-        # An impact byte >= 0x80 looks like a varint continuation byte, so
-        # record boundaries can only be found by parsing in order.
-        ordinals, impacts = array("q"), array("q")
-        posting_offsets = array("q", [0])
-        byte_offsets = offsets.tolist()
-        for term in range(vocab_size):
-            cursor, end = byte_offsets[term], byte_offsets[term + 1]
-            previous = -1
-            while cursor < end:
-                try:
-                    gap, cursor = read_varint(region, cursor, end)
-                except CorruptFileError as exc:
-                    raise CorruptFileError(
-                        f"{label}: term {term} postings: {exc}"
-                    ) from exc
-                if cursor >= end:
-                    raise CorruptFileError(
-                        f"{label}: term {term} postings missing impact byte"
-                    )
-                impact = region[cursor]
-                cursor += 1
-                ordinal = gap if previous < 0 else previous + gap
-                if previous >= 0 and gap == 0:
-                    raise CorruptFileError(
-                        f"{label}: term {term} postings not strictly increasing"
-                    )
-                if ordinal >= doc_count:
-                    raise CorruptFileError(
-                        f"{label}: term {term} references ordinal {ordinal} "
-                        f"beyond doc count {doc_count}"
-                    )
-                if impact == 0:
-                    raise CorruptFileError(
-                        f"{label}: term {term} stores a zero impact"
-                    )
-                ordinals.append(ordinal)
-                impacts.append(impact)
-                previous = ordinal
-            posting_offsets.append(len(ordinals))
-
-        docids: list[str] = []
-        for i in range(doc_count):
+        def text(entry: int) -> str:
             try:
-                length, pos = read_varint(blob, pos)
-            except CorruptFileError as exc:
-                raise CorruptFileError(f"{label}: docid table entry {i}: {exc}") from exc
-            if pos + length > len(blob):
-                raise CorruptFileError(f"{label}: docid table entry {i} truncated")
-            try:
-                docids.append(blob[pos : pos + length].decode("utf-8"))
+                return blob[bounds[entry] : bounds[entry + 1]].decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise CorruptFileError(
-                    f"{label}: docid table entry {i} is not UTF-8"
-                ) from exc
-            pos += length
-        if pos != len(blob):
-            raise CorruptFileError(
-                f"{label}: {len(blob) - pos} trailing bytes after docid table"
-            )
+                raise CorruptFileError(f"docid table entry {entry} is not UTF-8") from exc
+
+        docids = [text(entry) for entry in range(doc_count)]
         if len(set(docids)) != len(docids):
-            raise CorruptFileError(f"{label}: duplicate docid in table")
-        return cls(
-            float(scale),
-            docids,
-            np.frombuffer(posting_offsets, dtype=np.int64),
-            np.frombuffer(ordinals, dtype=np.int64),
-            np.frombuffer(impacts, dtype=np.int64),
-        )
+            raise CorruptFileError("duplicate docid in table")
+        return cls(float(scale), docids, offsets, ordinals, impacts)
 
 
 def search(

@@ -336,6 +336,23 @@ class TestExitCodes:
         )
         assert code == 4
 
+    def test_version_1_index_is_4(self, workspace, tmp_path):
+        blob = bytearray(workspace["index"].read_bytes())
+        blob[4:8] = (1).to_bytes(4, "little")
+        old = tmp_path / "v1.ftek"
+        old.write_bytes(bytes(blob))
+        code, _, err = run_cli(
+            "search",
+            "--index", str(old),
+            "--checkpoint", str(workspace["checkpoint"]),
+            "--vocab", str(workspace["vocab"]),
+            "--queries", str(workspace["queries"]),
+            "--out", str(tmp_path / "r.tsv"),
+        )
+        assert code == 4
+        assert "unsupported version 1: rebuild with fectek index" in err
+        assert not (tmp_path / "r.tsv").exists()
+
     def test_malformed_triples_is_4(self, workspace, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("better not be json\n")
@@ -587,6 +604,26 @@ class TestGradcheckCommand:
         assert code == 1
         assert "gradcheck FAILED: feature_gate.excite.weight" in err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--eps", "0"),
+            ("--eps", "-1e-3"),
+            ("--eps", "nan"),
+            ("--eps", "inf"),
+            ("--tolerance", "-1e-4"),
+            ("--tolerance", "nan"),
+            ("--tolerance", "inf"),
+            ("--max-coords", "0"),
+            ("--max-coords", "-3"),
+        ],
+    )
+    def test_bad_setting_is_2_and_never_passes(self, flag, value):
+        code, out, err = run_cli("gradcheck", "--max-coords", "1", f"{flag}={value}")
+        assert code == 2
+        assert "passed" not in out
+        assert f"error: {flag[2:].replace('-', ' ')}" in err
+
     def test_unknown_group_is_usage_error(self):
         code, _, _ = run_cli(
             "gradcheck", "--max-coords", "1", "--corrupt-group", "bogus"
@@ -617,6 +654,23 @@ class TestSynthCommand:
             "--queries", "10",
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--queries", "-1"], "queries"),
+            (["--queries", "0"], "queries"),
+            (["--negatives", "-2"], "negatives"),
+            (["--passages", "0", "--queries", "0", "--negatives", "-1"], "passages"),
+            (["--terms", "2", "--queries", "1"], "terms"),
+        ],
+    )
+    def test_out_of_range_count_is_2_and_writes_nothing(self, tmp_path, flags, field):
+        out_dir = tmp_path / "data"
+        code, _, err = run_cli("synth", "--out-dir", str(out_dir), *flags)
+        assert code == 2
+        assert f"error: {field} must be at least" in err
+        assert not out_dir.exists()
 
 
 class TestAblationCommand:

@@ -1,5 +1,6 @@
 """Quantization, varint codec, index persistence, and exact top-k search."""
 
+import math
 import struct
 
 import numpy as np
@@ -7,19 +8,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fectek.errors import CorruptFileError, DataFormatError
+from fectek.errors import CorruptFileError, DataFormatError, FecTekError
 from fectek.index import (
     LEVELS,
     MAGIC,
     VERSION,
     InvertedIndex,
+    _decode_varints,
+    _encode_varints,
     dequantize,
     quantization_step,
     quantize_value,
     quantize_weights,
-    read_varint,
     search,
-    write_varint,
 )
 
 HEADER = struct.Struct("<4sIQQd")
@@ -52,17 +53,126 @@ def brute_force(index, query_weights, k):
     ]
 
 
-def reference_region(index):
-    """The postings region written one posting at a time with `write_varint`."""
-    region = bytearray()
+def write_varint(out, value):
+    """Append an unsigned LEB128 varint (7 payload bits per byte)."""
+    while value >= 0x80:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
+
+
+def varint_width(value):
+    out = bytearray()
+    write_varint(out, value)
+    return len(out)
+
+
+def stored_gaps(index):
+    """What each posting stores: its ordinal if first in its term, else its gap."""
+    gaps = []
     for term in range(index.vocab_size):
-        ordinals, impacts = postings(index, term)
-        previous = None
-        for ordinal, impact in zip(ordinals.tolist(), impacts.tolist()):
-            write_varint(region, ordinal if previous is None else ordinal - previous)
-            region.append(impact)
-            previous = ordinal
-    return bytes(region)
+        ordinals = postings(index, term)[0].tolist()
+        gaps += [b - a for a, b in zip([0] + ordinals, ordinals)]
+    return gaps
+
+
+def reference_file(index):
+    """The v2 file written one value at a time with `write_varint`."""
+    out = bytearray(
+        HEADER.pack(MAGIC, VERSION, index.vocab_size, index.doc_count, index.scale)
+    )
+    out += struct.pack(f"<{index.vocab_size + 1}Q", *index.offsets.tolist())
+    for gap in stored_gaps(index):
+        write_varint(out, gap)
+    out += bytes(index.impacts.tolist())
+    encoded = [docid.encode("utf-8") for docid in index.docids]
+    for docid in encoded:
+        write_varint(out, len(docid))
+    return bytes(out + b"".join(encoded))
+
+
+def reference_load(blob):
+    """Plain-Python v2 reader that walks the file one byte at a time.
+
+    Returns (scale, offsets, ordinals, impacts, docids) as lists, or raises
+    CorruptFileError: an oracle for the vectorized `InvertedIndex.load`.
+    """
+    pos = 0
+
+    def take(size):
+        nonlocal pos
+        if pos + size > len(blob):
+            raise CorruptFileError("truncated")
+        pos += size
+        return blob[pos - size : pos]
+
+    def varint():
+        value = 0
+        for shift in range(0, 63, 7):  # at most 9 bytes
+            byte = take(1)[0]
+            value |= (byte & 0x7F) << shift
+            if byte < 0x80:
+                return value
+        raise CorruptFileError("varint longer than 64 bits")
+
+    magic, version, vocab_size, doc_count, scale = HEADER.unpack(take(HEADER.size))
+    if magic != MAGIC or version != VERSION or not 0.0 < scale < math.inf:
+        raise CorruptFileError("bad header")
+    offsets = list(struct.unpack(f"<{vocab_size + 1}Q", take(8 * (vocab_size + 1))))
+    if offsets[0] != 0 or any(b < a for a, b in zip(offsets, offsets[1:])):
+        raise CorruptFileError("bad offsets")
+    gaps = [varint() for _ in range(offsets[-1])]
+    impacts = list(take(offsets[-1]))
+    ordinals = []
+    for term in range(vocab_size):
+        for i in range(offsets[term], offsets[term + 1]):
+            if i > offsets[term] and gaps[i] == 0:
+                raise CorruptFileError("not strictly increasing")
+            ordinals.append(gaps[i] + (ordinals[-1] if i > offsets[term] else 0))
+            if ordinals[-1] >= doc_count or impacts[i] == 0:
+                raise CorruptFileError("bad posting")
+    lengths = [varint() for _ in range(doc_count)]
+    try:
+        docids = [take(length).decode("utf-8") for length in lengths]
+    except UnicodeDecodeError as exc:
+        raise CorruptFileError("not UTF-8") from exc
+    if pos != len(blob) or len(set(docids)) != len(docids):
+        raise CorruptFileError("trailing bytes or duplicate docid")
+    return scale, offsets, ordinals, impacts, docids
+
+
+def load_outcome(path, blob):
+    """What `InvertedIndex.load` makes of `blob`, in `reference_load`'s terms."""
+    path.write_bytes(blob)
+    try:
+        index = InvertedIndex.load(path)
+    except FecTekError as exc:
+        return type(exc)
+    arrays = (index.offsets, index.ordinals, index.impacts)
+    return (index.scale, *(a.tolist() for a in arrays), index.docids)
+
+
+def reference_outcome(blob):
+    try:
+        return reference_load(blob)
+    except CorruptFileError:
+        return CorruptFileError
+
+
+def region_bounds(index):
+    """Start of each region of the saved file (header, offsets, gaps, impacts,
+    docid lengths, docids), then the file size."""
+    gaps = stored_gaps(index)
+    lengths = [len(docid.encode("utf-8")) for docid in index.docids]
+    sizes = [
+        HEADER.size,
+        8 * (index.vocab_size + 1),
+        sum(map(varint_width, gaps)),
+        len(gaps),
+        sum(map(varint_width, lengths)),
+        sum(lengths),
+    ]
+    return np.cumsum([0, *sizes]).tolist()
 
 
 TIED_LEVELS = (0.0, 0.5, 1.0, 2.0)
@@ -96,6 +206,15 @@ class TestQuantization:
     def test_zero_corpus_uses_sentinel_scale(self):
         assert quantization_step(0.0) == 1.0
 
+    def test_underflowing_step_uses_sentinel_scale(self, tmp_path):
+        # 5e-324 / 255 is 0.0: such weights round to impact 0 and are dropped,
+        # and the saved index keeps a loadable scale.
+        assert quantization_step(5e-324) == 1.0
+        path = tmp_path / "idx.ftek"
+        build_from([("a", {1: 5e-324}), ("b", {2: 0.0})], 4).save(path)
+        index = InvertedIndex.load(path)
+        assert index.scale == 1.0 and index.ordinals.size == 0
+
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             quantization_step(-1.0)
@@ -118,39 +237,47 @@ class TestQuantization:
 
 
 class TestVarint:
-    @given(st.integers(min_value=0, max_value=2**64 - 1))
+    @given(st.lists(st.integers(min_value=0, max_value=2**63 - 1), max_size=20))
     @settings(max_examples=200, deadline=None)
-    def test_round_trip(self, value):
-        buf = bytearray()
-        write_varint(buf, value)
-        decoded, pos = read_varint(bytes(buf), 0)
-        assert decoded == value
-        assert pos == len(buf)
+    def test_round_trip(self, values):
+        encoded = _encode_varints(np.array(values, dtype=np.int64))
+        reference = bytearray()
+        for value in values:
+            write_varint(reference, value)
+        assert encoded.tobytes() == reference
+        trailing = np.array([5, 0x80], dtype=np.uint8)  # must stay unread
+        decoded, used = _decode_varints(np.append(encoded, trailing), len(values))
+        assert decoded.tolist() == values
+        assert used == len(encoded)
 
     def test_single_byte_values(self):
-        for value in (0, 1, 127):
-            buf = bytearray()
-            write_varint(buf, value)
-            assert len(buf) == 1
+        assert _encode_varints(np.array([0, 1, 127])).tolist() == [0, 1, 127]
 
     def test_multi_byte_boundary(self):
-        buf = bytearray()
-        write_varint(buf, 128)
-        assert bytes(buf) == b"\x80\x01"
+        assert _encode_varints(np.array([128])).tobytes() == b"\x80\x01"
 
-    def test_truncated_raises(self):
-        with pytest.raises(CorruptFileError, match="truncated"):
-            read_varint(b"\x80", 0)
+    def test_truncated_raises(self, tmp_path):
+        # The decoder returns what it could finish; `load` names the truncation.
+        decoded, used = _decode_varints(np.frombuffer(b"\x05\x80", np.uint8), 2)
+        assert decoded.tolist() == [5] and used == 1
+        blob = HEADER.pack(MAGIC, VERSION, 1, 1, 1.0) + struct.pack("<2Q", 0, 1) + b"\x80"
+        path = tmp_path / "idx.ftek"
+        path.write_bytes(blob)
+        with pytest.raises(CorruptFileError, match="truncated inside term 0"):
+            InvertedIndex.load(path)
 
     def test_end_bound_respected(self):
-        buf = bytearray()
-        write_varint(buf, 300)
-        with pytest.raises(CorruptFileError, match="truncated"):
-            read_varint(bytes(buf) + b"\x01", 0, end=1)
+        buf = np.frombuffer(b"\xac\x02\x01\x80", np.uint8)
+        decoded, used = _decode_varints(buf, 1)
+        assert decoded.tolist() == [300] and used == 2
 
     def test_overlong_rejected(self):
-        with pytest.raises(CorruptFileError):
-            read_varint(b"\xff" * 10 + b"\x01", 0)
+        widest = b"\xff" * 8 + b"\x7f"  # 9 bytes: 63 bits, the int64 maximum
+        decoded, _ = _decode_varints(np.frombuffer(widest, np.uint8), 1)
+        assert decoded.tolist() == [2**63 - 1]
+        overlong = np.frombuffer(b"\xff" * 9 + b"\x01", np.uint8)
+        with pytest.raises(CorruptFileError, match="longer than 64 bits"):
+            _decode_varints(overlong, 1)
 
 
 class TestBuild:
@@ -214,7 +341,7 @@ class TestPersistence:
         build_from(rows, 8).save(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_format_v1_multi_byte_gaps(self, tmp_path):
+    def test_format_v2_multi_byte_gaps(self, tmp_path):
         # Term 1 holds ordinals 127, 255 and 16639 (stored as 127, then gaps
         # 128 and 16384) with impacts 1, 128 and 255; term 2 holds ordinal 0
         # with impact 2.  Every other document is empty.
@@ -224,11 +351,15 @@ class TestPersistence:
         index.save(path)
         blob = path.read_bytes()
         assert HEADER.unpack_from(blob) == (MAGIC, VERSION, 3, 16640, 1.0)
-        assert struct.unpack_from("<4Q", blob, HEADER.size) == (0, 0, 9, 11)
+        assert struct.unpack_from("<4Q", blob, HEADER.size) == (0, 0, 3, 4)
         region_start = HEADER.size + 4 * 8
         assert blob[region_start : region_start + 11] == bytes.fromhex(
-            "7f01" "800180" "808001ff" "0002"
+            "7f" "8001" "808001" "00" "0180ff02"
         )
+        # Then 16640 one-byte docid lengths and the docids, concatenated.
+        docids = region_start + 11 + 16640
+        assert blob[region_start + 11 : docids] == bytes(len(d) for d in index.docids)
+        assert blob[docids:].startswith(b"d0d1d2") and blob.endswith(b"d16639")
         resaved = tmp_path / "again.ftek"
         InvertedIndex.load(path).save(resaved)
         assert resaved.read_bytes() == blob
@@ -262,9 +393,7 @@ class TestPersistence:
 
         path = tmp_path_factory.mktemp("sparse") / "idx.ftek"
         index.save(path)
-        region = reference_region(index)
-        region_start = HEADER.size + 9 * 8
-        assert path.read_bytes()[region_start : region_start + len(region)] == region
+        assert path.read_bytes() == reference_file(index)
         loaded = InvertedIndex.load(path)
         assert np.array_equal(loaded.offsets, index.offsets)
         assert np.array_equal(loaded.ordinals, index.ordinals)
@@ -288,9 +417,45 @@ class TestPersistence:
         )
         path = tmp_path_factory.mktemp("gaps") / "idx.ftek"
         index.save(path)
-        region = reference_region(index)
-        region_start = HEADER.size + (len(ordinals) + 1) * 8
-        assert path.read_bytes()[region_start : region_start + len(region)] == region
+        assert path.read_bytes() == reference_file(index)
+
+    @given(
+        docs=st.lists(
+            st.tuples(
+                st.text(max_size=200),
+                st.dictionaries(st.integers(0, 5), st.floats(0.0, 9.0), max_size=6),
+            ),
+            max_size=300,
+            unique_by=lambda doc: doc[0],
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_file_size_equals_version_1_size(self, tmp_path_factory, docs):
+        # Version 2 moves the version 1 bytes into separate regions, so every
+        # index keeps the size that version 1 gave it.
+        index = build_from(docs, 6)
+        path = tmp_path_factory.mktemp("size") / "idx.ftek"
+        index.save(path)
+        lengths = [len(docid.encode("utf-8")) for docid, _ in docs]
+        size_v1 = (
+            HEADER.size
+            + 8 * (index.vocab_size + 1)
+            + sum(varint_width(gap) + 1 for gap in stored_gaps(index))
+            + sum(varint_width(n) + n for n in lengths)
+        )
+        assert path.stat().st_size == size_v1
+        assert region_bounds(index)[-1] == size_v1
+
+    def test_version_1_rejected(self, tmp_path):
+        path = tmp_path / "idx.ftek"
+        build_from([("a", {1: 1.0})], 4).save(path)
+        blob = bytearray(path.read_bytes())
+        blob[4:8] = struct.pack("<I", 1)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(
+            CorruptFileError, match="unsupported version 1: rebuild with fectek index"
+        ):
+            InvertedIndex.load(path)
 
     def test_search_agrees_after_round_trip(self, tmp_path, rng):
         rows = random_corpus(rng, docs=30, terms=10)
@@ -377,60 +542,133 @@ class TestFaultInjection:
         with pytest.raises(CorruptFileError, match="trailing"):
             self.reload(tmp_path, blob + b"\x00\x00")
 
+    @staticmethod
+    def assemble(doc_count, offsets, body):
+        """A hand-built file: header, posting offsets, then every later region."""
+        header = HEADER.pack(MAGIC, VERSION, len(offsets) - 1, doc_count, 1.0)
+        return header + struct.pack(f"<{len(offsets)}Q", *offsets) + body
+
     def test_zero_impact_rejected(self, tmp_path):
-        # Hand-assembled: one term, one posting with impact 0.
-        vocab_size, doc_count = 1, 1
-        region = bytes([0x00, 0x00])  # ordinal 0, impact 0
-        blob = bytearray()
-        blob += HEADER.pack(MAGIC, VERSION, vocab_size, doc_count, 1.0)
-        blob += struct.pack("<QQ", 0, len(region))
-        blob += region
-        blob += bytes([1]) + b"a"
+        # One term, one posting: ordinal 0 with impact 0.
+        blob = self.assemble(1, (0, 1), b"\x00" b"\x00" b"\x01" b"a")
         with pytest.raises(CorruptFileError, match="zero impact"):
             self.reload(tmp_path, blob)
 
     def test_zero_gap_rejected(self, tmp_path):
         # Two postings on the same ordinal (gap 0 after the first).
-        vocab_size, doc_count = 1, 2
-        region = bytes([0x00, 0x05, 0x00, 0x04])
-        blob = bytearray()
-        blob += HEADER.pack(MAGIC, VERSION, vocab_size, doc_count, 1.0)
-        blob += struct.pack("<QQ", 0, len(region))
-        blob += region
-        blob += bytes([1]) + b"a" + bytes([1]) + b"b"
+        blob = self.assemble(2, (0, 2), b"\x00\x00" b"\x05\x04" b"\x01\x01" b"ab")
         with pytest.raises(CorruptFileError, match="strictly increasing"):
             self.reload(tmp_path, blob)
 
     def test_ordinal_beyond_doc_count_rejected(self, tmp_path):
-        vocab_size, doc_count = 1, 1
-        region = bytes([0x02, 0x05])  # ordinal 2 with only 1 doc
-        blob = bytearray()
-        blob += HEADER.pack(MAGIC, VERSION, vocab_size, doc_count, 1.0)
-        blob += struct.pack("<QQ", 0, len(region))
-        blob += region
-        blob += bytes([1]) + b"a"
-        with pytest.raises(CorruptFileError, match="beyond doc count"):
+        # Ordinal 2 with only 1 doc.
+        blob = self.assemble(1, (0, 1), b"\x02" b"\x05" b"\x01" b"a")
+        with pytest.raises(CorruptFileError, match="ordinal 2 beyond doc count 1"):
             self.reload(tmp_path, blob)
 
     def test_missing_impact_byte_rejected(self, tmp_path):
-        vocab_size, doc_count = 1, 1
-        region = bytes([0x00])  # ordinal varint, impact missing
-        blob = bytearray()
-        blob += HEADER.pack(MAGIC, VERSION, vocab_size, doc_count, 1.0)
-        blob += struct.pack("<QQ", 0, len(region))
-        blob += region
-        blob += bytes([1]) + b"a"
-        with pytest.raises(CorruptFileError, match="missing impact"):
+        # Two terms with a posting each; the file ends after the first impact.
+        blob = self.assemble(1, (0, 1, 2), b"\x00\x00" b"\x05")
+        with pytest.raises(CorruptFileError, match="truncated inside term 1"):
             self.reload(tmp_path, blob)
 
     def test_duplicate_docid_rejected(self, tmp_path):
-        vocab_size, doc_count = 1, 2
-        blob = bytearray()
-        blob += HEADER.pack(MAGIC, VERSION, vocab_size, doc_count, 1.0)
-        blob += struct.pack("<QQ", 0, 0)
-        blob += bytes([1]) + b"a" + bytes([1]) + b"a"
+        blob = self.assemble(2, (0, 0), b"\x01\x01" b"aa")
         with pytest.raises(CorruptFileError, match="duplicate docid"):
             self.reload(tmp_path, blob)
+
+    def test_ordinals_cannot_wrap_the_running_sum(self, tmp_path):
+        # Gaps 1, 2**63 - 1, 2**63 - 1, 3 would wrap an int64 running sum to
+        # ordinals 1, -2**63, -1, 2, all below the doc count of 3.
+        widest = b"\xff" * 8 + b"\x7f"
+        gaps = b"\x01" + widest + widest + b"\x03"
+        blob = self.assemble(3, (0, 4), gaps + b"\x05" * 4 + b"\x01\x01\x01" b"abc")
+        with pytest.raises(CorruptFileError, match=f"term 0 references ordinal {2**63} "):
+            self.reload(tmp_path, blob)
+
+    def test_docid_lengths_cannot_wrap_the_running_sum(self, tmp_path):
+        # Lengths 2**63 - 1, 2**63 - 1 and 5 sum to 3 modulo 2**64: an int64
+        # running sum would end exactly at the 3 bytes left in the file.
+        table = bytearray()
+        for length in (2**63 - 1, 2**63 - 1, 5):
+            write_varint(table, length)
+        blob = self.assemble(3, (0, 0), bytes(table) + b"abc")
+        with pytest.raises(CorruptFileError, match="docid table entry 0 truncated"):
+            self.reload(tmp_path, blob)
+
+    def test_non_utf8_docid_names_entry(self, tmp_path):
+        blob = self.assemble(2, (0, 0), b"\x01\x01" b"a\xff")
+        with pytest.raises(CorruptFileError, match="entry 1 is not UTF-8"):
+            self.reload(tmp_path, blob)
+
+
+    @given(
+        doc_count=st.integers(1, 300),
+        weights=st.dictionaries(
+            st.integers(0, 299),
+            st.dictionaries(
+                st.integers(0, 5), st.floats(0.0, 1e3), min_size=1, max_size=5
+            ),
+            max_size=30,
+        ),
+        mutation=st.one_of(
+            st.none(),
+            st.tuples(
+                st.sampled_from(["set", "cut"]),
+                st.integers(0, 5),  # the region to hit, as in `region_bounds`
+                st.integers(0, 2**20),
+                st.one_of(st.sampled_from([0, 1, 0x7F, 0x80, 0xFF]), st.integers(0, 255)),
+            ),
+        ),
+    )
+    # Two postings of term 1 (ordinals 0 and 1), docids "é0" and "d1": a zero
+    # impact, a zero gap, and a docid length one short (leaving a trailing byte).
+    @example(doc_count=2, weights={0: {1: 1.0}, 1: {1: 2.0}}, mutation=("set", 3, 0, 0))
+    @example(doc_count=2, weights={0: {1: 1.0}, 1: {1: 2.0}}, mutation=("set", 2, 1, 0))
+    @example(doc_count=2, weights={0: {1: 1.0}, 1: {1: 2.0}}, mutation=("set", 4, 1, 1))
+    @settings(max_examples=300, deadline=None)
+    def test_load_agrees_with_reference_decoder(
+        self, tmp_path_factory, doc_count, weights, mutation
+    ):
+        # Every third docid is two-byte UTF-8, so flips can break the encoding.
+        rows = [(f"d{o}" if o % 3 else f"é{o}", weights.get(o, {})) for o in range(doc_count)]
+        index = build_from(rows, 6)
+        path = tmp_path_factory.mktemp("reference") / "idx.ftek"
+        index.save(path)
+        blob = bytearray(path.read_bytes())
+        if mutation is not None:
+            kind, region, where, value = mutation
+            start, end = region_bounds(index)[region : region + 2]
+            where = start + where % (end - start) if end > start else where % len(blob)
+            if kind == "set":
+                blob[where] = value
+            else:
+                del blob[where:]
+        expected = reference_outcome(bytes(blob))
+        assert load_outcome(path, bytes(blob)) == expected
+        if mutation is None or mutation[0] == "cut":
+            assert (expected is CorruptFileError) == (mutation is not None)
+
+    def test_exhaustive_corruption_sweep(self, tmp_path):
+        # A 30-document index with every byte flipped three ways and every
+        # proper prefix: no prefix loads, and each flip is read exactly as the
+        # reference decoder reads it (so only package errors escape).
+        rng = np.random.default_rng(64)
+        rows = [
+            (f"doc{d:03d}", {int(t): float(rng.uniform(0.1, 5.0)) for t in terms})
+            for d, terms in enumerate(rng.choice(20, size=6, replace=False) for _ in range(30))
+        ]
+        build_from(rows, 20).save(tmp_path / "idx.ftek")
+        blob = (tmp_path / "idx.ftek").read_bytes()
+        broken = tmp_path / "broken.ftek"
+        for cut in range(len(blob)):
+            assert load_outcome(broken, blob[:cut]) is CorruptFileError, cut
+        for offset in range(len(blob)):
+            for mask in (0xFF, 0x80, 0x01):
+                mutated = bytearray(blob)
+                mutated[offset] ^= mask
+                expected = reference_outcome(bytes(mutated))
+                assert load_outcome(broken, bytes(mutated)) == expected, (offset, mask)
 
 
 class TestSearch:
