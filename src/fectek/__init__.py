@@ -7,12 +7,12 @@ with term-level occurrence guidance.
 """
 
 from .autograd import Tensor, no_grad
-from .encoder import ContextEncoder, EncodedSequence, EncoderConfig
+from .encoder import ContextEncoder, EncodedBatch, EncoderConfig
 from .evaluation import mrr_at_k, recall_at_k
 from .index import InvertedIndex, SearchHit, search
 from .model import (
     FecTekModel,
-    TermWeightVector,
+    TermWeights,
     indicator_labels,
     load_model,
     match_score,
@@ -26,13 +26,13 @@ __version__ = "0.1.0"
 __all__ = [
     "AdamW",
     "ContextEncoder",
-    "EncodedSequence",
+    "EncodedBatch",
     "EncoderConfig",
     "FecTekModel",
     "InvertedIndex",
     "SearchHit",
     "Tensor",
-    "TermWeightVector",
+    "TermWeights",
     "TrainerConfig",
     "TrainingTriple",
     "Vocabulary",

@@ -18,7 +18,6 @@ Conventions that the rest of the package relies on:
 from __future__ import annotations
 
 import contextlib
-import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -75,9 +74,18 @@ class Tensor:
             return
         tape = build_tape(self)
         self.grad = np.ones_like(self.data)
-        for node in reversed(tape):
-            if node._backward is not None and node.grad is not None:
+        # Each interior node runs once; after it has passed its gradient on,
+        # its gradient, closure and parents are dropped so the graph can be
+        # freed as the replay goes.  Leaves keep `.grad`.
+        while tape:
+            node = tape.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad = None
+            node._backward = None
+            node._parents = ()
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -126,8 +134,11 @@ def _accumulate(t: Tensor, grad: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += grad
+        # A copy, since `grad` may be shared with another operand; C order
+        # keeps later summations independent of the layout it arrived in.
+        t.grad = np.array(grad, dtype=np.float64, order="C")
+    else:
+        t.grad += grad
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -221,10 +232,9 @@ def permute(a, axes: Sequence[int]) -> Tensor:
     a = _coerce(a)
     axes = tuple(axes)
     data = np.transpose(a.data, axes)
-    inverse = tuple(np.argsort(axes))
 
     def backward(g):
-        _accumulate(a, np.transpose(g, inverse))
+        _accumulate(a, np.transpose(g, np.argsort(axes)))
 
     return _record(data, (a,), backward, "permute")
 
@@ -245,27 +255,73 @@ def gather(a, indices) -> Tensor:
     data = a.data[idx]
 
     def backward(g):
-        if a.requires_grad:
-            buf = np.zeros_like(a.data)
-            np.add.at(buf, idx, g)
-            _accumulate(a, buf)
+        if not a.requires_grad:
+            return
+        flat = idx.reshape(-1)
+        buf = np.zeros_like(a.data)
+        if flat.size:
+            # Sort the picks by row (stably, so each run keeps position
+            # order), then sum each row's run in one call.
+            order = np.argsort(flat, kind="stable")
+            rows = flat[order]
+            starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+            pieces = g.reshape(flat.size, *a.data.shape[1:])[order]
+            buf[rows[starts]] = np.add.reduceat(pieces, starts, axis=0)
+        _accumulate(a, buf)
 
     return _record(data, (a,), backward, "gather")
 
 
-def concat(tensors, axis: int = 0) -> Tensor:
-    ts = [_coerce(t) for t in tensors]
-    if not ts:
-        raise ValueError("concat needs at least one tensor")
-    data = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.data.shape[axis] for t in ts]
-    split_points = np.cumsum(sizes)[:-1]
+def scatter(a, columns, width: int, reduce: str) -> Tensor:
+    """Collapse each row's positions into `width` cells.
+
+    `a` is [B, n]; `columns[b, i]` names the cell of position i of row b,
+    and a negative column drops the position.  The result is [B, width]:
+    each cell holds the max or the sum of its positions' values, and a cell
+    no position reaches is 0.  Under max the gradient goes only to the
+    lowest position holding the cell's maximum; under sum it goes to every
+    position of the cell.
+    """
+    if reduce not in ("max", "sum"):
+        raise ValueError(f"unknown reduction {reduce!r}, expected max|sum")
+    a = _coerce(a)
+    cols = np.asarray(columns, dtype=np.intp)
+    if a.data.ndim != 2 or cols.shape != a.data.shape:
+        raise ShapeError(
+            f"scatter: values {a.data.shape} and columns {cols.shape} must be "
+            "the same [B, n] shape"
+        )
+    if cols.size and cols.max() >= width:
+        raise ShapeError(f"scatter: column {cols.max()} outside {width} cells")
+    rows, n = a.data.shape
+    flat = cols.reshape(-1)
+    sources = np.flatnonzero(flat >= 0)
+    cells = sources // n * width + flat[sources]
+    values = a.data.reshape(-1)[sources]
+    if reduce == "max":
+        data = np.full(rows * width, -np.inf)
+        np.maximum.at(data, cells, values)
+        empty = np.ones(data.size, dtype=bool)
+        empty[cells] = False
+        data[empty] = 0.0
+    else:
+        data = np.zeros(rows * width)
+        np.add.at(data, cells, values)
 
     def backward(g):
-        for t, piece in zip(ts, np.split(g, split_points, axis=axis)):
-            _accumulate(t, piece)
+        src, dst = sources, cells
+        if reduce == "max":
+            # The lowest flat position among those equal to their cell's max.
+            at_max = values == data[cells]
+            winner = np.full(data.size, a.data.size)
+            np.minimum.at(winner, cells[at_max], sources[at_max])
+            dst = np.flatnonzero(winner < a.data.size)
+            src = winner[dst]
+        grad = np.zeros(a.data.size)
+        grad[src] = g.reshape(-1)[dst]
+        _accumulate(a, grad.reshape(a.data.shape))
 
-    return _record(data, tuple(ts), backward, "concat")
+    return _record(data.reshape(rows, width), (a,), backward, "scatter")
 
 
 # -- reductions ------------------------------------------------------------
@@ -357,9 +413,10 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         raise ShapeError(
             f"layer_norm: gain/bias must be ({n},), got {gain.data.shape} / {bias.data.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
+    # sum / n is exactly np.mean, without its Python-level overhead.
+    mu = x.data.sum(axis=-1, keepdims=True) / n
     centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = (centered * centered).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
     data = xhat * gain.data + bias.data
@@ -379,35 +436,50 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     return _record(data, (x, gain, bias), backward, "layer_norm")
 
 
-def softmax_nll(scores, target: int) -> Tensor:
-    """Negative log of softmax(scores)[target] for a 1-d score vector."""
+def softmax_nll(scores, target, mask=None) -> Tensor:
+    """Negative log softmax of each row's target score, summed over rows.
+
+    `scores` is one row (1-d, `target` an int) or [Q, C] rows (`target` one
+    column per row).  `mask`, if given, limits each row's softmax to the
+    columns it marks; every row's target must be among them.
+    """
     scores = _coerce(scores)
-    if scores.data.ndim != 1:
-        raise ShapeError(f"softmax_nll expects a 1-d vector, got {scores.data.shape}")
-    n = scores.data.shape[0]
-    if n == 0:
+    if scores.data.ndim not in (1, 2):
+        raise ShapeError(f"softmax_nll expects 1-d or 2-d scores, got {scores.data.shape}")
+    s = np.atleast_2d(scores.data)
+    q, c = s.shape
+    if c == 0:
         raise ValueError("softmax_nll on an empty score vector")
-    if not 0 <= target < n:
-        raise ValueError(f"target index {target} outside score vector of length {n}")
-    m = scores.data.max()
-    z = np.exp(scores.data - m)
-    total = z.sum()
-    loss = math.log(total) + m - float(scores.data[target])
+    t = np.asarray(target, dtype=np.intp).reshape(-1)
+    if t.shape != (q,):
+        raise ShapeError(f"softmax_nll needs one target per row, got {t.size} for {q}")
+    if t.min() < 0 or t.max() >= c:
+        raise ValueError(f"target index outside score vector of length {c}")
+    rows = np.arange(q)
+    keep = np.ones(s.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if keep.shape != s.shape or not keep[rows, t].all():
+        raise ValueError("softmax_nll mask must match the scores and keep each target")
+    x = np.where(keep, s, -np.inf)
+    m = x.max(axis=1, keepdims=True)
+    z = np.exp(x - m)
+    total = z.sum(axis=1, keepdims=True)
+    loss = (np.log(total[:, 0]) + m[:, 0] - s[rows, t]).sum()
 
     def backward(g):
         p = z / total
-        p = p.copy()
-        p[target] -= 1.0
-        _accumulate(scores, p * g)
+        p[rows, t] -= 1.0
+        _accumulate(scores, (p * g).reshape(scores.data.shape))
 
     return _record(np.float64(loss), (scores,), backward, "softmax_nll")
 
 
 def binary_cross_entropy(probs, labels, mask) -> Tensor:
-    """Mean BCE over masked positions; probabilities clamped away from {0,1}.
+    """BCE averaged over each row's masked positions, summed over rows.
 
-    `labels` and `mask` are plain arrays (no gradient flows into them).
-    Returns a 0 constant when the mask selects nothing.
+    A 1-d input is one row; a row whose mask selects nothing adds 0, and a
+    mask that selects nothing at all gives a 0 constant.  Probabilities are
+    clamped away from {0,1}.  `labels` and `mask` are plain arrays (no
+    gradient flows into them).
     """
     probs = _coerce(probs)
     y = np.asarray(labels, dtype=np.float64)
@@ -417,17 +489,18 @@ def binary_cross_entropy(probs, labels, mask) -> Tensor:
             f"binary_cross_entropy: shape mismatch probs={probs.data.shape} "
             f"labels={y.shape} mask={m.shape}"
         )
-    count = int(m.sum())
-    if count == 0:
+    counts = m.sum(axis=-1, keepdims=True)
+    if not counts.any():
         return Tensor(0.0)
+    counts = np.maximum(counts, 1)
     p = np.clip(probs.data, PROB_CLAMP, 1.0 - PROB_CLAMP)
     per = -(y * np.log(p) + (1.0 - y) * np.log1p(-p))
-    loss = float((per * m).sum() / count)
+    loss = ((per * m).sum(axis=-1, keepdims=True) / counts).sum()
 
     def backward(g):
         # Clamped positions are flat: no gradient leaks through the clip.
         in_range = (probs.data > PROB_CLAMP) & (probs.data < 1.0 - PROB_CLAMP)
-        dp = np.where(m & in_range, (p - y) / (p * (1.0 - p)), 0.0) / count
+        dp = np.where(m & in_range, (p - y) / (p * (1.0 - p)), 0.0) / counts
         _accumulate(probs, dp * g)
 
     return _record(np.float64(loss), (probs,), backward, "bce")

@@ -12,7 +12,6 @@ import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
-from . import autograd as ag
 from . import index as findex  # via the module, so a replaced index.search is used
 from .encoder import EncoderConfig
 from .errors import CorruptFileError, DataFormatError, TrainingDivergedError, open_text
@@ -113,11 +112,10 @@ def _trainer_config(args: argparse.Namespace, enable_term_loss: bool) -> Trainer
 
 
 def _weigh(
-    model: FecTekModel, vocab: Vocabulary, text: str, max_len: int
-) -> dict[int, float]:
-    """Term weights of one text cut to `max_len` tokens; call under `no_grad`."""
-    seq = model.encode_ids(vocab.encode(text, max_len))
-    return model.term_weights(seq).as_dict()
+    model: FecTekModel, vocab: Vocabulary, texts: list[str], max_len: int
+) -> list[dict[int, float]]:
+    """Term weights of each text cut to `max_len` tokens, in input order."""
+    return model.weigh([vocab.encode(text, max_len) for text in texts])
 
 
 def _rank(
@@ -128,12 +126,10 @@ def _rank(
     k: int,
 ) -> dict[str, list[tuple[str, float]]]:
     """Top-k (docid, score) hits for each query id."""
+    weights = _weigh(model, vocab, [text for _, text in queries], model.config.max_query_len)
     results = {}
-    with ag.no_grad():
-        for qid, text in queries:
-            weights = _weigh(model, vocab, text, model.config.max_query_len)
-            hits = findex.search(index, weights, k)
-            results[qid] = [(hit.docid, hit.value) for hit in hits]
+    for (qid, _), row in zip(queries, weights):
+        results[qid] = [(hit.docid, hit.value) for hit in findex.search(index, row, k)]
     return results
 
 
@@ -206,12 +202,11 @@ def cmd_encode(args: argparse.Namespace) -> int:
     vocab = Vocabulary.load(args.vocab)
     _check_vocab_match(model, vocab, str(args.checkpoint))
     rows = _read_tsv_pairs(args.corpus, "corpus")
+    weights = _weigh(model, vocab, [text for _, text in rows], model.config.max_passage_len)
     lines = []
-    with ag.no_grad():
-        for docid, text in rows:
-            weights = _weigh(model, vocab, text, model.config.max_passage_len)
-            payload = {str(term): weights[term] for term in sorted(weights)}
-            lines.append(json.dumps({"docid": docid, "weights": payload}) + "\n")
+    for (docid, _), row in zip(rows, weights):
+        payload = {str(term): row[term] for term in sorted(row)}
+        lines.append(json.dumps({"docid": docid, "weights": payload}) + "\n")
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.writelines(lines)
     print(f"encoded {len(rows)} passages -> {args.out}")
@@ -337,12 +332,8 @@ def cmd_ablation(args: argparse.Namespace) -> int:
         )
         run_config = replace(trainer_config, enable_term_loss=use_guidance)
         train(model, triples, vocab, run_config, run_dir, {"ablation": name})
-        with ag.no_grad():
-            stream = [
-                (docid, _weigh(model, vocab, text, config.max_passage_len))
-                for docid, text in corpus_rows
-            ]
-        index = InvertedIndex.build(stream, len(vocab))
+        weights = _weigh(model, vocab, [text for _, text in corpus_rows], config.max_passage_len)
+        index = InvertedIndex.build(zip((docid for docid, _ in corpus_rows), weights), len(vocab))
         mrr = mrr_at_k(_rank(model, vocab, index, queries, 10), qrels, k=10)
         rows.append({"config": name, "fcm": use_gate, "tkgm": use_guidance, "mrr@10": mrr})
 

@@ -1,9 +1,9 @@
 """Contextual encoder: a small post-norm transformer over token embeddings.
 
 One tower serves queries and passages alike (Siamese use is the caller's
-concern).  Each sequence is processed at its natural length; trailing [PAD]
-positions, when present, are masked out of attention columns so no real row
-ever attends to padding.
+concern).  A forward pass takes a batch of texts padded to the longest;
+[PAD] positions are masked out of attention columns so no real row ever
+attends to padding.
 """
 
 from __future__ import annotations
@@ -70,11 +70,11 @@ class EncoderConfig:
 
 
 @dataclass
-class EncodedSequence:
-    """Output of one encoder forward pass.
+class EncodedBatch:
+    """Output of one encoder forward pass over `B` texts padded to length `n`.
 
-    `hidden` has one row per input position, including any [PAD] rows;
-    `real_mask` marks the positions that carry actual tokens.
+    `token_ids` and `real_mask` are [B, n], `hidden` is [B, n, dim]; pad rows
+    hold finite values that no weight or loss reads.
     """
 
     token_ids: np.ndarray
@@ -141,16 +141,25 @@ class ContextEncoder:
     def named_parameters(self) -> dict[str, Tensor]:
         return dict(self.params)
 
-    def forward(self, token_ids: Sequence[int]) -> EncodedSequence:
+    def forward(self, batch: Sequence[Sequence[int]]) -> EncodedBatch:
+        """Encode a batch of id sequences, each padded with [PAD] to the longest.
+
+        Linear layers run on all `B*n` rows at once; attention, pooling and
+        the heads stay per text.  A batch of equal-length texts is never
+        padded, so each text then comes out exactly as it would alone.
+        """
         cfg = self.config
-        ids = np.asarray(token_ids, dtype=np.int64)
-        if ids.ndim != 1 or ids.size == 0:
-            raise ShapeError("forward expects a non-empty 1-d id sequence")
-        n = int(ids.size)
+        lengths = [len(seq) for seq in batch]
+        if not lengths or min(lengths) == 0:
+            raise ShapeError("forward expects a non-empty batch of non-empty id sequences")
+        b, n = len(lengths), max(lengths)
         if n > cfg.max_len:
             raise ShapeError(
                 f"sequence length {n} exceeds positional table size {cfg.max_len}"
             )
+        ids = np.full((b, n), PAD_ID, dtype=np.int64)
+        for row, seq in zip(ids, batch):
+            row[: len(seq)] = seq
         if ids.min() < 0 or ids.max() >= self.vocab_size:
             raise ShapeError(
                 f"token id outside vocabulary of size {self.vocab_size}"
@@ -168,17 +177,18 @@ class ContextEncoder:
             return ag.layer_norm(t, p[f"{name}.gain"], p[f"{name}.bias"], LAYER_NORM_EPS)
 
         def split_heads(t: Tensor) -> Tensor:
-            return ag.permute(ag.reshape(t, (n, h, dh)), (1, 0, 2))
+            return ag.permute(ag.reshape(t, (b, n, h, dh)), (0, 2, 1, 3))
 
+        # Rows are `B*n` positions, text by text.
         x = ag.add(
-            ag.gather(p["embeddings.token"], ids),
-            ag.gather(p["embeddings.position"], np.arange(n)),
+            ag.gather(p["embeddings.token"], ids.reshape(-1)),
+            ag.gather(p["embeddings.position"], np.arange(b * n) % n),
         )
         x = norm(x, "embeddings.norm")
 
         # Padded columns get a huge negative bias; rows stay untouched, so
         # every row (real or pad) still softmaxes to a proper distribution.
-        mask_bias = Tensor(np.where(real, 0.0, MASK_BIAS).reshape(1, 1, n))
+        mask_bias = Tensor(np.where(real, 0.0, MASK_BIAS).reshape(b, 1, 1, n))
 
         for i in range(cfg.layers):
             layer = f"layers.{i}"
@@ -188,9 +198,9 @@ class ContextEncoder:
             )
             logits = ag.add(ag.mul(ag.matmul(q, ag.transpose_last_two(k)), scale), mask_bias)
             weights = ag.softmax(logits, axis=-1)
-            ctx = ag.reshape(ag.permute(ag.matmul(weights, v), (1, 0, 2)), (n, cfg.dim))
+            ctx = ag.reshape(ag.permute(ag.matmul(weights, v), (0, 2, 1, 3)), (b * n, cfg.dim))
             x = norm(ag.add(x, linear(ctx, f"{layer}.attn.output")), f"{layer}.norm1")
             expanded = ag.relu(linear(x, f"{layer}.ffn.expand"))
             x = norm(ag.add(x, linear(expanded, f"{layer}.ffn.contract")), f"{layer}.norm2")
 
-        return EncodedSequence(ids, x, real)
+        return EncodedBatch(ids, ag.reshape(x, (b, n, cfg.dim)), real)

@@ -12,6 +12,7 @@ encoder.  Two refinements shape the weights during training:
 
 Weights are `log1p(relu(w . f + b))`, so they are non-negative and a term
 whose pre-activation is negative drops out of the sparse vector entirely.
+Everything runs on batches of texts.
 """
 
 from __future__ import annotations
@@ -26,23 +27,23 @@ import numpy as np
 from . import autograd as ag
 from . import checkpoint as ckpt
 from .autograd import Tensor
-from .encoder import INIT_STD, ContextEncoder, EncoderConfig, EncodedSequence
+from .encoder import INIT_STD, ContextEncoder, EncodedBatch, EncoderConfig
 from .errors import CorruptFileError, ShapeError
 from .tokenizer import SPECIAL_IDS
 
 AGGREGATIONS = ("max", "sum")
+# Inference runs at most this many texts per forward pass; 16, 32 and 64
+# encoded the desk corpus at rates within host noise of each other.
+CHUNK_TEXTS = 32
 
 
 def scorable_mask(token_ids: np.ndarray) -> np.ndarray:
     """True at positions that carry a real vocabulary term.
 
-    [PAD]/[UNK]/[CLS]/[SEP] never receive weights, labels, or probabilities.
+    [PAD]/[UNK]/[CLS]/[SEP] never receive weights, labels, or probabilities;
+    they hold the lowest ids, so every id above them is a term.
     """
-    ids = np.asarray(token_ids)
-    mask = np.ones(ids.shape, dtype=bool)
-    for special in SPECIAL_IDS:
-        mask &= ids != special
-    return mask
+    return np.asarray(token_ids) >= len(SPECIAL_IDS)
 
 
 @dataclass
@@ -54,10 +55,11 @@ class TermLabels:
 
 
 def indicator_labels(
-    query_ids: Sequence[int], passage_ids: Sequence[int]
+    query_ids: np.ndarray, passage_ids: np.ndarray
 ) -> tuple[TermLabels, TermLabels]:
     """Label each scorable position 1 iff its term occurs in the other text.
 
+    Takes one pair of id sequences, or [Q, n] batches whose rows pair up.
     The shared-term set is symmetric, so a query position and a passage
     position holding the same term always agree.
     """
@@ -65,32 +67,24 @@ def indicator_labels(
     p = np.asarray(passage_ids)
     q_mask = scorable_mask(q)
     p_mask = scorable_mask(p)
-    q_terms = set(q[q_mask].tolist())
-    p_terms = set(p[p_mask].tolist())
-    q_labels = np.where(q_mask & np.isin(q, list(p_terms)), 1.0, 0.0)
-    p_labels = np.where(p_mask & np.isin(p, list(q_terms)), 1.0, 0.0)
+    same = q[..., :, None] == p[..., None, :]
+    q_labels = np.where(q_mask & (same & p_mask[..., None, :]).any(axis=-1), 1.0, 0.0)
+    p_labels = np.where(p_mask & (same & q_mask[..., :, None]).any(axis=-2), 1.0, 0.0)
     return TermLabels(q_labels, q_mask), TermLabels(p_labels, p_mask)
 
 
-class TermWeightVector:
-    """Sparse term -> weight mapping tied into the autograd graph.
+@dataclass
+class TermWeights:
+    """Term weights of a batch of texts, one column per term.
 
-    `term_ids[i]` pairs with `weights[i]`; duplicate occurrences of a term
-    have already been collapsed (max keeps the strongest occurrence and
-    routes the gradient only to it, sum spreads gradient across all).
+    `weights[b, j]` is the weight of term `terms[j]` in text b, and 0 where
+    the text lacks it.  Duplicate occurrences of a term have already been
+    collapsed (max keeps the strongest occurrence and routes the gradient
+    only to it, sum spreads gradient across all).
     """
 
-    __slots__ = ("term_ids", "weights", "_index")
-
-    def __init__(self, term_ids: list[int], weights: Tensor):
-        if weights.data.ndim != 1 or weights.data.shape[0] != len(term_ids):
-            raise ShapeError(
-                f"term/weight length mismatch: {len(term_ids)} ids, "
-                f"weights shape {weights.data.shape}"
-            )
-        self.term_ids = term_ids
-        self.weights = weights
-        self._index = {t: i for i, t in enumerate(term_ids)}
+    terms: np.ndarray
+    weights: Tensor
 
     @classmethod
     def from_positions(
@@ -98,60 +92,45 @@ class TermWeightVector:
         token_ids: np.ndarray,
         position_weights: Tensor,
         aggregation: str = "max",
-    ) -> "TermWeightVector":
-        if aggregation not in AGGREGATIONS:
-            raise ValueError(f"unknown aggregation {aggregation!r}, expected max|sum")
+        terms: np.ndarray | None = None,
+    ) -> "TermWeights":
+        """Collapse [B, n] position weights onto `terms`, a sorted array
+        holding every scorable id of `token_ids` (default: exactly those)."""
         ids = np.asarray(token_ids)
         if position_weights.data.shape != ids.shape:
             raise ShapeError(
                 f"position weights shape {position_weights.data.shape} does not "
-                f"match {len(ids)} token positions"
+                f"match token ids shape {ids.shape}"
             )
-        mask = scorable_mask(ids)
-        groups: dict[int, list[int]] = {}
-        for pos in np.flatnonzero(mask):
-            groups.setdefault(int(ids[pos]), []).append(int(pos))
-        terms = sorted(groups)
-        if not terms:
-            return cls([], Tensor(np.zeros(0)))
-        values = position_weights.data
-        if aggregation == "max":
-            picks = [max(groups[t], key=lambda pos: (values[pos], -pos)) for t in terms]
-            weights = ag.gather(position_weights, np.asarray(picks, dtype=np.intp))
-        else:
-            pool = np.zeros((len(terms), len(ids)))
-            for row, t in enumerate(terms):
-                pool[row, groups[t]] = 1.0
-            weights = ag.matmul(Tensor(pool), position_weights)
-        return cls(terms, weights)
+        scorable = scorable_mask(ids)
+        if terms is None:
+            terms = np.unique(ids[scorable])
+        columns = np.where(scorable, np.searchsorted(terms, ids), -1)
+        return cls(terms, ag.scatter(position_weights, columns, len(terms), aggregation))
 
-    def __len__(self) -> int:
-        return len(self.term_ids)
+    def rows(self) -> list[dict[int, float]]:
+        """One plain float mapping per text; exact zeros are dropped."""
+        terms = self.terms.tolist()
+        return [
+            {t: w for t, w in zip(terms, row) if w != 0.0}
+            for row in self.weights.data.tolist()
+        ]
 
     def as_dict(self) -> dict[int, float]:
-        """Plain float mapping; exact zeros are dropped (term absent)."""
-        return {
-            t: float(w)
-            for t, w in zip(self.term_ids, self.weights.data)
-            if w != 0.0
-        }
-
-    def positions_of(self, term_ids: Sequence[int]) -> np.ndarray:
-        return np.asarray([self._index[t] for t in term_ids], dtype=np.intp)
+        """The mapping of a one-text batch."""
+        (row,) = self.rows()
+        return row
 
 
-def match_score(query_vec: TermWeightVector, passage_vec: TermWeightVector) -> Tensor:
-    """Sum over shared terms of query weight times passage weight.
+def match_score(queries: TermWeights, passages: TermWeights) -> Tensor:
+    """[Q, C] scores of every query against every passage.
 
-    Equals the dense vocabulary-dimension dot product of the two sparse
-    vectors.  No shared terms means a constant 0 score.
+    Both sides share one term column set, so each score is the dense
+    vocabulary-dimension dot product of the two sparse vectors.
     """
-    shared = sorted(set(query_vec.term_ids) & set(passage_vec.term_ids))
-    if not shared:
-        return Tensor(0.0)
-    q = ag.gather(query_vec.weights, query_vec.positions_of(shared))
-    p = ag.gather(passage_vec.weights, passage_vec.positions_of(shared))
-    return ag.reduce_sum(ag.mul(q, p))
+    if not np.array_equal(queries.terms, passages.terms):
+        raise ShapeError("match_score needs queries and passages on the same terms")
+    return ag.matmul(queries.weights, ag.transpose_last_two(passages.weights))
 
 
 class FeatureContextGate:
@@ -159,7 +138,7 @@ class FeatureContextGate:
 
     The pooled vector passes through a bottleneck (d -> max(1, d//16) -> d)
     ending in a sigmoid, producing one gate per channel in (0, 1); every row
-    of the sequence is rescaled by the same gate vector.
+    of a text is rescaled by that text's gate vector.
     """
 
     def __init__(self, dim: int, rng: np.random.Generator):
@@ -181,17 +160,18 @@ class FeatureContextGate:
         }
 
     def gate_vector(self, hidden: Tensor, real_mask: np.ndarray) -> Tensor:
-        n_real = int(real_mask.sum())
-        if n_real == 0:
-            raise ShapeError("feature gate needs at least one real position")
-        if hidden.data.ndim != 2 or hidden.data.shape[1] != self.dim:
+        """[B, 1, d] gates for [B, n, d] hidden states."""
+        n_real = real_mask.sum(axis=1)
+        if not n_real.all():
+            raise ShapeError("feature gate needs at least one real position per text")
+        if hidden.data.ndim != 3 or hidden.data.shape[2] != self.dim:
             raise ShapeError(
                 f"feature gate built for width {self.dim}, got hidden shape "
                 f"{hidden.data.shape}"
             )
-        # Mean over real positions as a constant row times H: gradient flows
-        # through the matmul, pad rows contribute nothing.
-        pool = np.where(real_mask, 1.0 / n_real, 0.0)
+        # Mean over real positions as a constant [1, n] row times each
+        # text's [n, d] states: pad rows contribute nothing.
+        pool = real_mask[:, None, :] / n_real[:, None, None]
         pooled = ag.matmul(Tensor(pool), hidden)
         squeezed = ag.relu(
             ag.add(
@@ -250,60 +230,51 @@ class FecTekModel:
         for p in self.named_parameters().values():
             p.grad = None
 
-    def encode_ids(self, token_ids: Sequence[int]) -> EncodedSequence:
-        return self.encoder.forward(token_ids)
+    def encode_ids(self, token_ids: Sequence[int]) -> EncodedBatch:
+        """One text as a batch of one."""
+        return self.encoder.forward([token_ids])
 
-    def term_weights(self, seq: EncodedSequence) -> TermWeightVector:
-        """Sparse weight vector for one encoded text."""
+    def term_weights(self, batch: EncodedBatch, terms: np.ndarray | None = None) -> TermWeights:
+        """Weights of every text of the batch, over `terms` if given."""
         features = (
-            self.feature_gate(seq.hidden, seq.real_mask)
+            self.feature_gate(batch.hidden, batch.real_mask)
             if self.use_feature_gate
-            else seq.hidden
+            else batch.hidden
         )
+        # [B, n, d] @ [d] is one matrix-vector product per text, the BLAS
+        # call a text alone gets, so its weights keep the same bits.
         raw = ag.add(ag.matmul(features, self.weight_w), self.weight_b)
-        position_weights = ag.log1p(ag.relu(raw))
-        return TermWeightVector.from_positions(
-            seq.token_ids, position_weights, self.aggregation
+        return TermWeights.from_positions(
+            batch.token_ids, ag.log1p(ag.relu(raw)), self.aggregation, terms
         )
 
-    def term_probabilities(self, seq: EncodedSequence) -> Tensor:
-        """Per-position probability that the term also occurs in the pair text.
+    def term_probabilities(self, batch: EncodedBatch) -> Tensor:
+        """[B, n] probability that each position's term also occurs in the
+        pair text.  Reads the raw hidden states, not the gated features."""
+        return ag.sigmoid(ag.add(ag.matmul(batch.hidden, self.prob_w), self.prob_b))
 
-        Reads the raw hidden states, not the gated features.
+    def weigh(self, id_lists: Sequence[Sequence[int]]) -> list[dict[int, float]]:
+        """Term weights of each text, in input order, recorded on no tape.
+
+        Texts run in chunks of at most `CHUNK_TEXTS` of exactly equal length,
+        so no forward pass pads and each text's weights are bit-identical to
+        weighing it alone, whatever else is in the list.
         """
-        return ag.sigmoid(ag.add(ag.matmul(seq.hidden, self.prob_w), self.prob_b))
+        out: list[dict[int, float]] = [{} for _ in id_lists]
+        by_length: dict[int, list[int]] = {}
+        for i, ids in enumerate(id_lists):
+            by_length.setdefault(len(ids), []).append(i)
+        with ag.no_grad():
+            for members in by_length.values():
+                for start in range(0, len(members), CHUNK_TEXTS):
+                    chunk = members[start : start + CHUNK_TEXTS]
+                    batch = self.encoder.forward([id_lists[i] for i in chunk])
+                    for i, weights in zip(chunk, self.term_weights(batch).rows()):
+                        out[i] = weights
+        return out
 
 
 # -- losses ------------------------------------------------------------------
-
-
-def text_level_loss(
-    query_vec: TermWeightVector,
-    positive_vec: TermWeightVector,
-    negative_vecs: Sequence[TermWeightVector],
-) -> Tensor:
-    """Softmax cross-entropy of the positive against the negatives.
-
-    With no negatives this is log-softmax over a singleton, exactly 0.
-    """
-    candidates = [positive_vec, *negative_vecs]
-    scores = [match_score(query_vec, c) for c in candidates]
-    stacked = ag.concat([ag.reshape(s, (1,)) for s in scores])
-    return ag.softmax_nll(stacked, 0)
-
-
-def term_level_loss(
-    query_probs: Tensor,
-    query_labels: TermLabels,
-    passage_probs: Tensor,
-    passage_labels: TermLabels,
-) -> Tensor:
-    """Masked BCE on both sides of a (query, positive passage) pair."""
-    q = ag.binary_cross_entropy(query_probs, query_labels.labels, query_labels.mask)
-    p = ag.binary_cross_entropy(
-        passage_probs, passage_labels.labels, passage_labels.mask
-    )
-    return ag.add(q, p)
 
 
 @dataclass
@@ -315,65 +286,61 @@ class EncodedTriple:
     negative_ids: list[list[int]]
 
 
-def triple_loss(
-    model: FecTekModel,
-    triple: EncodedTriple,
-    *,
-    enable_term: bool = True,
-) -> tuple[Tensor, float, float]:
-    """Loss for one triple; returns (total, text part, term part as floats)."""
-    query_seq = model.encode_ids(triple.query_ids)
-    positive_seq = model.encode_ids(triple.positive_ids)
-
-    query_vec = model.term_weights(query_seq)
-    positive_vec = model.term_weights(positive_seq)
-    negative_vecs = [
-        model.term_weights(model.encode_ids(ids)) for ids in triple.negative_ids
-    ]
-    text = text_level_loss(query_vec, positive_vec, negative_vecs)
-    text_value = text.item()
-    total = text
-    term_value = 0.0
-    if enable_term:
-        # Guidance comes from the positive passage only; negatives are
-        # untouched by this branch.
-        q_labels, p_labels = indicator_labels(triple.query_ids, triple.positive_ids)
-        term = term_level_loss(
-            model.term_probabilities(query_seq),
-            q_labels,
-            model.term_probabilities(positive_seq),
-            p_labels,
-        )
-        term_value = term.item()
-        total = ag.add(total, term)
-    return total, text_value, term_value
-
-
 def batch_loss(
     model: FecTekModel,
     triples: Sequence[EncodedTriple],
     *,
     enable_term: bool = True,
 ) -> tuple[Tensor, dict[str, float]]:
-    """Mean triple loss over a batch, plus float metrics for logging."""
+    """Mean triple loss over a batch, plus float metrics for logging.
+
+    The queries run as one padded batch and the passages (each triple's
+    positive, then its negatives) as another.  The text loss is a softmax
+    cross-entropy of each positive against its own triple's negatives, read
+    from one [Q, C] score product; with no negatives it is exactly 0.  The
+    term loss is a masked BCE on both sides of each (query, positive) pair.
+    """
     if not triples:
         raise ValueError("batch_loss on an empty batch")
-    total = Tensor(0.0)
-    text_sum = 0.0
-    term_sum = 0.0
-    for triple in triples:
-        loss, text_value, term_value = triple_loss(
-            model, triple, enable_term=enable_term
-        )
-        total = ag.add(total, loss)
-        text_sum += text_value
-        term_sum += term_value
     n = len(triples)
+    sizes = [1 + len(t.negative_ids) for t in triples]
+    positives = np.cumsum([0, *sizes[:-1]])
+    own = np.arange(n)[:, None] == np.repeat(np.arange(n), sizes)[None, :]
+    queries = model.encoder.forward([t.query_ids for t in triples])
+    passages = model.encoder.forward(
+        [ids for t in triples for ids in (t.positive_ids, *t.negative_ids)]
+    )
+    ids = np.concatenate([queries.token_ids.reshape(-1), passages.token_ids.reshape(-1)])
+    terms = np.unique(ids[scorable_mask(ids)])
+    scores = match_score(
+        model.term_weights(queries, terms), model.term_weights(passages, terms)
+    )
+    text = ag.softmax_nll(scores, positives, own)
+    total = text
+    term_value = 0.0
+    if enable_term:
+        # Guidance comes from the positive passage only; negatives are
+        # untouched by this branch.
+        q_labels, p_labels = indicator_labels(
+            queries.token_ids, passages.token_ids[positives]
+        )
+        term = ag.add(
+            ag.binary_cross_entropy(
+                model.term_probabilities(queries), q_labels.labels, q_labels.mask
+            ),
+            ag.binary_cross_entropy(
+                ag.gather(model.term_probabilities(passages), positives),
+                p_labels.labels,
+                p_labels.mask,
+            ),
+        )
+        term_value = term.item()
+        total = ag.add(total, term)
     mean = ag.mul(total, 1.0 / n)
     metrics = {
         "total_loss": mean.item(),
-        "text_loss": text_sum / n,
-        "term_loss": term_sum / n,
+        "text_loss": text.item() / n,
+        "term_loss": term_value / n,
     }
     return mean, metrics
 

@@ -19,6 +19,8 @@ import numpy as np
 
 _CONSONANTS = "bcdfghjklmnprstvz"
 _VOWELS = "aeiou"
+# Every pseudo-word is two consonant-vowel syllables.
+MAX_TERMS = (len(_CONSONANTS) * len(_VOWELS)) ** 2
 
 
 @dataclass(frozen=True)
@@ -33,6 +35,8 @@ class SynthConfig:
         for name, least in (("passages", 1), ("terms", 3), ("queries", 1), ("negatives", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        if self.terms > MAX_TERMS:
+            raise ValueError(f"terms must be at most {MAX_TERMS}, got {self.terms}")
         if self.queries > self.passages:
             raise ValueError("cannot query more passages than exist")
         if self.terms < 3 * self.queries // 2:
@@ -52,8 +56,6 @@ class SynthData:
 def _make_words(rng: np.random.Generator, count: int) -> list[str]:
     syllables = ["".join(p) for p in product(_CONSONANTS, _VOWELS)]
     two = ["".join(p) for p in product(syllables, syllables)]
-    if count > len(two):
-        raise ValueError(f"cannot generate {count} distinct words")
     picks = rng.permutation(len(two))[:count]
     return [two[i] for i in picks]
 

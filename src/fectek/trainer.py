@@ -135,14 +135,15 @@ class AdamW:
 def clip_global_norm(params: dict[str, Tensor], max_norm: float) -> float:
     """Scale all gradients so their joint L2 norm is at most `max_norm`.
 
-    Returns the pre-clip norm.
+    Returns the pre-clip norm; a non-finite one leaves the gradients as they
+    are, for the caller to stop on.
     """
     total = 0.0
     for p in params.values():
         if p.grad is not None:
             total += float((p.grad * p.grad).sum())
     norm = math.sqrt(total)
-    if norm > max_norm > 0.0:
+    if math.inf > norm > max_norm > 0.0:
         scale = max_norm / norm
         for p in params.values():
             if p.grad is not None:
@@ -216,6 +217,8 @@ def train_step(
             )
     loss.backward()
     grad_norm = clip_global_norm(optimizer.params, clip_norm)
+    if not math.isfinite(grad_norm):
+        raise TrainingDivergedError(f"non-finite gradient norm ({grad_norm}) in training step")
     optimizer.step(lr)
     optimizer.zero_grad()
     metrics["grad_norm"] = grad_norm

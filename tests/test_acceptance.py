@@ -34,11 +34,12 @@ from fectek.index import (
     search,
 )
 from fectek.model import (
+    EncodedTriple,
     FecTekModel,
+    batch_loss,
     checkpoints_equal,
     load_model,
     save_model,
-    text_level_loss,
 )
 from fectek.synth import SynthConfig, generate
 from fectek.tokenizer import Vocabulary
@@ -86,19 +87,11 @@ def pipeline(tmp_path_factory) -> Pipeline:
     )  # term-guidance loss on
     train(model, triples, vocab, trainer_config, tmp_path_factory.mktemp("synth-run"))
 
-    with ag.no_grad():
-        stream = []
-        for docid, text in data.corpus:
-            seq = model.encode_ids(vocab.encode(text, config.max_passage_len))
-            stream.append((docid, model.term_weights(seq).as_dict()))
-        index = InvertedIndex.build(stream, len(vocab))
-        query_weights: dict[str, dict[int, float]] = {}
-        hits: dict[str, list[SearchHit]] = {}
-        for qid, text in data.queries:
-            seq = model.encode_ids(vocab.encode(text, config.max_query_len))
-            weights = model.term_weights(seq).as_dict()
-            query_weights[qid] = weights
-            hits[qid] = search(index, weights, 10)
+    passages = model.weigh([vocab.encode(text, config.max_passage_len) for _, text in data.corpus])
+    index = InvertedIndex.build(zip([docid for docid, _ in data.corpus], passages), len(vocab))
+    queries = model.weigh([vocab.encode(text, config.max_query_len) for _, text in data.queries])
+    query_weights = {qid: weights for (qid, _), weights in zip(data.queries, queries)}
+    hits = {qid: search(index, weights, 10) for qid, weights in query_weights.items()}
 
     run = {qid: [(h.docid, h.value) for h in hs] for qid, hs in hits.items()}
     qrels = {qid: {docid} for qid, docid in data.qrels}
@@ -149,16 +142,16 @@ def test_text_loss_is_log16_with_zeroed_weight_head():
 
     rng = np.random.default_rng(5)
 
-    def weight_vector(size: int, limit: int):
-        text = " ".join(rng.choice(words, size=size, replace=False))
-        return model.term_weights(model.encode_ids(vocab.encode(text, limit)))
+    def text_ids(size: int, limit: int):
+        return vocab.encode(" ".join(rng.choice(words, size=size, replace=False)), limit)
 
-    query_vec = weight_vector(4, config.max_query_len)
-    positive_vec = weight_vector(6, config.max_passage_len)
-    negative_vecs = [
-        weight_vector(6, config.max_passage_len) for _ in range(15)
-    ]
-    loss = text_level_loss(query_vec, positive_vec, negative_vecs).item()
+    triple = EncodedTriple(
+        text_ids(4, config.max_query_len),
+        text_ids(6, config.max_passage_len),
+        [text_ids(6, config.max_passage_len) for _ in range(15)],
+    )
+    _, metrics = batch_loss(model, [triple], enable_term=False)
+    loss = metrics["text_loss"]
 
     expected = math.log(16.0)
     ok = abs(loss - expected) <= 1e-6 and abs(loss - 2.7725887) <= 1e-6

@@ -144,7 +144,59 @@ class TestForwardValues:
         assert loss.item() == 0.0
 
 
+class TestRowwiseLosses:
+    def test_softmax_nll_rows_sum_each_rows_own_candidates(self, rng):
+        scores = rng.normal(size=(3, 5))
+        mask = np.array(
+            [[1, 1, 0, 0, 0], [0, 0, 1, 1, 1], [0, 0, 0, 0, 1]], dtype=bool
+        )
+        targets = [0, 3, 4]
+        rows = ag.softmax_nll(Tensor(scores), targets, mask).item()
+        alone = sum(
+            ag.softmax_nll(
+                Tensor(scores[r, mask[r]]), np.flatnonzero(mask[r]).tolist().index(t)
+            ).item()
+            for r, t in enumerate(targets)
+        )
+        assert rows == pytest.approx(alone, abs=1e-12)
+        # A row with one candidate adds exactly 0.
+        assert ag.softmax_nll(Tensor(scores[2:]), [4], mask[2:]).item() == 0.0
+
+    def test_softmax_nll_masked_target_rejected(self):
+        with pytest.raises(ValueError):
+            ag.softmax_nll(Tensor(np.zeros((1, 3))), [1], np.array([[True, False, True]]))
+
+    def test_softmax_nll_needs_one_target_per_row(self):
+        with pytest.raises(ShapeError):
+            ag.softmax_nll(Tensor(np.zeros((2, 3))), [1])
+
+    def test_bce_rows_sum_their_own_means(self, rng):
+        probs = rng.uniform(0.1, 0.9, (3, 4))
+        labels = rng.integers(0, 2, (3, 4)).astype(float)
+        mask = np.array([[1, 1, 1, 0], [0, 0, 0, 0], [1, 0, 0, 0]], dtype=bool)
+        rows = ag.binary_cross_entropy(Tensor(probs), labels, mask).item()
+        alone = sum(
+            ag.binary_cross_entropy(Tensor(probs[r]), labels[r], mask[r]).item()
+            for r in range(3)
+        )
+        assert rows == pytest.approx(alone, abs=1e-12)
+
+
 class TestBackwardStructure:
+    def test_replay_frees_interior_nodes_and_leaves_keep_grads(self, rng):
+        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        hidden = ag.relu(ag.mul(x, 2.0))
+        loss = ag.reduce_sum(hidden)
+        loss.backward()
+        assert x.grad is not None
+        for node in (hidden, loss):
+            assert node.grad is None and node._parents == () and node._backward is None
+
+    def test_first_gradient_is_a_c_ordered_copy(self, rng):
+        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        ag.reduce_sum(ag.permute(x, (1, 0))).backward()
+        assert x.grad.flags.c_contiguous and x.grad.flags.owndata
+
     def test_sum_gradient_is_ones(self, rng):
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         ag.reduce_sum(x).backward()
@@ -258,11 +310,12 @@ class TestGradientOracle:
             lambda t: ag.gather(t, idx), [rng.uniform(-2, 2, (4, 3))]
         )
 
-    def test_concat(self, rng):
-        assert_grads_match(
-            lambda a, b: ag.concat([a, b]),
-            [rng.uniform(-2, 2, (2, 3)), rng.uniform(-2, 2, (4, 3))],
-        )
+    def test_scatter(self, rng):
+        columns = np.array([[0, 2, -1, 2], [1, 1, 0, -1]])
+        for reduce in ("max", "sum"):
+            assert_grads_match(
+                lambda a: ag.scatter(a, columns, 3, reduce), [rng.uniform(-2, 2, (2, 4))]
+            )
 
     def test_softmax(self, rng):
         assert_grads_match(ag.softmax, [rng.uniform(-2, 2, (3, 6))])
@@ -282,12 +335,27 @@ class TestGradientOracle:
             lambda s: ag.softmax_nll(s, 2), [rng.uniform(-2, 2, (6,))]
         )
 
+    def test_softmax_nll_masked_rows(self, rng):
+        mask = np.array([[True, True, False, True], [False, True, True, False]])
+        assert_grads_match(
+            lambda s: ag.softmax_nll(s, [3, 1], mask), [rng.uniform(-2, 2, (2, 4))]
+        )
+
     def test_binary_cross_entropy(self, rng):
         labels = rng.integers(0, 2, 7).astype(float)
         mask = np.array([True, True, False, True, True, True, False])
         assert_grads_match(
             lambda p: ag.binary_cross_entropy(p, labels, mask),
             [rng.uniform(0.05, 0.95, (7,))],
+        )
+
+    def test_binary_cross_entropy_rows(self, rng):
+        labels = rng.integers(0, 2, (3, 5)).astype(float)
+        mask = rng.random((3, 5)) < 0.6
+        mask[2] = False
+        assert_grads_match(
+            lambda p: ag.binary_cross_entropy(p, labels, mask),
+            [rng.uniform(0.05, 0.95, (3, 5))],
         )
 
 

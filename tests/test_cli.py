@@ -8,6 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
+from fectek.autograd import Tensor
 from fectek.checkpoint import load_tensors, save_tensors
 from fectek.cli import main
 from fectek.model import load_model
@@ -569,6 +570,34 @@ class TestExitCodes:
         assert "weight_head.bias" in err
         assert not out.exists()
 
+    def test_non_finite_gradient_norm_is_1_and_writes_no_model(
+        self, workspace, tmp_path, monkeypatch
+    ):
+        import fectek.autograd as ag
+        import fectek.trainer as trainer
+
+        def inf_gradient_loss(model, triples, *, enable_term=True):
+            # Finite loss metrics, and a backward that puts inf into one
+            # gradient entry.
+            scale = np.zeros(model.weight_w.data.shape)
+            scale[0] = np.inf
+            loss = ag.reduce_sum(ag.mul(model.weight_w, Tensor(scale)))
+            return loss, {"total_loss": 0.0, "text_loss": 0.0, "term_loss": 0.0}
+
+        monkeypatch.setattr(trainer, "batch_loss", inf_gradient_loss)
+        out_dir = tmp_path / "run"
+        code, _, err = run_cli(
+            "train",
+            "--triples", str(workspace["triples"]),
+            "--vocab", str(workspace["vocab"]),
+            "--out-dir", str(out_dir),
+            *TINY_ENCODER,
+            "--epochs", "1",
+        )
+        assert code == 1
+        assert "non-finite gradient norm" in err
+        assert not (out_dir / "model.ftck").exists()
+
     def test_vocab_mismatch_is_4(self, workspace, tmp_path):
         other_corpus = tmp_path / "corpus.tsv"
         other_corpus.write_text("d1\tcompletely different words here\n")
@@ -670,6 +699,14 @@ class TestSynthCommand:
         code, _, err = run_cli("synth", "--out-dir", str(out_dir), *flags)
         assert code == 2
         assert f"error: {field} must be at least" in err
+        assert not out_dir.exists()
+
+
+    def test_more_terms_than_pseudo_words_is_2_and_writes_nothing(self, tmp_path):
+        out_dir = tmp_path / "data"
+        code, _, err = run_cli("synth", "--out-dir", str(out_dir), "--terms", "7226")
+        assert code == 2
+        assert "error: terms must be at most 7225" in err
         assert not out_dir.exists()
 
 

@@ -16,7 +16,7 @@ from fectek.model import (
     EncodedTriple,
     FeatureContextGate,
     FecTekModel,
-    TermWeightVector,
+    TermWeights,
     batch_loss,
     checkpoints_equal,
     indicator_labels,
@@ -24,8 +24,6 @@ from fectek.model import (
     match_score,
     save_model,
     scorable_mask,
-    term_level_loss,
-    triple_loss,
 )
 from fectek.tokenizer import CLS_ID, PAD_ID, SEP_ID, UNK_ID
 
@@ -87,78 +85,89 @@ class TestIndicatorLabels:
                     assert labels.labels[pos] == float(term in shared)
 
 
+def one_text(ids, weights, aggregation):
+    """TermWeights of one text from hand-set position weights."""
+    return TermWeights.from_positions(np.array([ids]), weights, aggregation)
+
+
 class TestTermWeightVector:
+    """`TermWeights.from_positions`: how a text's positions collapse into terms."""
+
     def test_max_aggregation_keeps_largest_occurrence(self):
-        ids = np.array([CLS_ID, 8, 9, 8, SEP_ID])
-        weights = Tensor(np.array([5.0, 1.0, 2.0, 3.0, 5.0]), requires_grad=True)
-        vec = TermWeightVector.from_positions(ids, weights, "max")
+        ids = [CLS_ID, 8, 9, 8, SEP_ID]
+        weights = Tensor(np.array([[5.0, 1.0, 2.0, 3.0, 5.0]]), requires_grad=True)
+        vec = one_text(ids, weights, "max")
         assert vec.as_dict()[8] == 3.0
         assert vec.as_dict()[9] == 2.0
 
     def test_max_gradient_routes_to_argmax_only(self):
-        ids = np.array([CLS_ID, 8, 8, SEP_ID])
-        weights = Tensor(np.array([0.0, 1.0, 4.0, 0.0]), requires_grad=True)
-        vec = TermWeightVector.from_positions(ids, weights, "max")
+        ids = [CLS_ID, 8, 8, SEP_ID]
+        weights = Tensor(np.array([[0.0, 1.0, 4.0, 0.0]]), requires_grad=True)
+        vec = one_text(ids, weights, "max")
         ag.reduce_sum(vec.weights).backward()
-        assert weights.grad.tolist() == [0.0, 0.0, 1.0, 0.0]
+        assert weights.grad.tolist() == [[0.0, 0.0, 1.0, 0.0]]
 
     def test_max_tie_picks_first_position(self):
-        ids = np.array([CLS_ID, 8, 8, SEP_ID])
-        weights = Tensor(np.array([0.0, 2.0, 2.0, 0.0]), requires_grad=True)
-        vec = TermWeightVector.from_positions(ids, weights, "max")
+        ids = [CLS_ID, 8, 8, SEP_ID]
+        weights = Tensor(np.array([[0.0, 2.0, 2.0, 0.0]]), requires_grad=True)
+        vec = one_text(ids, weights, "max")
         ag.reduce_sum(vec.weights).backward()
-        assert weights.grad.tolist() == [0.0, 1.0, 0.0, 0.0]
+        assert weights.grad.tolist() == [[0.0, 1.0, 0.0, 0.0]]
 
     def test_sum_aggregation_adds_occurrences(self):
-        ids = np.array([CLS_ID, 8, 9, 8, SEP_ID])
-        weights = Tensor(np.array([5.0, 1.0, 2.0, 3.0, 5.0]), requires_grad=True)
-        vec = TermWeightVector.from_positions(ids, weights, "sum")
+        ids = [CLS_ID, 8, 9, 8, SEP_ID]
+        weights = Tensor(np.array([[5.0, 1.0, 2.0, 3.0, 5.0]]), requires_grad=True)
+        vec = one_text(ids, weights, "sum")
         assert vec.as_dict()[8] == 4.0
         ag.reduce_sum(vec.weights).backward()
-        assert weights.grad.tolist() == [0.0, 1.0, 1.0, 1.0, 0.0]
+        assert weights.grad.tolist() == [[0.0, 1.0, 1.0, 1.0, 0.0]]
 
     def test_specials_never_become_terms(self):
-        ids = np.array([CLS_ID, 8, SEP_ID, PAD_ID])
-        weights = Tensor(np.ones(4))
-        vec = TermWeightVector.from_positions(ids, weights, "max")
-        assert vec.term_ids == [8]
+        ids = [CLS_ID, 8, SEP_ID, PAD_ID]
+        vec = one_text(ids, Tensor(np.ones((1, 4))), "max")
+        assert vec.terms.tolist() == [8]
 
     def test_empty_text_yields_empty_vector(self):
-        ids = np.array([CLS_ID, SEP_ID])
-        vec = TermWeightVector.from_positions(ids, Tensor(np.zeros(2)), "max")
-        assert len(vec) == 0
+        vec = one_text([CLS_ID, SEP_ID], Tensor(np.zeros((1, 2))), "max")
+        assert vec.terms.size == 0
         assert vec.as_dict() == {}
 
     def test_as_dict_drops_exact_zeros(self):
-        ids = np.array([CLS_ID, 8, 9, SEP_ID])
-        weights = Tensor(np.array([0.0, 0.0, 1.5, 0.0]))
-        vec = TermWeightVector.from_positions(ids, weights, "max")
+        ids = [CLS_ID, 8, 9, SEP_ID]
+        vec = one_text(ids, Tensor(np.array([[0.0, 0.0, 1.5, 0.0]])), "max")
         assert vec.as_dict() == {9: 1.5}
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ShapeError):
-            TermWeightVector.from_positions(
-                np.array([CLS_ID, 8, SEP_ID]), Tensor(np.zeros(2)), "max"
-            )
+            one_text([CLS_ID, 8, SEP_ID], Tensor(np.zeros((1, 2))), "max")
 
     def test_unknown_aggregation_rejected(self):
         with pytest.raises(ValueError):
-            TermWeightVector.from_positions(
-                np.array([CLS_ID, SEP_ID]), Tensor(np.zeros(2)), "mean"
-            )
+            one_text([CLS_ID, SEP_ID], Tensor(np.zeros((1, 2))), "mean")
+
+    def test_rows_of_a_batch_and_shared_columns(self):
+        ids = np.array([[CLS_ID, 8, 9, SEP_ID], [CLS_ID, 9, 9, SEP_ID]])
+        weights = Tensor(np.array([[0.0, 1.0, 2.0, 0.0], [0.0, 3.0, 0.5, 0.0]]))
+        vec = TermWeights.from_positions(ids, weights, "max", terms=np.array([5, 8, 9]))
+        assert vec.weights.data.tolist() == [[0.0, 1.0, 2.0], [0.0, 0.0, 3.0]]
+        assert vec.rows() == [{8: 1.0, 9: 2.0}, {9: 3.0}]
+
+
+def on_terms(terms, *rows):
+    return TermWeights(np.array(terms), Tensor(np.array(rows, dtype=float)))
 
 
 class TestMatchScore:
     def test_disjoint_terms_score_zero(self):
-        a = TermWeightVector([1, 2], Tensor(np.array([1.0, 2.0])))
-        b = TermWeightVector([3, 4], Tensor(np.array([1.0, 2.0])))
-        assert match_score(a, b).item() == 0.0
+        a = on_terms([1, 2, 3, 4], [1.0, 2.0, 0.0, 0.0])
+        b = on_terms([1, 2, 3, 4], [0.0, 0.0, 1.0, 2.0])
+        assert match_score(a, b).data.tolist() == [[0.0]]
 
     def test_hand_example(self):
-        a = TermWeightVector([4, 5, 9], Tensor(np.array([1.0, 2.0, 3.0])))
-        b = TermWeightVector([5, 9, 11], Tensor(np.array([10.0, 0.5, 7.0])))
-        # 2*10 + 3*0.5
-        assert match_score(a, b).item() == pytest.approx(21.5)
+        a = on_terms([4, 5, 9, 11], [1.0, 2.0, 3.0, 0.0])
+        b = on_terms([4, 5, 9, 11], [0.0, 10.0, 0.5, 7.0], [1.0, 0.0, 0.0, 1.0])
+        # 2*10 + 3*0.5, and 1*1 against the second passage.
+        assert match_score(a, b).data.tolist() == [[21.5, 1.0]]
 
     @given(
         st.dictionaries(st.integers(4, 30), st.floats(0, 3), max_size=12),
@@ -166,62 +175,70 @@ class TestMatchScore:
     )
     @settings(max_examples=80, deadline=None)
     def test_equals_dense_dot_product(self, qmap, pmap):
-        def vec(mapping):
-            ids = sorted(mapping)
-            return TermWeightVector(ids, Tensor(np.array([mapping[i] for i in ids])))
-
-        dense_q = np.zeros(31)
-        dense_p = np.zeros(31)
-        for i, w in qmap.items():
-            dense_q[i] = w
-        for i, w in pmap.items():
-            dense_p[i] = w
-        sparse = match_score(vec(qmap), vec(pmap)).item()
-        assert sparse == pytest.approx(float(dense_q @ dense_p), abs=1e-12)
+        # Columns are the union of both texts' terms; the score equals the
+        # sparse sum over the shared ones.
+        terms = sorted(set(qmap) | set(pmap))
+        a = on_terms(terms, [qmap.get(t, 0.0) for t in terms])
+        b = on_terms(terms, [pmap.get(t, 0.0) for t in terms])
+        sparse = sum(qmap[t] * pmap[t] for t in set(qmap) & set(pmap))
+        assert match_score(a, b).data.shape == (1, 1)
+        assert match_score(a, b).data[0, 0] == pytest.approx(sparse, abs=1e-12)
 
     def test_gradient_flows_to_both_sides(self):
-        wa = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        wb = Tensor(np.array([3.0, 4.0]), requires_grad=True)
-        a = TermWeightVector([5, 6], wa)
-        b = TermWeightVector([5, 6], wb)
-        match_score(a, b).backward()
-        assert wa.grad.tolist() == [3.0, 4.0]
-        assert wb.grad.tolist() == [1.0, 2.0]
+        a = on_terms([5, 6], [1.0, 2.0])
+        b = on_terms([5, 6], [3.0, 4.0])
+        a.weights.requires_grad = b.weights.requires_grad = True
+        ag.reduce_sum(match_score(a, b)).backward()
+        assert a.weights.grad.tolist() == [[3.0, 4.0]]
+        assert b.weights.grad.tolist() == [[1.0, 2.0]]
+
+    def test_different_columns_rejected(self):
+        with pytest.raises(ShapeError):
+            match_score(on_terms([5, 6], [1.0, 2.0]), on_terms([5, 7], [1.0, 2.0]))
 
 
 class TestFeatureGate:
     def test_gate_values_strictly_inside_unit_interval(self, rng):
         gate = FeatureContextGate(16, rng)
-        hidden = Tensor(rng.normal(size=(5, 16)))
-        mask = np.array([True] * 4 + [False])
+        hidden = Tensor(rng.normal(size=(1, 5, 16)))
+        mask = np.array([[True] * 4 + [False]])
         g = gate.gate_vector(hidden, mask)
         assert np.all(g.data > 0.0) and np.all(g.data < 1.0)
 
     def test_same_gate_for_every_position(self, rng):
         gate = FeatureContextGate(16, rng)
-        hidden = Tensor(rng.normal(size=(6, 16)))
-        mask = np.ones(6, dtype=bool)
+        hidden = Tensor(rng.normal(size=(2, 6, 16)))
+        mask = np.ones((2, 6), dtype=bool)
         g = gate.gate_vector(hidden, mask)
         gated = gate(hidden, mask)
-        # One gate vector, broadcast over rows.
-        assert g.data.shape == (16,)
+        # One gate vector per text, broadcast over its rows.
+        assert g.data.shape == (2, 1, 16)
         np.testing.assert_array_equal(gated.data, hidden.data * g.data)
 
     def test_pad_rows_do_not_influence_gate(self, rng):
         gate = FeatureContextGate(16, rng)
-        base = rng.normal(size=(5, 16))
-        mask = np.array([True, True, True, False, False])
+        base = rng.normal(size=(1, 5, 16))
+        mask = np.array([[True, True, True, False, False]])
         loud = base.copy()
-        loud[3:] = 1e6
+        loud[0, 3:] = 1e6
         g_quiet = gate.gate_vector(Tensor(base), mask)
         g_loud = gate.gate_vector(Tensor(loud), mask)
         np.testing.assert_array_equal(g_quiet.data, g_loud.data)
 
+    def test_each_text_gets_its_own_gate(self, rng):
+        gate = FeatureContextGate(16, rng)
+        hidden = rng.normal(size=(2, 4, 16))
+        mask = np.array([[True] * 4, [True, True, False, False]])
+        both = gate.gate_vector(Tensor(hidden), mask).data
+        for b in range(2):
+            alone = gate.gate_vector(Tensor(hidden[b : b + 1]), mask[b : b + 1]).data
+            np.testing.assert_array_equal(both[b], alone[0])
+
     def test_saturated_excite_bias_passes_hidden_through(self, rng):
         gate = FeatureContextGate(16, rng)
         gate.params["feature_gate.excite.bias"].data[:] = 1e3
-        hidden = Tensor(rng.normal(size=(4, 16)))
-        gated = gate(hidden, np.ones(4, dtype=bool))
+        hidden = Tensor(rng.normal(size=(1, 4, 16)))
+        gated = gate(hidden, np.ones((1, 4), dtype=bool))
         np.testing.assert_allclose(gated.data, hidden.data, rtol=1e-12)
 
     def test_bottleneck_width(self, rng):
@@ -231,13 +248,14 @@ class TestFeatureGate:
 
     def test_all_pad_rejected(self, rng):
         gate = FeatureContextGate(16, rng)
+        mask = np.array([[True, True, True], [False, False, False]])
         with pytest.raises(ShapeError):
-            gate.gate_vector(Tensor(rng.normal(size=(3, 16))), np.zeros(3, dtype=bool))
+            gate.gate_vector(Tensor(rng.normal(size=(2, 3, 16))), mask)
 
     def test_width_mismatch_rejected(self, rng):
         gate = FeatureContextGate(16, rng)
         with pytest.raises(ShapeError):
-            gate.gate_vector(Tensor(rng.normal(size=(3, 8))), np.ones(3, dtype=bool))
+            gate.gate_vector(Tensor(rng.normal(size=(1, 3, 8))), np.ones((1, 3), dtype=bool))
 
 
 class TestTermWeights:
@@ -269,14 +287,14 @@ class TestTermWeights:
     ):
         tiny_model.weight_w.data[:] = 0.0
         tiny_model.weight_b.data = np.asarray(math.e - 1.0)
-        q_seq = tiny_model.encode_ids(tiny_vocab.encode("quick brown fox", 16))
-        p_seq = tiny_model.encode_ids(
-            tiny_vocab.encode("the quick dog jumps over the fox", 24)
-        )
+        q_ids = tiny_vocab.encode("quick brown fox", 16)
+        p_ids = tiny_vocab.encode("the quick dog jumps over the fox", 24)
+        terms = np.unique([t for t in q_ids + p_ids if t not in (CLS_ID, SEP_ID)])
         score = match_score(
-            tiny_model.term_weights(q_seq), tiny_model.term_weights(p_seq)
+            tiny_model.term_weights(tiny_model.encode_ids(q_ids), terms),
+            tiny_model.term_weights(tiny_model.encode_ids(p_ids), terms),
         )
-        assert score.item() == pytest.approx(2.0, abs=1e-12)
+        assert score.data[0, 0] == pytest.approx(2.0, abs=1e-12)
 
     def test_gate_disabled_reads_raw_hidden(self, tiny_vocab, tiny_config):
         gated = FecTekModel(len(tiny_vocab), tiny_config, seed=5)
@@ -288,7 +306,7 @@ class TestTermWeights:
         w_plain = plain.term_weights(plain.encode_ids(ids))
         # Same seed, same encoder; the gate shrinks every pre-activation, so
         # the two heads disagree somewhere.
-        assert w_gated.term_ids == w_plain.term_ids
+        assert w_gated.terms.tolist() == w_plain.terms.tolist()
         assert not np.array_equal(w_gated.weights.data, w_plain.weights.data)
 
 
@@ -308,26 +326,20 @@ class TestTermProbabilities:
 
     def test_prob_head_gradient_matches_fd(self, tiny_model, tiny_vocab):
         ids = tiny_vocab.encode("judge my vow", 16)
-        labels_q, labels_p = indicator_labels(ids, ids)
+        labels_q, labels_p = indicator_labels([ids], [ids])
+
+        def term_loss():
+            probs = tiny_model.term_probabilities(tiny_model.encode_ids(ids))
+            return ag.add(
+                ag.binary_cross_entropy(probs, labels_q.labels, labels_q.mask),
+                ag.binary_cross_entropy(probs, labels_p.labels, labels_p.mask),
+            )
 
         def loss_value():
             with ag.no_grad():
-                seq = tiny_model.encode_ids(ids)
-                return term_level_loss(
-                    tiny_model.term_probabilities(seq),
-                    labels_q,
-                    tiny_model.term_probabilities(seq),
-                    labels_p,
-                ).item()
+                return term_loss().item()
 
-        seq = tiny_model.encode_ids(ids)
-        loss = term_level_loss(
-            tiny_model.term_probabilities(seq),
-            labels_q,
-            tiny_model.term_probabilities(seq),
-            labels_p,
-        )
-        loss.backward()
+        term_loss().backward()
         grad = tiny_model.prob_w.grad.copy()
 
         eps = 1e-5
@@ -359,22 +371,15 @@ class TestLosses:
             "the quick brown fox jumps",
             ["pack my box with jugs", "sphinx of black quartz", "daft zebras jump"],
         )
-        _, text_value, _ = triple_loss(tiny_model, triple, enable_term=False)
-        assert text_value == pytest.approx(math.log(4), abs=1e-9)
+        _, metrics = batch_loss(tiny_model, [triple], enable_term=False)
+        assert metrics["text_loss"] == pytest.approx(math.log(4), abs=1e-9)
 
-    def test_bce_at_half_per_masked_position(self, tiny_model, tiny_vocab):
+    def test_bce_at_half_per_masked_position(self, tiny_model, tiny_vocab, tiny_config):
         tiny_model.prob_w.data[:] = 0.0
-        ids_q = tiny_vocab.encode("quick fox", 16)
-        ids_p = tiny_vocab.encode("lazy dog", 16)
-        q_labels, p_labels = indicator_labels(ids_q, ids_p)
-        loss = term_level_loss(
-            tiny_model.term_probabilities(tiny_model.encode_ids(ids_q)),
-            q_labels,
-            tiny_model.term_probabilities(tiny_model.encode_ids(ids_p)),
-            p_labels,
-        )
+        triple = make_triple(tiny_vocab, tiny_config, "quick fox", "lazy dog", [])
+        _, metrics = batch_loss(tiny_model, [triple])
         # Both sides contribute ln 2 each at probability one half.
-        assert loss.item() == pytest.approx(2 * math.log(2), abs=1e-9)
+        assert metrics["term_loss"] == pytest.approx(2 * math.log(2), abs=1e-9)
 
     def test_loss_decreases_as_predictions_approach_labels(self):
         rng = np.random.default_rng(11)
@@ -394,11 +399,17 @@ class TestLosses:
         triple = make_triple(
             tiny_vocab, tiny_config, "quick fox", "quick brown fox", ["lazy dog"]
         )
-        total, text_value, term_value = triple_loss(
-            tiny_model, triple, enable_term=False
-        )
-        assert term_value == 0.0
-        assert total.item() == pytest.approx(text_value, abs=1e-12)
+        total, metrics = batch_loss(tiny_model, [triple], enable_term=False)
+        assert metrics["term_loss"] == 0.0
+        assert total.item() == pytest.approx(metrics["text_loss"], abs=1e-12)
+
+    def test_no_negatives_give_zero_text_loss(self, tiny_model, tiny_vocab, tiny_config):
+        triple = make_triple(tiny_vocab, tiny_config, "quick fox", "quick brown fox", [])
+        other = make_triple(tiny_vocab, tiny_config, "lazy dog", "the lazy dog", ["fox"])
+        # A query scores only its own candidates, never the batch's others.
+        _, metrics = batch_loss(tiny_model, [triple, other], enable_term=False)
+        _, alone = batch_loss(tiny_model, [other], enable_term=False)
+        assert metrics["text_loss"] == pytest.approx(alone["text_loss"] / 2, abs=1e-12)
 
     def test_batch_loss_averages_over_triples(
         self, tiny_model, tiny_vocab, tiny_config
@@ -427,7 +438,7 @@ class TestLosses:
             "the quick brown fox jumps over the lazy dog",
             ["pack my box with five dozen liquor jugs"],
         )
-        total, _, _ = triple_loss(model, triple)
+        total, _ = batch_loss(model, [triple])
         total.backward()
         for name, p in model.named_parameters().items():
             assert p.grad is not None and np.any(p.grad != 0.0), name

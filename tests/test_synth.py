@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from fectek.synth import SynthConfig, generate, write_dataset
+from fectek.synth import MAX_TERMS, SynthConfig, generate, write_dataset
 from fectek.tokenizer import tokenize
 
 SMALL = SynthConfig(passages=50, terms=60, queries=20, negatives=5, seed=13)
@@ -18,6 +18,12 @@ class TestConfigValidation:
     def test_tiny_vocabulary_rejected(self):
         with pytest.raises(ValueError):
             SynthConfig(passages=100, queries=100, terms=30, negatives=5)
+
+    def test_term_bound_is_the_pseudo_word_count(self):
+        assert MAX_TERMS == 7225
+        assert SynthConfig(terms=MAX_TERMS).terms == MAX_TERMS
+        with pytest.raises(ValueError, match="terms"):
+            SynthConfig(terms=MAX_TERMS + 1)
 
     def test_too_many_negatives_rejected(self):
         with pytest.raises(ValueError):

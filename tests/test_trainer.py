@@ -205,6 +205,24 @@ class TestTrainStep:
             train_step(toy_model, opt, encoded, 1e-3, 1.0, True)
 
 
+    def test_non_finite_gradient_norm_stops_before_the_update(
+        self, toy_model, toy_vocab, monkeypatch
+    ):
+        import fectek.trainer as trainer
+
+        encoded = encode_triples(TOY_TRIPLES, toy_vocab, 16, 24, 7)
+        loss, metrics = trainer.batch_loss(toy_model, encoded)
+        monkeypatch.setattr(trainer, "batch_loss", lambda *a, **k: (loss, metrics))
+        toy_model.weight_w.grad = np.full(toy_model.weight_w.data.shape, np.inf)
+        before = {n: p.data.copy() for n, p in toy_model.named_parameters().items()}
+        opt = AdamW(toy_model.named_parameters())
+        with pytest.raises(TrainingDivergedError, match="gradient norm"):
+            train_step(toy_model, opt, encoded, 1e-3, 1.0, True)
+        assert opt.step_count == 0
+        for name, p in toy_model.named_parameters().items():
+            assert np.array_equal(p.data, before[name]), name
+
+
 class TestTrainLoop:
     def run(self, tmp_path, toy_vocab, tiny_config, tag, **overrides):
         model = FecTekModel(len(toy_vocab), tiny_config, seed=3)
