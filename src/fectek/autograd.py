@@ -164,8 +164,10 @@ def add(a, b) -> Tensor:
     data = a.data + b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.data.shape))
 
     return _record(data, (a, b), backward, "add")
 
@@ -175,8 +177,10 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _record(data, (a, b), backward, "mul")
 
@@ -324,20 +328,6 @@ def scatter(a, columns, width: int, reduce: str) -> Tensor:
     return _record(data.reshape(rows, width), (a,), backward, "scatter")
 
 
-# -- reductions ------------------------------------------------------------
-
-
-def reduce_sum(a) -> Tensor:
-    """Sum of every element, as a scalar."""
-    a = _coerce(a)
-    data = a.data.sum()
-
-    def backward(g):
-        _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
-
-    return _record(data, (a,), backward, "sum")
-
-
 # -- linear algebra ---------------------------------------------------------
 
 
@@ -389,20 +379,103 @@ def matmul(a, b) -> Tensor:
 
 
 # -- fused network ops -------------------------------------------------------
+#
+# Each fused op does the same float operations in the same order as the chain
+# of single ops it replaces, so results are bit-identical; it only keeps fewer
+# intermediates alive on the tape.
 
 
-def softmax(a, axis: int = -1) -> Tensor:
-    a = _coerce(a)
-    x = a.data
-    m = x.max(axis=axis, keepdims=True)
-    z = np.exp(x - m)
-    data = z / z.sum(axis=axis, keepdims=True)
+def linear(x, weight, bias, relu: bool = False) -> Tensor:
+    """`x @ weight + bias`, then relu if asked, as one node.
+
+    `x` is [..., d] (at least 2-d), `weight` [d, d'] and `bias` [d'].  The
+    relu writes +0.0 wherever the pre-activation is not positive, and its
+    derivative at 0 is 0.
+    """
+    x, weight, bias = _coerce(x), _coerce(weight), _coerce(bias)
+    xd, wd = x.data, weight.data
+    if (
+        xd.ndim < 2
+        or wd.ndim != 2
+        or xd.shape[-1] != wd.shape[0]
+        or bias.data.shape != wd.shape[1:]
+    ):
+        raise ShapeError(
+            f"linear: {xd.shape} x {wd.shape} + {bias.data.shape} "
+            "needs x [..., d], weight [d, d'] and bias [d']"
+        )
+    data = np.matmul(xd, wd)
+    data += bias.data
+    if relu:
+        mask = data > 0.0
+        np.copyto(data, 0.0, where=~mask)
 
     def backward(g):
-        inner = (g * data).sum(axis=axis, keepdims=True)
-        _accumulate(a, data * (g - inner))
+        if relu:
+            g = g * mask
+        if bias.requires_grad:
+            _accumulate(bias, _unbroadcast(g, bias.data.shape))
+        if x.requires_grad:
+            _accumulate(x, np.matmul(g, wd.T))
+        if weight.requires_grad:
+            _accumulate(weight, _unbroadcast(np.matmul(np.swapaxes(xd, -1, -2), g), wd.shape))
 
-    return _record(data, (a,), backward, "softmax")
+    return _record(data, (x, weight, bias), backward, "linear")
+
+
+def attention(q, k, v, mask_bias, heads: int, scale: float) -> Tensor:
+    """Multi-head scaled dot-product attention over B texts of n rows each.
+
+    `q`, `k` and `v` are [B*n, d], text by text; `mask_bias` is a [B, n]
+    array added to every logit of key column j of text b (0 keeps a column,
+    a large negative value drops it).  Returns the [B*n, d] context, heads
+    side by side.  Only the softmax weights are kept for the backward pass.
+    """
+    q, k, v = _coerce(q), _coerce(k), _coerce(v)
+    mask_bias = np.asarray(mask_bias, dtype=np.float64)
+    if mask_bias.ndim != 2:
+        raise ShapeError(f"attention: mask_bias must be [B, n], got {mask_bias.shape}")
+    b, n = mask_bias.shape
+    rows, d = b * n, q.data.shape[-1]
+    if any(t.data.shape != (rows, d) for t in (q, k, v)) or d % heads:
+        raise ShapeError(
+            f"attention: q/k/v {q.data.shape} / {k.data.shape} / {v.data.shape} "
+            f"must all be [{rows}, d] with d divisible by {heads} heads"
+        )
+    dh = d // heads
+
+    def split(a: np.ndarray) -> np.ndarray:  # [B*n, d] -> [B, heads, n, dh]
+        return a.reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    weights = np.matmul(qh, kh.swapaxes(-1, -2))
+    weights *= scale
+    weights += mask_bias[:, None, None, :]
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    data = np.matmul(weights, vh).transpose(0, 2, 1, 3).reshape(rows, d)
+
+    def backward(g):
+        g = np.ascontiguousarray(split(g))
+        if v.requires_grad:
+            dv = np.matmul(weights.swapaxes(-1, -2), g)
+            _accumulate(v, dv.transpose(0, 2, 1, 3).reshape(rows, d))
+        if not (q.requires_grad or k.requires_grad):
+            return
+        dlogits = np.matmul(g, vh.swapaxes(-1, -2))
+        # Softmax backward, then the scale: weights * (g - sum(g * weights)).
+        inner = (dlogits * weights).sum(axis=-1, keepdims=True)
+        dlogits -= inner
+        dlogits *= weights
+        dlogits *= scale
+        if q.requires_grad:
+            _accumulate(q, np.matmul(dlogits, kh).transpose(0, 2, 1, 3).reshape(rows, d))
+        if k.requires_grad:
+            dk = np.matmul(qh.swapaxes(-1, -2), dlogits)  # [B, heads, dh, n]
+            _accumulate(k, dk.transpose(0, 3, 1, 2).reshape(rows, d))
+
+    return _record(data, (q, k, v), backward, "attention")
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -415,23 +488,32 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         )
     # sum / n is exactly np.mean, without its Python-level overhead.
     mu = x.data.sum(axis=-1, keepdims=True) / n
-    centered = x.data - mu
-    var = (centered * centered).sum(axis=-1, keepdims=True) / n
+    xhat = x.data - mu  # centered, then scaled to unit variance in place
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    data = xhat * gain.data + bias.data
+    xhat *= inv
+    data = xhat * gain.data
+    data += bias.data
 
     def backward(g):
         lead = tuple(range(g.ndim - 1))
+        buf = g * xhat
         if gain.requires_grad:
-            _accumulate(gain, (g * xhat).sum(axis=lead))
+            _accumulate(gain, buf.sum(axis=lead))
         if bias.requires_grad:
             _accumulate(bias, g.sum(axis=lead))
         if x.requires_grad:
+            # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), with
+            # the same roundings, in two buffers.
             dxhat = g * gain.data
             term = dxhat.mean(axis=-1, keepdims=True)
-            proj = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            _accumulate(x, inv * (dxhat - term - xhat * proj))
+            np.multiply(dxhat, xhat, out=buf)
+            proj = buf.mean(axis=-1, keepdims=True)
+            dxhat -= term
+            np.multiply(xhat, proj, out=buf)
+            dxhat -= buf
+            dxhat *= inv
+            _accumulate(x, dxhat)
 
     return _record(data, (x, gain, bias), backward, "layer_norm")
 

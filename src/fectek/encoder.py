@@ -166,18 +166,13 @@ class ContextEncoder:
             )
         real = ids != PAD_ID
         p = self.params
-        h = cfg.heads
-        dh = cfg.head_dim
-        scale = 1.0 / math.sqrt(dh)
+        scale = 1.0 / math.sqrt(cfg.head_dim)
 
-        def linear(t: Tensor, name: str) -> Tensor:
-            return ag.add(ag.matmul(t, p[f"{name}.weight"]), p[f"{name}.bias"])
+        def linear(t: Tensor, name: str, relu: bool = False) -> Tensor:
+            return ag.linear(t, p[f"{name}.weight"], p[f"{name}.bias"], relu)
 
         def norm(t: Tensor, name: str) -> Tensor:
             return ag.layer_norm(t, p[f"{name}.gain"], p[f"{name}.bias"], LAYER_NORM_EPS)
-
-        def split_heads(t: Tensor) -> Tensor:
-            return ag.permute(ag.reshape(t, (b, n, h, dh)), (0, 2, 1, 3))
 
         # Rows are `B*n` positions, text by text.
         x = ag.add(
@@ -188,19 +183,14 @@ class ContextEncoder:
 
         # Padded columns get a huge negative bias; rows stay untouched, so
         # every row (real or pad) still softmaxes to a proper distribution.
-        mask_bias = Tensor(np.where(real, 0.0, MASK_BIAS).reshape(b, 1, 1, n))
+        mask_bias = np.where(real, 0.0, MASK_BIAS)
 
         for i in range(cfg.layers):
             layer = f"layers.{i}"
-            q, k, v = (
-                split_heads(linear(x, f"{layer}.attn.{part}"))
-                for part in ("query", "key", "value")
-            )
-            logits = ag.add(ag.mul(ag.matmul(q, ag.transpose_last_two(k)), scale), mask_bias)
-            weights = ag.softmax(logits, axis=-1)
-            ctx = ag.reshape(ag.permute(ag.matmul(weights, v), (0, 2, 1, 3)), (b * n, cfg.dim))
+            q, k, v = (linear(x, f"{layer}.attn.{part}") for part in ("query", "key", "value"))
+            ctx = ag.attention(q, k, v, mask_bias, cfg.heads, scale)
             x = norm(ag.add(x, linear(ctx, f"{layer}.attn.output")), f"{layer}.norm1")
-            expanded = ag.relu(linear(x, f"{layer}.ffn.expand"))
+            expanded = linear(x, f"{layer}.ffn.expand", relu=True)
             x = norm(ag.add(x, linear(expanded, f"{layer}.ffn.contract")), f"{layer}.norm2")
 
         return EncodedBatch(ids, ag.reshape(x, (b, n, cfg.dim)), real)

@@ -173,17 +173,12 @@ class FeatureContextGate:
         # text's [n, d] states: pad rows contribute nothing.
         pool = real_mask[:, None, :] / n_real[:, None, None]
         pooled = ag.matmul(Tensor(pool), hidden)
-        squeezed = ag.relu(
-            ag.add(
-                ag.matmul(pooled, self.params["feature_gate.squeeze.weight"]),
-                self.params["feature_gate.squeeze.bias"],
-            )
+        params = self.params
+        squeezed = ag.linear(
+            pooled, params["feature_gate.squeeze.weight"], params["feature_gate.squeeze.bias"], relu=True
         )
         return ag.sigmoid(
-            ag.add(
-                ag.matmul(squeezed, self.params["feature_gate.excite.weight"]),
-                self.params["feature_gate.excite.bias"],
-            )
+            ag.linear(squeezed, params["feature_gate.excite.weight"], params["feature_gate.excite.bias"])
         )
 
     def __call__(self, hidden: Tensor, real_mask: np.ndarray) -> Tensor:

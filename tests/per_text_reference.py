@@ -1,9 +1,12 @@
 """The per-text model path that batching replaced, kept as a test oracle.
 
-Each function handles one text (or one triple) with the same autograd ops
-and parameters the model uses: `forward` is the encoder at a text's own
-length, `from_positions` collapses positions into sorted terms, and
-`triple_loss` is one triple's joint loss built from sparse match scores.
+Each function handles one text (or one triple) with the same parameters the
+model uses: `forward` is the encoder at a text's own length,
+`from_positions` collapses positions into sorted terms, and `triple_loss` is
+one triple's joint loss built from sparse match scores.  `linear` and
+`attention` are the chains of single ops that the fused autograd ops replace,
+built on `softmax` and `reduce_sum`, ops the model no longer records; the
+reference path runs on them, so it stays independent of the fused kernels.
 """
 
 from __future__ import annotations
@@ -19,6 +22,54 @@ from fectek.model import indicator_labels, scorable_mask
 from fectek.tokenizer import PAD_ID
 
 
+def softmax(a, axis: int = -1) -> Tensor:
+    a = ag._coerce(a)
+    x = a.data
+    m = x.max(axis=axis, keepdims=True)
+    z = np.exp(x - m)
+    data = z / z.sum(axis=axis, keepdims=True)
+
+    def backward(g):
+        inner = (g * data).sum(axis=axis, keepdims=True)
+        ag._accumulate(a, data * (g - inner))
+
+    return ag._record(data, (a,), backward, "softmax")
+
+
+def reduce_sum(a) -> Tensor:
+    """Sum of every element, as a scalar."""
+    a = ag._coerce(a)
+    data = a.data.sum()
+
+    def backward(g):
+        ag._accumulate(a, np.broadcast_to(g, a.data.shape).copy())
+
+    return ag._record(data, (a,), backward, "sum")
+
+
+def linear(x, weight, bias, relu: bool = False) -> Tensor:
+    """`ag.linear` as the matmul / add / relu chain."""
+    out = ag.add(ag.matmul(x, weight), bias)
+    return ag.relu(out) if relu else out
+
+
+def attention(q, k, v, mask_bias, heads: int, scale: float) -> Tensor:
+    """`ag.attention` as the matmul / scale / mask / softmax / matmul chain."""
+    b, n = mask_bias.shape
+    d = q.data.shape[-1]
+
+    def split_heads(t):
+        return ag.permute(ag.reshape(t, (b, n, heads, d // heads)), (0, 2, 1, 3))
+
+    q, k, v = split_heads(q), split_heads(k), split_heads(v)
+    logits = ag.add(
+        ag.mul(ag.matmul(q, ag.transpose_last_two(k)), scale),
+        Tensor(mask_bias.reshape(b, 1, 1, n)),
+    )
+    weights = softmax(logits, axis=-1)
+    return ag.reshape(ag.permute(ag.matmul(weights, v), (0, 2, 1, 3)), (b * n, d))
+
+
 def forward(encoder, token_ids) -> tuple[np.ndarray, Tensor, np.ndarray]:
     """(ids, [n, d] hidden states, real mask) of one id sequence."""
     cfg = encoder.config
@@ -26,36 +77,27 @@ def forward(encoder, token_ids) -> tuple[np.ndarray, Tensor, np.ndarray]:
     n = int(ids.size)
     real = ids != PAD_ID
     p = encoder.params
-    h, dh = cfg.heads, cfg.head_dim
-    scale = 1.0 / math.sqrt(dh)
+    scale = 1.0 / math.sqrt(cfg.head_dim)
 
-    def linear(t, name):
-        return ag.add(ag.matmul(t, p[f"{name}.weight"]), p[f"{name}.bias"])
+    def dense(t, name, relu=False):
+        return linear(t, p[f"{name}.weight"], p[f"{name}.bias"], relu)
 
     def norm(t, name):
         return ag.layer_norm(t, p[f"{name}.gain"], p[f"{name}.bias"], LAYER_NORM_EPS)
-
-    def split_heads(t):
-        return ag.permute(ag.reshape(t, (n, h, dh)), (1, 0, 2))
 
     x = ag.add(
         ag.gather(p["embeddings.token"], ids),
         ag.gather(p["embeddings.position"], np.arange(n)),
     )
     x = norm(x, "embeddings.norm")
-    mask_bias = Tensor(np.where(real, 0.0, MASK_BIAS).reshape(1, 1, n))
+    mask_bias = np.where(real, 0.0, MASK_BIAS).reshape(1, n)
     for i in range(cfg.layers):
         layer = f"layers.{i}"
-        q, k, v = (
-            split_heads(linear(x, f"{layer}.attn.{part}"))
-            for part in ("query", "key", "value")
-        )
-        logits = ag.add(ag.mul(ag.matmul(q, ag.transpose_last_two(k)), scale), mask_bias)
-        weights = ag.softmax(logits, axis=-1)
-        ctx = ag.reshape(ag.permute(ag.matmul(weights, v), (1, 0, 2)), (n, cfg.dim))
-        x = norm(ag.add(x, linear(ctx, f"{layer}.attn.output")), f"{layer}.norm1")
-        expanded = ag.relu(linear(x, f"{layer}.ffn.expand"))
-        x = norm(ag.add(x, linear(expanded, f"{layer}.ffn.contract")), f"{layer}.norm2")
+        q, k, v = (dense(x, f"{layer}.attn.{part}") for part in ("query", "key", "value"))
+        ctx = attention(q, k, v, mask_bias, cfg.heads, scale)
+        x = norm(ag.add(x, dense(ctx, f"{layer}.attn.output")), f"{layer}.norm1")
+        expanded = dense(x, f"{layer}.ffn.expand", relu=True)
+        x = norm(ag.add(x, dense(expanded, f"{layer}.ffn.contract")), f"{layer}.norm2")
     return ids, x, real
 
 
@@ -120,7 +162,7 @@ def match_score(query, passage) -> Tensor:
         return Tensor(0.0)
     q = ag.gather(q_weights, [q_terms.index(t) for t in shared])
     p = ag.gather(p_weights, [p_terms.index(t) for t in shared])
-    return ag.reduce_sum(ag.mul(q, p))
+    return reduce_sum(ag.mul(q, p))
 
 
 def triple_loss(model, triple, enable_term: bool = True) -> tuple[Tensor, float, float]:

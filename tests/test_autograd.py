@@ -5,7 +5,9 @@ finite-difference oracle; structural properties (tape replay, accumulation
 through fan-out, broadcasting) get direct constructions.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fectek.autograd as ag
+import per_text_reference as ref
 from fectek.autograd import Tensor
+from fectek.encoder import MASK_BIAS
 from fectek.errors import ShapeError
 
 
@@ -52,7 +56,7 @@ def assert_grads_match(build, arrays, tol=1e-5, eps=1e-6):
             return out
         if probe is None:
             probe = rng.uniform(-1.0, 1.0, out.data.shape)
-        return ag.reduce_sum(ag.mul(out, Tensor(probe)))
+        return ref.reduce_sum(ag.mul(out, Tensor(probe)))
 
     loss = scalarize(build(*tensors))
     loss.backward()
@@ -86,7 +90,7 @@ class TestForwardValues:
 
     def test_relu_at_zero(self):
         x = Tensor([-1.0, 0.0, 2.0], requires_grad=True)
-        out = ag.reduce_sum(ag.relu(x))
+        out = ref.reduce_sum(ag.relu(x))
         assert out.item() == 2.0
         out.backward()
         np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
@@ -97,7 +101,7 @@ class TestForwardValues:
         assert out.data[1] == 0.5
 
     def test_softmax_rows_sum_to_one(self, rng):
-        out = ag.softmax(Tensor(rng.normal(size=(4, 7))))
+        out = ref.softmax(Tensor(rng.normal(size=(4, 7))))
         np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_layer_norm_constant_row_is_zero(self):
@@ -186,7 +190,7 @@ class TestBackwardStructure:
     def test_replay_frees_interior_nodes_and_leaves_keep_grads(self, rng):
         x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
         hidden = ag.relu(ag.mul(x, 2.0))
-        loss = ag.reduce_sum(hidden)
+        loss = ref.reduce_sum(hidden)
         loss.backward()
         assert x.grad is not None
         for node in (hidden, loss):
@@ -194,17 +198,17 @@ class TestBackwardStructure:
 
     def test_first_gradient_is_a_c_ordered_copy(self, rng):
         x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        ag.reduce_sum(ag.permute(x, (1, 0))).backward()
+        ref.reduce_sum(ag.permute(x, (1, 0))).backward()
         assert x.grad.flags.c_contiguous and x.grad.flags.owndata
 
     def test_sum_gradient_is_ones(self, rng):
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        ag.reduce_sum(x).backward()
+        ref.reduce_sum(x).backward()
         np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
 
     def test_quadratic_gradient(self, rng):
         x = Tensor(rng.normal(size=5), requires_grad=True)
-        ag.reduce_sum(ag.mul(x, x)).backward()
+        ref.reduce_sum(ag.mul(x, x)).backward()
         np.testing.assert_allclose(x.grad, 2 * x.data, rtol=1e-12)
 
     def test_fanout_accumulates_once_per_consumer(self):
@@ -213,7 +217,7 @@ class TestBackwardStructure:
         x = Tensor([3.0], requires_grad=True)
         a = ag.mul(x, x)
         b = ag.mul(x, x)
-        ag.reduce_sum(ag.add(a, b)).backward()
+        ref.reduce_sum(ag.add(a, b)).backward()
         np.testing.assert_allclose(x.grad, [12.0])
 
     def test_tape_visits_each_node_once(self):
@@ -221,7 +225,7 @@ class TestBackwardStructure:
         a = ag.mul(x, 2.0)
         b = ag.add(a, a)
         c = ag.add(b, a)
-        tape = ag.build_tape(ag.reduce_sum(c))
+        tape = ag.build_tape(ref.reduce_sum(c))
         ids = [id(n) for n in tape]
         assert len(ids) == len(set(ids))
         # Inputs come before outputs.
@@ -239,14 +243,14 @@ class TestBackwardStructure:
     def test_no_grad_records_nothing(self):
         x = Tensor([1.0], requires_grad=True)
         with ag.no_grad():
-            out = ag.reduce_sum(ag.mul(x, x))
+            out = ref.reduce_sum(ag.mul(x, x))
         assert not out.requires_grad
         assert out._parents == ()
 
     def test_broadcast_add_reduces_gradient(self, rng):
         a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=(4,)), requires_grad=True)
-        ag.reduce_sum(ag.add(a, b)).backward()
+        ref.reduce_sum(ag.add(a, b)).backward()
         np.testing.assert_array_equal(b.grad, np.full(4, 3.0))
 
 
@@ -318,7 +322,7 @@ class TestGradientOracle:
             )
 
     def test_softmax(self, rng):
-        assert_grads_match(ag.softmax, [rng.uniform(-2, 2, (3, 6))])
+        assert_grads_match(ref.softmax, [rng.uniform(-2, 2, (3, 6))])
 
     def test_layer_norm(self, rng):
         assert_grads_match(
@@ -359,6 +363,133 @@ class TestGradientOracle:
         )
 
 
+def kink_free_linear_inputs(rng, lead):
+    """x, weight, bias whose pre-activations all keep |value| >= 0.05."""
+    w, b = rng.uniform(-1, 1, (4, 3)), rng.uniform(-0.5, 0.5, (3,))
+    while True:
+        x = rng.uniform(-2, 2, (*lead, 4))
+        if (np.abs(x @ w + b) >= 0.05).all():
+            return x, w, b
+
+
+def masked_attention_inputs(rng, texts=2, n=4, d=6):
+    """q, k, v rows of `texts` texts and a bias masking two key columns."""
+    q, k, v = (rng.uniform(-1, 1, (texts * n, d)) for _ in range(3))
+    mask_bias = np.zeros((texts, n))
+    mask_bias[0, 1] = mask_bias[texts - 1, n - 1] = MASK_BIAS
+    return q, k, v, mask_bias
+
+
+def values_and_grads(build, arrays):
+    """Output of `build` on leaf tensors, and each leaf's gradient of a fixed
+    random weighting of that output."""
+    tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = build(*tensors)
+    probe = np.random.default_rng(5).uniform(-1, 1, out.data.shape)
+    ref.reduce_sum(ag.mul(out, Tensor(probe))).backward()
+    return out.data, [t.grad for t in tensors]
+
+
+class TestFusedOps:
+    """`linear` and `attention` against finite differences and against the
+    chains of single ops they replace."""
+
+    def test_linear_gradients(self, rng):
+        for lead in ((5,), (2, 3)):
+            x, w, b = kink_free_linear_inputs(rng, lead)
+            for relu in (False, True):
+                assert_grads_match(
+                    lambda x, w, b: ag.linear(x, w, b, relu), [x, w, b], tol=1e-6
+                )
+
+    def test_attention_gradients_with_masked_columns(self, rng):
+        q, k, v, mask_bias = masked_attention_inputs(rng)
+        assert_grads_match(
+            lambda q, k, v: ag.attention(q, k, v, mask_bias, 2, 0.6), [q, k, v]
+        )
+
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_linear_equals_matmul_add_relu(self, rng, relu):
+        x, w, b = rng.uniform(-2, 2, (7, 4)), rng.uniform(-1, 1, (4, 3)), rng.uniform(-1, 1, 3)
+        fused, fused_grads = values_and_grads(lambda *t: ag.linear(*t, relu), [x, w, b])
+        chain, chain_grads = values_and_grads(lambda *t: ref.linear(*t, relu), [x, w, b])
+        np.testing.assert_array_equal(fused, chain)
+        for got, want in zip(fused_grads, chain_grads):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_attention_equals_the_softmax_chain(self, rng):
+        q, k, v, mask_bias = masked_attention_inputs(rng, texts=3, n=5, d=8)
+        fused, fused_grads = values_and_grads(
+            lambda *t: ag.attention(*t, mask_bias, 2, 0.6), [q, k, v]
+        )
+        chain, chain_grads = values_and_grads(
+            lambda *t: ref.attention(*t, mask_bias, 2, 0.6), [q, k, v]
+        )
+        np.testing.assert_array_equal(fused, chain)
+        for got, want in zip(fused_grads, chain_grads):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_linear_relu_at_zero_is_positive_zero_with_zero_gradient(self):
+        x = Tensor([[-1.0, 1.0], [2.0, 1.0]], requires_grad=True)
+        w = Tensor([[1.0, 1.0], [1.0, -1.0]], requires_grad=True)
+        b = Tensor([0.0, -1.0], requires_grad=True)
+        # Pre-activations [[0, -3], [3, 0]]: two exact zeros.
+        out = ag.linear(x, w, b, relu=True)
+        np.testing.assert_array_equal(out.data, [[0.0, 0.0], [3.0, 0.0]])
+        assert not np.signbit(out.data).any()
+        ref.reduce_sum(out).backward()
+        np.testing.assert_array_equal(b.grad, [1.0, 0.0])
+        np.testing.assert_array_equal(w.grad, [[2.0, 0.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(x.grad, [[0.0, 0.0], [1.0, 1.0]])
+
+    def test_shape_errors(self):
+        with pytest.raises(ShapeError, match="linear"):
+            ag.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), Tensor(np.ones(3)))
+        with pytest.raises(ShapeError, match="linear"):
+            ag.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))), Tensor(np.ones(3)))
+        rows = Tensor(np.ones((4, 6)))
+        with pytest.raises(ShapeError, match="attention"):
+            ag.attention(rows, rows, rows, np.zeros((2, 3)), 2, 1.0)
+        with pytest.raises(ShapeError, match="attention"):
+            ag.attention(rows, rows, rows, np.zeros((2, 2)), 4, 1.0)
+
+
+def test_every_recording_op_has_a_caller_in_the_package():
+    """The package keeps only the ops the model records: each public op that
+    records a node is called as `ag.<name>` somewhere in `fectek`, or from
+    such an op (as `transpose_last_two` calls `permute`)."""
+    package = Path(ag.__file__).parent
+    module = ast.parse((package / "autograd.py").read_text(encoding="utf-8"))
+    ops = {f.name: f for f in module.body if isinstance(f, ast.FunctionDef)}
+
+    def called_names(tree) -> set[str]:
+        return {
+            node.func.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+
+    recording = {
+        name for name, f in ops.items() if not name.startswith("_") and "_record" in called_names(f)
+    }
+    used = set()
+    for path in package.glob("*.py"):
+        used |= {
+            node.attr
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "ag"
+        }
+    frontier = sorted(used & ops.keys())
+    while frontier:
+        for callee in (called_names(ops[frontier.pop()]) & ops.keys()) - used:
+            used.add(callee)
+            frontier.append(callee)
+    assert {"linear", "attention", "permute"} <= recording
+    assert sorted(recording - used) == []
+
+
 class TestProperties:
     @given(
         st.lists(
@@ -385,7 +516,7 @@ class TestProperties:
             r = np.random.default_rng(seed)
             x = Tensor(r.normal(size=(3, 4)))
             w = Tensor(r.normal(size=(4, 2)))
-            return ag.softmax(ag.matmul(x, w)).data
+            return ref.softmax(ag.matmul(x, w)).data
 
         first, second = run(), run()
         assert np.array_equal(first, second)
