@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import index as findex  # via the module, so a replaced index.search is used
@@ -18,7 +18,7 @@ from .errors import CorruptFileError, DataFormatError, TrainingDivergedError, op
 from .evaluation import load_qrels, load_run, mrr_at_k, recall_at_k, write_run
 from .gradcheck import DEFAULT_EPS, DEFAULT_TOLERANCE, run_gradient_check
 from .index import InvertedIndex
-from .model import FecTekModel, load_model, save_model
+from .model import AGGREGATIONS, FecTekModel, load_model
 from .synth import SynthConfig, write_dataset
 from .tokenizer import Vocabulary, vocabulary_coverage
 from .trainer import TrainerConfig, load_triples, train
@@ -93,22 +93,19 @@ def _iter_weight_stream(path: str | Path):
             yield row["docid"], weights
 
 
-def _encoder_config(args: argparse.Namespace) -> EncoderConfig:
-    return EncoderConfig(**{f.name: getattr(args, f.name) for f in fields(EncoderConfig)})
+def _config(cls, args: argparse.Namespace):
+    """`cls` from the flags whose dest is one of its fields; a flag that was
+    not given (None) keeps the field's default."""
+    given = {f.name: getattr(args, f.name, None) for f in fields(cls)}
+    return cls(**{name: value for name, value in given.items() if value is not None})
 
 
-def _trainer_config(args: argparse.Namespace, enable_term_loss: bool) -> TrainerConfig:
-    return TrainerConfig(
-        epochs=args.epochs,
-        batch_queries=args.batch_queries,
-        max_negatives=args.negatives,
-        peak_lr=args.lr,
-        warmup_ratio=args.warmup_ratio,
-        weight_decay=args.weight_decay,
-        clip_norm=args.clip_norm,
-        seed=args.seed,
-        enable_term_loss=enable_term_loss,
-    )
+def _apply_model_flags(model: FecTekModel, args: argparse.Namespace) -> None:
+    """Set the gate and aggregation flags that were given; the rest keep the
+    model's own values (a loaded checkpoint's, or the constructor's)."""
+    for name in ("use_feature_gate", "aggregation"):
+        if getattr(args, name, None) is not None:
+            setattr(model, name, getattr(args, name))
 
 
 def _weigh(
@@ -155,44 +152,29 @@ def cmd_build_vocab(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    config = _encoder_config(args)
-    trainer_config = _trainer_config(args, enable_term_loss=not args.no_tkgm)
+    config = _config(EncoderConfig, args)
+    trainer_config = _config(TrainerConfig, args)
     vocab = Vocabulary.load(args.vocab)
     triples = load_triples(args.triples)
     if args.init_checkpoint:
         model = load_model(args.init_checkpoint)
         _check_vocab_match(model, vocab, str(args.init_checkpoint))
-        model.use_feature_gate = not args.no_fcm
-        model.aggregation = args.aggregation
+        for f in fields(EncoderConfig):  # a loaded model keeps its stored shape
+            flag, stored = getattr(args, f.name), getattr(model.config, f.name)
+            if flag not in (None, stored):
+                raise ValueError(
+                    f"--{f.name.replace('_', '-')} {flag} conflicts with "
+                    f"{args.init_checkpoint}, which stores {f.name} {stored}"
+                )
     else:
-        model = FecTekModel(
-            len(vocab),
-            config,
-            use_feature_gate=not args.no_fcm,
-            aggregation=args.aggregation,
-            seed=args.seed,
-        )
-    resolved = {
+        model = FecTekModel(len(vocab), config, seed=trainer_config.seed)
+    _apply_model_flags(model, args)
+    inputs = {
         "triples": str(args.triples),
         "vocab": str(args.vocab),
-        "vocab_size": len(vocab),
-        "queries": len(triples),
-        # A loaded checkpoint keeps its own encoder shape, whatever the flags say.
-        **asdict(model.config),
-        "feature_gate": not args.no_fcm,
-        "term_guidance": not args.no_tkgm,
-        "aggregation": args.aggregation,
-        "epochs": trainer_config.epochs,
-        "batch_queries": trainer_config.batch_queries,
-        "max_negatives": trainer_config.max_negatives,
-        "peak_lr": trainer_config.peak_lr,
-        "warmup_ratio": trainer_config.warmup_ratio,
-        "weight_decay": trainer_config.weight_decay,
-        "clip_norm": trainer_config.clip_norm,
-        "seed": trainer_config.seed,
-        "init_checkpoint": str(args.init_checkpoint) if args.init_checkpoint else None,
+        "init_checkpoint": args.init_checkpoint or None,
     }
-    final = train(model, triples, vocab, trainer_config, args.out_dir, resolved)
+    final = train(model, triples, vocab, trainer_config, args.out_dir, inputs)
     print(f"checkpoint: {final}")
     return 0
 
@@ -276,14 +258,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    config = SynthConfig(
-        passages=args.passages,
-        terms=args.terms,
-        queries=args.queries,
-        negatives=args.negatives,
-        seed=args.seed,
-    )
-    paths = write_dataset(args.out_dir, config)
+    paths = write_dataset(args.out_dir, _config(SynthConfig, args))
     for name, path in paths.items():
         print(f"{name}: {path}")
     return 0
@@ -307,8 +282,8 @@ def cmd_ablation(args: argparse.Namespace) -> int:
     for path in (corpus_path, triples_path, queries_path, qrels_path):
         if not path.exists():
             raise FileNotFoundError(f"missing dataset file: {path}")
-    config = _encoder_config(args)
-    trainer_config = _trainer_config(args, enable_term_loss=True)
+    config = _config(EncoderConfig, args)
+    trainer_config = _config(TrainerConfig, args)
 
     out_root = Path(args.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
@@ -324,12 +299,9 @@ def cmd_ablation(args: argparse.Namespace) -> int:
     for name, use_gate, use_guidance in _ABLATION_GRID:
         run_dir = out_root / name.replace("+", "with-")
         model = FecTekModel(
-            len(vocab),
-            config,
-            use_feature_gate=use_gate,
-            aggregation=args.aggregation,
-            seed=args.seed,
+            len(vocab), config, use_feature_gate=use_gate, seed=trainer_config.seed
         )
+        _apply_model_flags(model, args)
         run_config = replace(trainer_config, enable_term_loss=use_guidance)
         train(model, triples, vocab, run_config, run_dir, {"ablation": name})
         weights = _weigh(model, vocab, [text for _, text in corpus_rows], config.max_passage_len)
@@ -362,44 +334,29 @@ def cmd_ablation(args: argparse.Namespace) -> int:
 
 
 def _add_encoder_flags(parser: argparse.ArgumentParser) -> None:
-    config = EncoderConfig
-    parser.add_argument("--dim", type=int, default=config.dim, help="hidden width")
-    parser.add_argument(
-        "--layers", type=int, default=config.layers, help="transformer layers"
-    )
-    parser.add_argument("--heads", type=int, default=config.heads, help="attention heads")
-    parser.add_argument("--ffn-multiplier", type=int, default=config.ffn_multiplier)
-    parser.add_argument("--max-query-len", type=int, default=config.max_query_len)
-    parser.add_argument("--max-passage-len", type=int, default=config.max_passage_len)
+    for f in fields(EncoderConfig):
+        parser.add_argument(
+            f"--{f.name.replace('_', '-')}", type=int, help=f"default {f.default}"
+        )
 
 
 def _add_training_flags(parser: argparse.ArgumentParser) -> None:
-    config = TrainerConfig
-    parser.add_argument("--epochs", type=int, default=config.epochs)
-    parser.add_argument("--batch-queries", type=int, default=config.batch_queries)
+    """Every flag's dest is a TrainerConfig field; the defaults live there."""
+    parser.add_argument("--epochs", type=int)
+    parser.add_argument("--batch-queries", type=int)
     parser.add_argument(
-        "--negatives", type=int, default=config.max_negatives, help="negatives used per query"
+        "--negatives", type=int, dest="max_negatives", help="negatives used per query"
     )
-    parser.add_argument("--lr", type=float, default=config.peak_lr, help="peak learning rate")
-    parser.add_argument("--warmup-ratio", type=float, default=config.warmup_ratio)
-    parser.add_argument("--weight-decay", type=float, default=config.weight_decay)
-    parser.add_argument("--clip-norm", type=float, default=config.clip_norm)
-    parser.add_argument("--seed", type=int, default=config.seed)
+    parser.add_argument("--lr", type=float, dest="peak_lr", help="peak learning rate")
+    parser.add_argument("--warmup-ratio", type=float)
+    parser.add_argument("--weight-decay", type=float)
+    parser.add_argument("--clip-norm", type=float, help="0 turns clipping off")
+    parser.add_argument("--seed", type=int, help="non-negative")
     parser.add_argument(
         "--aggregation",
-        choices=("max", "sum"),
-        default="max",
-        help="how duplicate term occurrences collapse",
-    )
-    parser.add_argument(
-        "--no-fcm",
-        action="store_true",
-        help="bypass the feature-context gate (weight head reads raw states)",
-    )
-    parser.add_argument(
-        "--no-tkgm",
-        action="store_true",
-        help="drop the term-level guidance loss",
+        choices=AGGREGATIONS,
+        help="how duplicate term occurrences collapse (default max, or the "
+        "loaded checkpoint's)",
     )
 
 
@@ -420,9 +377,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--triples", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--init-checkpoint", default=None)
+    p.add_argument("--init-checkpoint")
     _add_encoder_flags(p)
     _add_training_flags(p)
+    p.add_argument(
+        "--no-fcm",
+        action="store_false",
+        dest="use_feature_gate",
+        default=None,
+        help="bypass the feature-context gate (weight head reads raw states)",
+    )
+    p.add_argument(
+        "--no-tkgm",
+        action="store_false",
+        dest="enable_term_loss",
+        default=None,
+        help="drop the term-level guidance loss",
+    )
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("encode", help="write per-passage term weights as JSONL")
@@ -464,11 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic retrieval dataset")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--passages", type=int, default=SynthConfig.passages)
-    p.add_argument("--terms", type=int, default=SynthConfig.terms)
-    p.add_argument("--queries", type=int, default=SynthConfig.queries)
-    p.add_argument("--negatives", type=int, default=SynthConfig.negatives)
-    p.add_argument("--seed", type=int, default=SynthConfig.seed)
+    for f in fields(SynthConfig):
+        p.add_argument(f"--{f.name}", type=int, help=f"default {f.default}")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser(

@@ -18,7 +18,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .errors import ShapeError
-from .tokenizer import PAD_ID
+from .tokenizer import PAD_ID, SPECIAL_IDS
 
 INIT_STD = 0.02
 LAYER_NORM_EPS = 1e-5
@@ -94,7 +94,7 @@ class ContextEncoder:
         config: EncoderConfig | None = None,
         rng: int | np.random.Generator = 42,
     ):
-        if vocab_size < 5:
+        if vocab_size < len(SPECIAL_IDS) + 1:
             raise ValueError(f"vocab_size must cover the reserved ids, got {vocab_size}")
         self.config = config or EncoderConfig()
         self.vocab_size = vocab_size

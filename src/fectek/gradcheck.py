@@ -54,10 +54,6 @@ class GroupResult:
     max_error: float
     checked: int
 
-    @property
-    def passed(self) -> bool:
-        return bool(np.isfinite(self.max_error))
-
 
 @dataclass
 class GradCheckReport:

@@ -32,7 +32,9 @@ class SynthConfig:
     seed: int = 13
 
     def __post_init__(self):
-        for name, least in (("passages", 1), ("terms", 3), ("queries", 1), ("negatives", 0)):
+        for name, least in (
+            ("passages", 1), ("terms", 3), ("queries", 1), ("negatives", 0), ("seed", 0)
+        ):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if self.terms > MAX_TERMS:

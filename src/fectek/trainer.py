@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -179,6 +179,8 @@ class TrainerConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def encode_triples(
@@ -205,18 +207,17 @@ def train_step(
     optimizer: AdamW,
     batch: Sequence[EncodedTriple],
     lr: float,
-    clip_norm: float,
-    enable_term: bool,
+    config: TrainerConfig,
 ) -> dict[str, float]:
     """One forward/backward/update cycle; gradients are zeroed afterward."""
-    loss, metrics = batch_loss(model, batch, enable_term=enable_term)
+    loss, metrics = batch_loss(model, batch, enable_term=config.enable_term_loss)
     for component in ("text_loss", "term_loss"):
         if not math.isfinite(metrics[component]):
             raise TrainingDivergedError(
                 f"non-finite {component} ({metrics[component]}) in training step"
             )
     loss.backward()
-    grad_norm = clip_global_norm(optimizer.params, clip_norm)
+    grad_norm = clip_global_norm(optimizer.params, config.clip_norm)
     if not math.isfinite(grad_norm):
         raise TrainingDivergedError(f"non-finite gradient norm ({grad_norm}) in training step")
     optimizer.step(lr)
@@ -232,12 +233,13 @@ def train(
     vocab: Vocabulary,
     config: TrainerConfig,
     out_dir: str | Path,
-    resolved_config: dict | None = None,
+    inputs: dict | None = None,
 ) -> Path:
     """Run the full loop; returns the final checkpoint path.
 
-    Writes `metrics.jsonl` (a config header line, then one line per step)
-    and a checkpoint per epoch next to the final one.
+    Writes `metrics.jsonl` (a header line with every setting of the run plus
+    the caller's `inputs`, then one line per step) and a checkpoint per epoch
+    next to the final one.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -259,10 +261,20 @@ def train(
     rng = np.random.default_rng(config.seed)
     final_path = out / "model.ftck"
     metrics_path = out / "metrics.jsonl"
+    settings = asdict(config)
+    settings["term_guidance"] = settings.pop("enable_term_loss")
+    header = {
+        **asdict(model.config),
+        "feature_gate": model.use_feature_gate,
+        "aggregation": model.aggregation,
+        **settings,
+        "vocab_size": len(vocab),
+        "queries": len(triples),
+        **(inputs or {}),
+    }
     step = 0
     with open(metrics_path, "w", encoding="utf-8") as log:
-        header = {"config": resolved_config or {}}
-        log.write(json.dumps(header, sort_keys=True) + "\n")
+        log.write(json.dumps({"config": header}, sort_keys=True) + "\n")
         for epoch in range(1, config.epochs + 1):
             order = rng.permutation(n)
             for start in range(0, n, config.batch_queries):
@@ -271,14 +283,7 @@ def train(
                 lr = linear_warmup_decay(
                     step, total_steps, config.peak_lr, config.warmup_ratio
                 )
-                metrics = train_step(
-                    model,
-                    optimizer,
-                    batch,
-                    lr,
-                    config.clip_norm,
-                    config.enable_term_loss,
-                )
+                metrics = train_step(model, optimizer, batch, lr, config)
                 row = {"step": step, "epoch": epoch}
                 row.update(metrics)
                 log.write(json.dumps(row, sort_keys=True) + "\n")

@@ -1,9 +1,12 @@
 """Command-line surface: the full pipeline, determinism, and exit codes."""
 
+import argparse
+import inspect
 import io
 import json
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,8 +14,13 @@ import pytest
 import per_text_reference as ref
 from fectek.autograd import Tensor
 from fectek.checkpoint import load_tensors, save_tensors
-from fectek.cli import main
-from fectek.model import load_model
+from fectek.cli import build_parser, main
+from fectek.encoder import EncoderConfig
+from fectek.index import InvertedIndex
+from fectek.model import FecTekModel, load_model
+from fectek.synth import SynthConfig
+from fectek.tokenizer import Vocabulary
+from fectek.trainer import TrainerConfig
 
 TINY_ENCODER = [
     "--dim", "16",
@@ -167,26 +175,63 @@ class TestPipeline:
         assert len(lines) == 1 + 4
 
     def test_init_checkpoint_header_records_loaded_shape(self, workspace, tmp_path):
-        # The encoder flags cannot reshape a loaded checkpoint, so the header
-        # must report the shape the continued model really has.
-        code, _, err = run_cli(
-            "train",
-            "--triples", str(workspace["triples"]),
-            "--vocab", str(workspace["vocab"]),
-            "--out-dir", str(tmp_path),
-            "--init-checkpoint", str(workspace["checkpoint"]),
-            "--layers", "4",
-            "--max-passage-len", "50",
-            "--epochs", "1",
-        )
+        # An encoder flag cannot reshape a loaded checkpoint: one that differs
+        # from the stored value is refused before anything is written, and
+        # one equal to it is accepted.
+        def continue_training(out, *flags):
+            return run_cli(
+                "train",
+                "--triples", str(workspace["triples"]),
+                "--vocab", str(workspace["vocab"]),
+                "--out-dir", str(out),
+                "--init-checkpoint", str(workspace["checkpoint"]),
+                "--epochs", "1",
+                *flags,
+            )
+
+        refused = tmp_path / "refused"
+        code, _, err = continue_training(refused, "--layers", "4", "--dim", "16")
+        assert code == 2
+        assert "--layers 4" in err and "layers 1" in err
+        assert not refused.exists()
+
+        accepted = tmp_path / "accepted"
+        code, _, err = continue_training(accepted, "--layers", "1", "--max-passage-len", "24")
         assert code == 0, err
-        header = json.loads((tmp_path / "metrics.jsonl").read_text().splitlines()[0])
-        saved = load_model(tmp_path / "model.ftck").config
+        header = json.loads((accepted / "metrics.jsonl").read_text().splitlines()[0])
+        saved = load_model(accepted / "model.ftck").config
         assert (saved.dim, saved.layers, saved.max_passage_len) == (16, 1, 24)
         for field in (
             "dim", "layers", "heads", "ffn_multiplier", "max_query_len", "max_passage_len"
         ):
             assert header["config"][field] == getattr(saved, field), field
+
+    def test_init_checkpoint_keeps_stored_gate_and_aggregation(self, workspace, tmp_path):
+        # Without --no-fcm or --aggregation, a continued model keeps the
+        # values its checkpoint stores; a given flag still overrides them.
+        def train(out, *flags):
+            code, _, err = run_cli(
+                "train",
+                "--triples", str(workspace["triples"]),
+                "--vocab", str(workspace["vocab"]),
+                "--out-dir", str(out),
+                "--epochs", "1",
+                *flags,
+            )
+            assert code == 0, err
+            model = load_model(out / "model.ftck")
+            header = json.loads((out / "metrics.jsonl").read_text().splitlines()[0])
+            return model, header["config"]
+
+        first, _ = train(tmp_path / "a", *TINY_ENCODER, "--no-fcm", "--aggregation", "sum")
+        assert (first.use_feature_gate, first.aggregation) == (False, "sum")
+        init = ("--init-checkpoint", str(tmp_path / "a" / "model.ftck"))
+        kept, header = train(tmp_path / "b", *init)
+        assert (kept.use_feature_gate, kept.aggregation) == (False, "sum")
+        assert (header["feature_gate"], header["aggregation"]) == (False, "sum")
+        changed, header = train(tmp_path / "c", *init, "--aggregation", "max")
+        assert (changed.use_feature_gate, changed.aggregation) == (False, "max")
+        assert (header["feature_gate"], header["aggregation"]) == (False, "max")
 
     def test_weight_stream_shape(self, workspace):
         rows = [
@@ -483,6 +528,97 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "command, content, line",
+        [
+            pytest.param("build-vocab", "d1 no tab\n", 1, id="tsv-no-tab"),
+            pytest.param("build-vocab", "\tsome text\n", 1, id="tsv-empty-id"),
+            pytest.param("build-vocab", "d1\ta\nd1\tb\n", 2, id="tsv-duplicate-id"),
+            pytest.param("build-vocab", "\n\n\n", None, id="tsv-only-blank-lines"),
+            pytest.param("build-vocab", "\nd1 no tab\n", 2, id="tsv-blank-line-first"),
+            pytest.param("index", '["a", {}]\n', 1, id="weights-array-row"),
+            pytest.param(
+                "index", '{"docid": "a", "weights": {"abc": 1.0}}\n', 1, id="weights-term-abc"
+            ),
+            pytest.param(
+                "index", '{"docid": "a", "weights": {"7": "1.0"}}\n', 1, id="weights-string"
+            ),
+            pytest.param(
+                "index", '{"docid": "a", "weights": {"7": true}}\n', 1, id="weights-bool"
+            ),
+            pytest.param("index", '\n["a", {}]\n', 2, id="weights-blank-line-first"),
+            pytest.param("train", "[1, 2]\n", 1, id="triples-array-row"),
+            pytest.param("train", "\n[1, 2]\n", 2, id="triples-blank-line-first"),
+        ],
+    )
+    def test_bad_input_row_is_4(self, workspace, tmp_path, command, content, line):
+        data = tmp_path / "data"
+        data.write_text(content)
+        out = tmp_path / "out"
+        flags = {
+            "build-vocab": ("--corpus", str(data), "--out", str(out)),
+            "index": ("--weights", str(data), "--out", str(out)),
+            "train": ("--triples", str(data), "--out-dir", str(out)),
+        }[command]
+        vocab = () if command == "build-vocab" else ("--vocab", str(workspace["vocab"]))
+        code, _, err = run_cli(command, *flags, *vocab)
+        assert code == 4
+        assert f"error: {data}{'' if line is None else f':{line}'}: " in err
+        assert not out.exists()
+
+    def test_empty_vocabulary_is_4(self, workspace, tmp_path):
+        empty = tmp_path / "vocab.txt"
+        empty.write_text("")
+        out = tmp_path / "index.ftek"
+        code, _, err = run_cli(
+            "index",
+            "--weights", str(workspace["weights"]),
+            "--vocab", str(empty),
+            "--out", str(out),
+        )
+        assert code == 4
+        assert f"error: {empty}: empty vocabulary file" in err
+        assert not out.exists()
+
+    def test_index_vocabulary_size_mismatch_is_4(self, workspace, tmp_path):
+        vocab_size = len(Vocabulary.load(workspace["vocab"]))
+        other = tmp_path / "other.ftek"
+        InvertedIndex.build(iter([("d1", {5: 1.0})]), vocab_size + 1).save(other)
+        out = tmp_path / "run.tsv"
+        code, _, err = run_cli(
+            "search",
+            "--index", str(other),
+            "--checkpoint", str(workspace["checkpoint"]),
+            "--vocab", str(workspace["vocab"]),
+            "--queries", str(workspace["queries"]),
+            "--out", str(out),
+        )
+        assert code == 4
+        assert f"error: {other}: index vocabulary size {vocab_size + 1}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("damage", ["missing", "wrong-shape"])
+    def test_damaged_checkpoint_parameter_is_4(self, workspace, tmp_path, damage):
+        entries = load_tensors(workspace["checkpoint"])
+        if damage == "missing":
+            del entries["prob_head.weight"]
+        else:
+            entries["prob_head.weight"] = entries["prob_head.weight"][:-1]
+        broken = tmp_path / "broken.ftck"
+        save_tensors(broken, entries)
+        out = tmp_path / "weights.jsonl"
+        code, _, err = run_cli(
+            "encode",
+            "--checkpoint", str(broken),
+            "--vocab", str(workspace["vocab"]),
+            "--corpus", str(workspace["corpus"]),
+            "--out", str(out),
+        )
+        assert code == 4
+        assert f"error: {broken}: " in err
+        assert "parameter 'prob_head.weight'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "command, flags",
         [
             ("train", ("--warmup-ratio", "1.5")),
@@ -494,6 +630,9 @@ class TestExitCodes:
             ("train", ("--clip-norm", "-1")),
             ("build-vocab", ("--min-freq", "-1")),
             ("search", ("--k", "0")),
+            ("train", ("--seed", "-1")),
+            ("train", ("--init-checkpoint", "{checkpoint}", "--seed", "-1")),
+            ("ablation", ("--seed", "-1")),
         ],
     )
     def test_bad_numeric_flag_is_2_and_writes_nothing(
@@ -506,6 +645,7 @@ class TestExitCodes:
                 "--vocab", str(workspace["vocab"]),
                 "--out-dir", str(out),
             ),
+            "ablation": ("--data-dir", str(workspace["root"]), "--out-dir", str(out)),
             "build-vocab": ("--corpus", str(workspace["corpus"]), "--out", str(out)),
             "search": (
                 "--index", str(workspace["index"]),
@@ -515,6 +655,7 @@ class TestExitCodes:
                 "--out", str(out),
             ),
         }[command]
+        flags = [flag.format(**workspace) for flag in flags]
         code, _, err = run_cli(command, *inputs, *flags)
         assert code == 2
         assert "error:" in err
@@ -693,6 +834,7 @@ class TestSynthCommand:
             (["--negatives", "-2"], "negatives"),
             (["--passages", "0", "--queries", "0", "--negatives", "-1"], "passages"),
             (["--terms", "2", "--queries", "1"], "terms"),
+            (["--seed", "-1"], "seed"),
         ],
     )
     def test_out_of_range_count_is_2_and_writes_nothing(self, tmp_path, flags, field):
@@ -759,6 +901,17 @@ class TestAblationCommand:
         for row in report:
             assert 0.0 <= row["mrr@10"] <= 1.0
 
+    @pytest.mark.parametrize("flag", ["--no-fcm", "--no-tkgm"])
+    def test_module_switch_is_2(self, tmp_path, flag):
+        # The grid switches both modules itself; a switch would be ignored.
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(
+            "ablation", "--data-dir", str(tmp_path), "--out-dir", str(out_dir), flag
+        )
+        assert code == 2
+        assert f"unrecognized arguments: {flag}" in err
+        assert not out_dir.exists()
+
     def test_missing_dataset_file_is_3(self, tmp_path):
         code, _, err = run_cli(
             "ablation",
@@ -767,3 +920,85 @@ class TestAblationCommand:
         )
         assert code == 3
         assert "missing dataset file" in err
+
+
+def field_names(*classes):
+    return {f.name for cls in classes for f in fields(cls)}
+
+
+def flag_dests(command):
+    parser = build_parser()
+    commands = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    return {a.dest for a in commands[command]._actions} - {"help"}
+
+
+# Every setting flag of `train`, each at a value that is not its default.
+NON_DEFAULT_SETTINGS = {
+    "dim": (["--dim", "8"], 8),
+    "layers": (["--layers", "3"], 3),
+    "heads": (["--heads", "4"], 4),
+    "ffn_multiplier": (["--ffn-multiplier", "3"], 3),
+    "max_query_len": (["--max-query-len", "10"], 10),
+    "max_passage_len": (["--max-passage-len", "20"], 20),
+    "epochs": (["--epochs", "1"], 1),
+    "batch_queries": (["--batch-queries", "2"], 2),
+    "max_negatives": (["--negatives", "1"], 1),
+    "peak_lr": (["--lr", "0.002"], 0.002),
+    "warmup_ratio": (["--warmup-ratio", "0.2"], 0.2),
+    "weight_decay": (["--weight-decay", "0.02"], 0.02),
+    "clip_norm": (["--clip-norm", "0.5"], 0.5),
+    "seed": (["--seed", "7"], 7),
+    "enable_term_loss": (["--no-tkgm"], False),
+    "use_feature_gate": (["--no-fcm"], False),
+    "aggregation": (["--aggregation", "sum"], "sum"),
+}
+# The two settings whose header key is not their field name.
+HEADER_KEYS = {"enable_term_loss": "term_guidance", "use_feature_gate": "feature_gate"}
+
+
+class TestFlagsMatchConfigs:
+    """Each setting is a config field named by one flag's dest, so no flag can
+    be parsed and then ignored."""
+
+    def test_each_command_has_exactly_the_flags_of_its_configs(self):
+        settings = field_names(EncoderConfig, TrainerConfig)
+        assert flag_dests("train") == settings | {
+            "use_feature_gate", "aggregation",
+            "triples", "vocab", "out_dir", "init_checkpoint",
+        }
+        assert flag_dests("ablation") == (settings - {"enable_term_loss"}) | {
+            "aggregation", "data_dir", "out_dir",
+        }
+        assert flag_dests("synth") == field_names(SynthConfig) | {"out_dir"}
+
+    def test_every_setting_flag_reaches_the_header(self, workspace, tmp_path):
+        assert set(NON_DEFAULT_SETTINGS) == flag_dests("train") - {
+            "triples", "vocab", "out_dir", "init_checkpoint",
+        }
+        defaults = {
+            f.name: f.default for cls in (EncoderConfig, TrainerConfig) for f in fields(cls)
+        }
+        for name in ("use_feature_gate", "aggregation"):
+            defaults[name] = inspect.signature(FecTekModel).parameters[name].default
+        argv = []
+        for name, (flags, value) in NON_DEFAULT_SETTINGS.items():
+            assert value != defaults[name], name
+            argv.extend(flags)
+        out = tmp_path / "run"
+        code, _, err = run_cli(
+            "train",
+            "--triples", str(workspace["triples"]),
+            "--vocab", str(workspace["vocab"]),
+            "--out-dir", str(out),
+            *argv,
+        )
+        assert code == 0, err
+        header = json.loads((out / "metrics.jsonl").read_text().splitlines()[0])["config"]
+        for name, (_, value) in NON_DEFAULT_SETTINGS.items():
+            assert header[HEADER_KEYS.get(name, name)] == value, name
+        model = load_model(out / "model.ftck")
+        assert (model.use_feature_gate, model.aggregation) == (False, "sum")
+        for f in fields(EncoderConfig):
+            assert getattr(model.config, f.name) == NON_DEFAULT_SETTINGS[f.name][1], f.name

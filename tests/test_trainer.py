@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -184,17 +185,17 @@ class TestTrainStep:
     def test_loss_drops_over_steps(self, toy_model, toy_vocab, tiny_config):
         encoded = encode_triples(TOY_TRIPLES, toy_vocab, 16, 24, 7)
         opt = AdamW(toy_model.named_parameters(), weight_decay=0.0)
-        first = train_step(toy_model, opt, encoded, 1e-3, 1.0, True)
+        first = train_step(toy_model, opt, encoded, 1e-3, TrainerConfig())
         last = None
         for _ in range(99):
-            last = train_step(toy_model, opt, encoded, 1e-3, 1.0, True)
+            last = train_step(toy_model, opt, encoded, 1e-3, TrainerConfig())
         assert last["total_loss"] < first["total_loss"]
 
     def test_zero_rate_freezes_model(self, toy_model, toy_vocab):
         encoded = encode_triples(TOY_TRIPLES, toy_vocab, 16, 24, 7)
         opt = AdamW(toy_model.named_parameters())
-        a = train_step(toy_model, opt, encoded, 0.0, 1.0, True)
-        b = train_step(toy_model, opt, encoded, 0.0, 1.0, True)
+        a = train_step(toy_model, opt, encoded, 0.0, TrainerConfig())
+        b = train_step(toy_model, opt, encoded, 0.0, TrainerConfig())
         assert a["total_loss"] == b["total_loss"]
 
     def test_divergence_names_component(self, toy_model, toy_vocab):
@@ -202,7 +203,7 @@ class TestTrainStep:
         toy_model.prob_w.data[:] = np.nan
         opt = AdamW(toy_model.named_parameters())
         with pytest.raises(TrainingDivergedError, match="term_loss"):
-            train_step(toy_model, opt, encoded, 1e-3, 1.0, True)
+            train_step(toy_model, opt, encoded, 1e-3, TrainerConfig())
 
 
     def test_non_finite_gradient_norm_stops_before_the_update(
@@ -217,7 +218,7 @@ class TestTrainStep:
         before = {n: p.data.copy() for n, p in toy_model.named_parameters().items()}
         opt = AdamW(toy_model.named_parameters())
         with pytest.raises(TrainingDivergedError, match="gradient norm"):
-            train_step(toy_model, opt, encoded, 1e-3, 1.0, True)
+            train_step(toy_model, opt, encoded, 1e-3, TrainerConfig())
         assert opt.step_count == 0
         for name, p in toy_model.named_parameters().items():
             assert np.array_equal(p.data, before[name]), name
@@ -240,7 +241,26 @@ class TestTrainLoop:
         assert (out / "model.epoch002.ftck").exists()
         lines = (out / "metrics.jsonl").read_text().splitlines()
         header = json.loads(lines[0])
-        assert header == {"config": {"run": "a"}}
+        # Every setting the run used, then the caller's inputs.
+        assert header == {
+            "config": {
+                **asdict(tiny_config),
+                "feature_gate": True,
+                "aggregation": "max",
+                "epochs": 2,
+                "batch_queries": 2,
+                "max_negatives": 7,
+                "peak_lr": 1e-3,
+                "warmup_ratio": 0.1,
+                "weight_decay": 0.01,
+                "clip_norm": 1.0,
+                "seed": 42,
+                "term_guidance": True,
+                "vocab_size": len(toy_vocab),
+                "queries": len(TOY_TRIPLES),
+                "run": "a",
+            }
+        }
         rows = [json.loads(line) for line in lines[1:]]
         # 4 triples, batch 2, 2 epochs -> 4 update steps.
         assert [r["step"] for r in rows] == [1, 2, 3, 4]
