@@ -130,13 +130,18 @@ def _record(data, parents: tuple[Tensor, ...], backward, op: str) -> Tensor:
     return out
 
 
-def _accumulate(t: Tensor, grad: np.ndarray) -> None:
+def _accumulate(t: Tensor, grad: np.ndarray, fresh: bool = False) -> None:
+    """Add `grad` into `t.grad`.
+
+    `fresh` hands over a C-contiguous float64 array the op built for `t`
+    alone, which becomes `t.grad` as it is.  Any other first gradient is
+    copied, since it may be shared with another operand or be a view; C
+    order keeps later summations independent of the layout it arrived in.
+    """
     if not t.requires_grad:
         return
     if t.grad is None:
-        # A copy, since `grad` may be shared with another operand; C order
-        # keeps later summations independent of the layout it arrived in.
-        t.grad = np.array(grad, dtype=np.float64, order="C")
+        t.grad = grad if fresh else np.array(grad, dtype=np.float64, order="C")
     else:
         t.grad += grad
 
@@ -389,8 +394,11 @@ def linear(x, weight, bias, relu: bool = False) -> Tensor:
     """`x @ weight + bias`, then relu if asked, as one node.
 
     `x` is [..., d] (at least 2-d), `weight` [d, d'] and `bias` [d'].  The
-    relu writes +0.0 wherever the pre-activation is not positive, and its
-    derivative at 0 is 0.
+    relu is `max(pre, +0.0)`: +0.0 wherever the pre-activation is zero or
+    negative, derivative 0 at 0.  A NaN pre-activation stays NaN, where the
+    unfused `relu` writes 0.  In the encoder such a NaN can only come from a
+    NaN in `x` (checkpoints and training reject non-finite parameters), and
+    the residual add carries that NaN past this op anyway.
     """
     x, weight, bias = _coerce(x), _coerce(weight), _coerce(bias)
     xd, wd = x.data, weight.data
@@ -407,16 +415,17 @@ def linear(x, weight, bias, relu: bool = False) -> Tensor:
     data = np.matmul(xd, wd)
     data += bias.data
     if relu:
-        mask = data > 0.0
-        np.copyto(data, 0.0, where=~mask)
+        np.maximum(data, 0.0, out=data)
 
     def backward(g):
         if relu:
-            g = g * mask
+            # `g` is this node's own buffer; max(pre, 0) > 0 exactly when
+            # pre > 0, so the kept output is the mask.
+            g *= data > 0.0
         if bias.requires_grad:
             _accumulate(bias, _unbroadcast(g, bias.data.shape))
         if x.requires_grad:
-            _accumulate(x, np.matmul(g, wd.T))
+            _accumulate(x, np.matmul(g, wd.T), fresh=True)
         if weight.requires_grad:
             _accumulate(weight, _unbroadcast(np.matmul(np.swapaxes(xd, -1, -2), g), wd.shape))
 
@@ -447,6 +456,11 @@ def attention(q, k, v, mask_bias, heads: int, scale: float) -> Tensor:
     def split(a: np.ndarray) -> np.ndarray:  # [B*n, d] -> [B, heads, n, dh]
         return a.reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
 
+    def merge(a: np.ndarray) -> np.ndarray:  # [B, heads, n, dh] -> a new [B*n, d]
+        out = np.empty((rows, d))
+        split(out)[...] = a
+        return out
+
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     weights = np.matmul(qh, kh.swapaxes(-1, -2))
     weights *= scale
@@ -454,13 +468,13 @@ def attention(q, k, v, mask_bias, heads: int, scale: float) -> Tensor:
     weights -= weights.max(axis=-1, keepdims=True)
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=-1, keepdims=True)
-    data = np.matmul(weights, vh).transpose(0, 2, 1, 3).reshape(rows, d)
+    data = merge(np.matmul(weights, vh))
 
     def backward(g):
         g = np.ascontiguousarray(split(g))
         if v.requires_grad:
             dv = np.matmul(weights.swapaxes(-1, -2), g)
-            _accumulate(v, dv.transpose(0, 2, 1, 3).reshape(rows, d))
+            _accumulate(v, merge(dv), fresh=True)
         if not (q.requires_grad or k.requires_grad):
             return
         dlogits = np.matmul(g, vh.swapaxes(-1, -2))
@@ -470,10 +484,10 @@ def attention(q, k, v, mask_bias, heads: int, scale: float) -> Tensor:
         dlogits *= weights
         dlogits *= scale
         if q.requires_grad:
-            _accumulate(q, np.matmul(dlogits, kh).transpose(0, 2, 1, 3).reshape(rows, d))
+            _accumulate(q, merge(np.matmul(dlogits, kh)), fresh=True)
         if k.requires_grad:
             dk = np.matmul(qh.swapaxes(-1, -2), dlogits)  # [B, heads, dh, n]
-            _accumulate(k, dk.transpose(0, 3, 1, 2).reshape(rows, d))
+            _accumulate(k, merge(dk.swapaxes(-1, -2)), fresh=True)
 
     return _record(data, (q, k, v), backward, "attention")
 
@@ -513,7 +527,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
             np.multiply(xhat, proj, out=buf)
             dxhat -= buf
             dxhat *= inv
-            _accumulate(x, dxhat)
+            _accumulate(x, dxhat, fresh=True)
 
     return _record(data, (x, gain, bias), backward, "layer_norm")
 

@@ -130,6 +130,8 @@ def run_gradient_check(
     subsamples coordinates (seeded) for quicker smoke runs; the default
     checks every coordinate.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if not 0.0 < eps < np.inf:
         raise ValueError(f"eps must be finite and positive, got {eps}")
     if not 0.0 <= tolerance < np.inf:

@@ -201,6 +201,25 @@ class TestBackwardStructure:
         ref.reduce_sum(ag.permute(x, (1, 0))).backward()
         assert x.grad.flags.c_contiguous and x.grad.flags.owndata
 
+    def test_add_operands_each_hold_their_own_gradient(self, rng):
+        # The add's incoming gradient is one `linear` hands over uncopied;
+        # add passes that same array on to both operands, so each copies it.
+        a, b = (Tensor(rng.normal(size=(3, 4)), requires_grad=True) for _ in range(2))
+        w, bias = Tensor(rng.normal(size=(4, 2))), Tensor(rng.normal(size=2))
+        ref.reduce_sum(ag.linear(ag.add(a, b), w, bias)).backward()
+        np.testing.assert_array_equal(a.grad, b.grad)
+        before = b.grad.copy()
+        a.grad += 1.0
+        np.testing.assert_array_equal(b.grad, before)
+
+    def test_adopted_attention_gradients_are_c_ordered_and_own_their_data(self, rng):
+        q, k, v, mask_bias = masked_attention_inputs(rng)
+        leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+        ref.reduce_sum(ag.attention(*leaves, mask_bias, 2, 0.6)).backward()
+        for t in leaves:
+            assert t.grad.shape == t.data.shape
+            assert t.grad.flags.c_contiguous and t.grad.flags.owndata
+
     def test_sum_gradient_is_ones(self, rng):
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         ref.reduce_sum(x).backward()
@@ -441,6 +460,69 @@ class TestFusedOps:
         np.testing.assert_array_equal(b.grad, [1.0, 0.0])
         np.testing.assert_array_equal(w.grad, [[2.0, 0.0], [1.0, 0.0]])
         np.testing.assert_array_equal(x.grad, [[0.0, 0.0], [1.0, 1.0]])
+
+    def test_linear_relu_on_simd_sized_rows_is_bit_equal_to_the_chain(self, rng):
+        # [1000, 256] outputs reach numpy's vectorized loops.  Zero weight
+        # columns plus a +0.0 or -0.0 bias make those columns' pre-activations
+        # exact zeros in every row.
+        x, w, b = rng.uniform(-2, 2, (1000, 16)), rng.uniform(-1, 1, (16, 256)), rng.uniform(-1, 1, 256)
+        zeros = np.arange(0, 256, 5)
+        w[:, zeros] = 0.0
+        b[zeros] = np.where(zeros % 2, -0.0, 0.0)
+        pre = x @ w
+        pre += b
+        assert (pre[:, zeros] == 0.0).all() and np.signbit(b[zeros]).any()
+        fused, fused_grads = values_and_grads(lambda *t: ag.linear(*t, True), [x, w, b])
+        chain, chain_grads = values_and_grads(lambda *t: ref.linear(*t, True), [x, w, b])
+        assert fused.tobytes() == chain.tobytes()
+        assert not np.signbit(fused).any()
+        for got, want in zip(fused_grads, chain_grads):
+            assert got.tobytes() == want.tobytes()
+        _, dw, db = fused_grads
+        assert (dw[:, zeros] == 0.0).all() and (db[zeros] == 0.0).all()
+
+    def test_three_linears_on_one_input_sum_its_gradient_like_the_chain(self, rng):
+        # The encoder's q/k/v pattern: the first `dx` is adopted as the
+        # input's gradient and the other two are added into it.
+        x = rng.normal(size=(6, 4))
+        params = [a for _ in range(3) for a in (rng.normal(size=(4, 3)), rng.normal(size=3))]
+
+        def build(op):
+            def fn(x, *p):
+                q, k, v = (op(x, p[2 * i], p[2 * i + 1]) for i in range(3))
+                return ag.add(ag.add(q, k), v)
+
+            return fn
+
+        fused, fused_grads = values_and_grads(build(ag.linear), [x, *params])
+        chain, chain_grads = values_and_grads(build(ref.linear), [x, *params])
+        assert fused.tobytes() == chain.tobytes()
+        for got, want in zip(fused_grads, chain_grads):
+            assert got.tobytes() == want.tobytes()
+
+    def test_nan_pre_activation_stays_nan_and_the_block_output_is_unchanged(self, rng):
+        # An FFN block, norm(x + contract(relu(expand(x)))), with one NaN in
+        # row 1 of x: the fused relu keeps the NaN where the unfused relu
+        # writes 0, but the residual add carries x's NaN to the norm either
+        # way, so the block's output is the same.
+        x = rng.normal(size=(3, 4))
+        x[1, 2] = np.nan
+        expand = Tensor(rng.normal(size=(4, 8))), Tensor(rng.normal(size=8))
+        contract = Tensor(rng.normal(size=(8, 4))), Tensor(rng.normal(size=4))
+        gain, shift = Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4))
+
+        def block(linear):
+            hidden = linear(Tensor(x), *expand, True)
+            out = ag.layer_norm(ag.add(Tensor(x), linear(hidden, *contract)), gain, shift)
+            return hidden.data, out.data
+
+        fused_hidden, fused_out = block(ag.linear)
+        chain_hidden, chain_out = block(ref.linear)
+        assert np.isnan(fused_hidden[1]).all()
+        np.testing.assert_array_equal(chain_hidden[1], 0.0)
+        np.testing.assert_array_equal(fused_hidden[[0, 2]], chain_hidden[[0, 2]])
+        assert np.isnan(fused_out[1]).all()
+        np.testing.assert_array_equal(fused_out, chain_out)
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError, match="linear"):

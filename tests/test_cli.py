@@ -787,6 +787,7 @@ class TestGradcheckCommand:
             ("--tolerance", "inf"),
             ("--max-coords", "0"),
             ("--max-coords", "-3"),
+            ("--seed", "-1"),
         ],
     )
     def test_bad_setting_is_2_and_never_passes(self, flag, value):
