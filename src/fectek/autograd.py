@@ -18,7 +18,6 @@ Conventions that the rest of the package relies on:
 from __future__ import annotations
 
 import contextlib
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -237,24 +236,16 @@ def reshape(a, shape) -> Tensor:
     return _record(data, (a,), backward, "reshape")
 
 
-def permute(a, axes: Sequence[int]) -> Tensor:
+def transpose(a) -> Tensor:
+    """The transpose of a 2-d tensor."""
     a = _coerce(a)
-    axes = tuple(axes)
-    data = np.transpose(a.data, axes)
+    if a.data.ndim != 2:
+        raise ShapeError(f"transpose needs a 2-d tensor, got shape {a.data.shape}")
 
     def backward(g):
-        _accumulate(a, np.transpose(g, np.argsort(axes)))
+        _accumulate(a, g.T)
 
-    return _record(data, (a,), backward, "permute")
-
-
-def transpose_last_two(a) -> Tensor:
-    a = _coerce(a)
-    if a.data.ndim < 2:
-        raise ShapeError(f"transpose needs at least 2 dims, got shape {a.data.shape}")
-    axes = list(range(a.data.ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    return permute(a, axes)
+    return _record(a.data.T, (a,), backward, "transpose")
 
 
 def gather(a, indices) -> Tensor:
@@ -337,48 +328,26 @@ def scatter(a, columns, width: int, reduce: str) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product with numpy semantics: 1-D operands are promoted and the
-    result squeezed back; leading batch dimensions broadcast."""
+    """Matrix product of [..., m, k] and [..., k, n] operands; leading batch
+    dimensions broadcast as in numpy.  A 1-d operand is a `ShapeError`."""
     a, b = _coerce(a), _coerce(b)
     ad, bd = a.data, b.data
-    if ad.ndim == 0 or bd.ndim == 0:
+    if ad.ndim < 2 or bd.ndim < 2 or ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(
-            f"matmul needs at least 1-d operands, got {ad.shape} x {bd.shape}"
-        )
-    a_vec = ad.ndim == 1
-    b_vec = bd.ndim == 1
-    A = ad[None, :] if a_vec else ad
-    B = bd[:, None] if b_vec else bd
-    if A.shape[-1] != B.shape[-2]:
-        raise ShapeError(
-            f"matmul: inner dimensions disagree: {tuple(ad.shape)} x {tuple(bd.shape)}"
+            f"matmul needs [..., m, k] x [..., k, n] operands, got {ad.shape} x {bd.shape}"
         )
     try:
-        C = np.matmul(A, B)
+        data = np.matmul(ad, bd)
     except ValueError as exc:
         raise ShapeError(
-            f"matmul: batch dimensions incompatible: {tuple(ad.shape)} x {tuple(bd.shape)}"
+            f"matmul: batch dimensions incompatible: {ad.shape} x {bd.shape}"
         ) from exc
-    data = C
-    if b_vec:
-        data = data[..., 0]
-    if a_vec:
-        data = data[..., 0, :] if not b_vec else data[..., 0]
 
     def backward(g):
-        G = g
-        if a_vec and b_vec:
-            G = G.reshape(1, 1)
-        elif a_vec:
-            G = np.expand_dims(G, -2)
-        elif b_vec:
-            G = np.expand_dims(G, -1)
         if a.requires_grad:
-            dA = np.matmul(G, np.swapaxes(B, -1, -2))
-            _accumulate(a, _unbroadcast(dA, A.shape).reshape(ad.shape))
+            _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape))
         if b.requires_grad:
-            dB = np.matmul(np.swapaxes(A, -1, -2), G)
-            _accumulate(b, _unbroadcast(dB, B.shape).reshape(bd.shape))
+            _accumulate(b, _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape))
 
     return _record(data, (a, b), backward, "matmul")
 
@@ -393,7 +362,8 @@ def matmul(a, b) -> Tensor:
 def linear(x, weight, bias, relu: bool = False) -> Tensor:
     """`x @ weight + bias`, then relu if asked, as one node.
 
-    `x` is [..., d] (at least 2-d), `weight` [d, d'] and `bias` [d'].  The
+    `x` is [..., d] (at least 2-d); `weight` is [d, d'] with a [d'] bias, or
+    a head's [d] vector with a scalar bias, which gives a [...] output.  The
     relu is `max(pre, +0.0)`: +0.0 wherever the pre-activation is zero or
     negative, derivative 0 at 0.  A NaN pre-activation stays NaN, where the
     unfused `relu` writes 0.  In the encoder such a NaN can only come from a
@@ -404,13 +374,13 @@ def linear(x, weight, bias, relu: bool = False) -> Tensor:
     xd, wd = x.data, weight.data
     if (
         xd.ndim < 2
-        or wd.ndim != 2
+        or wd.ndim not in (1, 2)
         or xd.shape[-1] != wd.shape[0]
         or bias.data.shape != wd.shape[1:]
     ):
         raise ShapeError(
             f"linear: {xd.shape} x {wd.shape} + {bias.data.shape} "
-            "needs x [..., d], weight [d, d'] and bias [d']"
+            "needs x [..., d], weight [d, d'] and bias [d'], or weight [d] and bias []"
         )
     data = np.matmul(xd, wd)
     data += bias.data
@@ -424,10 +394,13 @@ def linear(x, weight, bias, relu: bool = False) -> Tensor:
             g *= data > 0.0
         if bias.requires_grad:
             _accumulate(bias, _unbroadcast(g, bias.data.shape))
+        # A vector weight acts as its [d, 1] column, and `g` as [..., n, 1].
+        w, g = (wd, g) if wd.ndim == 2 else (wd[:, None], g[..., None])
         if x.requires_grad:
-            _accumulate(x, np.matmul(g, wd.T), fresh=True)
+            _accumulate(x, np.matmul(g, w.T), fresh=True)
         if weight.requires_grad:
-            _accumulate(weight, _unbroadcast(np.matmul(np.swapaxes(xd, -1, -2), g), wd.shape))
+            dw = _unbroadcast(np.matmul(np.swapaxes(xd, -1, -2), g), w.shape)
+            _accumulate(weight, dw.reshape(wd.shape))
 
     return _record(data, (x, weight, bias), backward, "linear")
 

@@ -95,8 +95,13 @@ def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
         for dim in dims:
             total *= dim
         payload = reader.take(total * 8, f"entry {name!r} payload")
-        arr = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims)
-        entries[name] = arr
+        try:
+            # An empty payload passes the size check whatever its other dims.
+            entries[name] = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims)
+        except ValueError as exc:
+            raise CorruptFileError(
+                f"{label}: entry {name!r} has an impossible shape of rank {rank}: {exc}"
+            ) from exc
     if reader.pos != len(reader.blob):
         raise CorruptFileError(
             f"{label}: {len(reader.blob) - reader.pos} trailing bytes after last entry"

@@ -106,10 +106,6 @@ def quantize_weights(weights: dict[int, float], step: float) -> dict[int, int]:
     return {term: impact for term, impact in zip(weights, impacts) if impact > 0}
 
 
-def dequantize(impact: int, step: float) -> float:
-    return impact * step
-
-
 # -- index ----------------------------------------------------------------------
 
 

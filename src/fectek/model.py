@@ -130,7 +130,7 @@ def match_score(queries: TermWeights, passages: TermWeights) -> Tensor:
     """
     if not np.array_equal(queries.terms, passages.terms):
         raise ShapeError("match_score needs queries and passages on the same terms")
-    return ag.matmul(queries.weights, ag.transpose_last_two(passages.weights))
+    return ag.matmul(queries.weights, ag.transpose(passages.weights))
 
 
 class FeatureContextGate:
@@ -238,7 +238,7 @@ class FecTekModel:
         )
         # [B, n, d] @ [d] is one matrix-vector product per text, the BLAS
         # call a text alone gets, so its weights keep the same bits.
-        raw = ag.add(ag.matmul(features, self.weight_w), self.weight_b)
+        raw = ag.linear(features, self.weight_w, self.weight_b)
         return TermWeights.from_positions(
             batch.token_ids, ag.log1p(ag.relu(raw)), self.aggregation, terms
         )
@@ -246,7 +246,7 @@ class FecTekModel:
     def term_probabilities(self, batch: EncodedBatch) -> Tensor:
         """[B, n] probability that each position's term also occurs in the
         pair text.  Reads the raw hidden states, not the gated features."""
-        return ag.sigmoid(ag.add(ag.matmul(batch.hidden, self.prob_w), self.prob_b))
+        return ag.sigmoid(ag.linear(batch.hidden, self.prob_w, self.prob_b))
 
     def weigh(self, id_lists: Sequence[Sequence[int]]) -> list[dict[int, float]]:
         """Term weights of each text, in input order, recorded on no tape.
@@ -422,7 +422,3 @@ def load_model(path: str | Path) -> FecTekModel:
             raise CorruptFileError(f"{path}: parameter {name!r} is not finite")
         tensor.data = stored.astype(np.float64)
     return model
-
-
-def checkpoints_equal(path_a: str | Path, path_b: str | Path) -> bool:
-    return Path(path_a).read_bytes() == Path(path_b).read_bytes()

@@ -4,20 +4,24 @@ Each function handles one text (or one triple) with the same parameters the
 model uses: `forward` is the encoder at a text's own length,
 `from_positions` collapses positions into sorted terms, and `triple_loss` is
 one triple's joint loss built from sparse match scores.  `linear` and
-`attention` are the chains of single ops that the fused autograd ops replace,
-built on `softmax` and `reduce_sum`, ops the model no longer records; the
-reference path runs on them, so it stays independent of the fused kernels.
+`attention` are the chains of single ops that the fused autograd ops replace.
+They and the heads are built on ops the model no longer records: `softmax`,
+`reduce_sum`, `permute`, `transpose_last_two`, and the general `matmul`
+that promotes 1-d operands.  The reference path runs on them, so it stays
+independent of the kernels it checks.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
 import fectek.autograd as ag
 from fectek.autograd import Tensor
 from fectek.encoder import LAYER_NORM_EPS, MASK_BIAS
+from fectek.errors import ShapeError
 from fectek.model import indicator_labels, scorable_mask
 from fectek.tokenizer import PAD_ID
 
@@ -47,9 +51,76 @@ def reduce_sum(a) -> Tensor:
     return ag._record(data, (a,), backward, "sum")
 
 
+def permute(a, axes: Sequence[int]) -> Tensor:
+    a = ag._coerce(a)
+    axes = tuple(axes)
+    data = np.transpose(a.data, axes)
+
+    def backward(g):
+        ag._accumulate(a, np.transpose(g, np.argsort(axes)))
+
+    return ag._record(data, (a,), backward, "permute")
+
+
+def transpose_last_two(a) -> Tensor:
+    a = ag._coerce(a)
+    if a.data.ndim < 2:
+        raise ShapeError(f"transpose needs at least 2 dims, got shape {a.data.shape}")
+    axes = list(range(a.data.ndim))
+    axes[-1], axes[-2] = axes[-2], axes[-1]
+    return permute(a, axes)
+
+
+def matmul(a, b) -> Tensor:
+    """Matrix product with numpy semantics: 1-D operands are promoted and the
+    result squeezed back; leading batch dimensions broadcast."""
+    a, b = ag._coerce(a), ag._coerce(b)
+    ad, bd = a.data, b.data
+    if ad.ndim == 0 or bd.ndim == 0:
+        raise ShapeError(
+            f"matmul needs at least 1-d operands, got {ad.shape} x {bd.shape}"
+        )
+    a_vec = ad.ndim == 1
+    b_vec = bd.ndim == 1
+    A = ad[None, :] if a_vec else ad
+    B = bd[:, None] if b_vec else bd
+    if A.shape[-1] != B.shape[-2]:
+        raise ShapeError(
+            f"matmul: inner dimensions disagree: {tuple(ad.shape)} x {tuple(bd.shape)}"
+        )
+    try:
+        C = np.matmul(A, B)
+    except ValueError as exc:
+        raise ShapeError(
+            f"matmul: batch dimensions incompatible: {tuple(ad.shape)} x {tuple(bd.shape)}"
+        ) from exc
+    data = C
+    if b_vec:
+        data = data[..., 0]
+    if a_vec:
+        data = data[..., 0, :] if not b_vec else data[..., 0]
+
+    def backward(g):
+        G = g
+        if a_vec and b_vec:
+            G = G.reshape(1, 1)
+        elif a_vec:
+            G = np.expand_dims(G, -2)
+        elif b_vec:
+            G = np.expand_dims(G, -1)
+        if a.requires_grad:
+            dA = np.matmul(G, np.swapaxes(B, -1, -2))
+            ag._accumulate(a, ag._unbroadcast(dA, A.shape).reshape(ad.shape))
+        if b.requires_grad:
+            dB = np.matmul(np.swapaxes(A, -1, -2), G)
+            ag._accumulate(b, ag._unbroadcast(dB, B.shape).reshape(bd.shape))
+
+    return ag._record(data, (a, b), backward, "matmul")
+
+
 def linear(x, weight, bias, relu: bool = False) -> Tensor:
     """`ag.linear` as the matmul / add / relu chain."""
-    out = ag.add(ag.matmul(x, weight), bias)
+    out = ag.add(matmul(x, weight), bias)
     return ag.relu(out) if relu else out
 
 
@@ -59,15 +130,15 @@ def attention(q, k, v, mask_bias, heads: int, scale: float) -> Tensor:
     d = q.data.shape[-1]
 
     def split_heads(t):
-        return ag.permute(ag.reshape(t, (b, n, heads, d // heads)), (0, 2, 1, 3))
+        return permute(ag.reshape(t, (b, n, heads, d // heads)), (0, 2, 1, 3))
 
     q, k, v = split_heads(q), split_heads(k), split_heads(v)
     logits = ag.add(
-        ag.mul(ag.matmul(q, ag.transpose_last_two(k)), scale),
+        ag.mul(matmul(q, transpose_last_two(k)), scale),
         Tensor(mask_bias.reshape(b, 1, 1, n)),
     )
     weights = softmax(logits, axis=-1)
-    return ag.reshape(ag.permute(ag.matmul(weights, v), (0, 2, 1, 3)), (b * n, d))
+    return ag.reshape(permute(matmul(weights, v), (0, 2, 1, 3)), (b * n, d))
 
 
 def forward(encoder, token_ids) -> tuple[np.ndarray, Tensor, np.ndarray]:
@@ -105,16 +176,16 @@ def gate(model, hidden: Tensor, real: np.ndarray) -> Tensor:
     """Feature-gated [n, d] states of one text."""
     params = model.feature_gate.params
     pool = np.where(real, 1.0 / int(real.sum()), 0.0)
-    pooled = ag.matmul(Tensor(pool), hidden)
+    pooled = matmul(Tensor(pool), hidden)
     squeezed = ag.relu(
         ag.add(
-            ag.matmul(pooled, params["feature_gate.squeeze.weight"]),
+            matmul(pooled, params["feature_gate.squeeze.weight"]),
             params["feature_gate.squeeze.bias"],
         )
     )
     gates = ag.sigmoid(
         ag.add(
-            ag.matmul(squeezed, params["feature_gate.excite.weight"]),
+            matmul(squeezed, params["feature_gate.excite.weight"]),
             params["feature_gate.excite.bias"],
         )
     )
@@ -138,14 +209,14 @@ def from_positions(token_ids, position_weights: Tensor, aggregation: str):
     pool = np.zeros((len(terms), len(ids)))
     for row, t in enumerate(terms):
         pool[row, groups[t]] = 1.0
-    return terms, ag.matmul(Tensor(pool), position_weights)
+    return terms, matmul(Tensor(pool), position_weights)
 
 
 def term_weights(model, token_ids):
     """(ids, hidden, terms, weights) of one text."""
     ids, hidden, real = forward(model.encoder, token_ids)
     features = gate(model, hidden, real) if model.use_feature_gate else hidden
-    raw = ag.add(ag.matmul(features, model.weight_w), model.weight_b)
+    raw = ag.add(matmul(features, model.weight_w), model.weight_b)
     terms, weights = from_positions(ids, ag.log1p(ag.relu(raw)), model.aggregation)
     return ids, hidden, terms, weights
 
@@ -182,7 +253,7 @@ def triple_loss(model, triple, enable_term: bool = True) -> tuple[Tensor, float,
         q_labels, p_labels = indicator_labels(q_ids, p_ids)
 
         def probs(hidden):
-            return ag.sigmoid(ag.add(ag.matmul(hidden, model.prob_w), model.prob_b))
+            return ag.sigmoid(ag.add(matmul(hidden, model.prob_w), model.prob_b))
 
         term = ag.add(
             ag.binary_cross_entropy(probs(q_hidden), q_labels.labels, q_labels.mask),

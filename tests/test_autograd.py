@@ -87,6 +87,9 @@ class TestForwardValues:
     def test_matmul_shape_error_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
             ag.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2))))
+        # 1-d operands are not promoted.
+        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(3,\)"):
+            ag.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones(3)))
 
     def test_relu_at_zero(self):
         x = Tensor([-1.0, 0.0, 2.0], requires_grad=True)
@@ -198,7 +201,7 @@ class TestBackwardStructure:
 
     def test_first_gradient_is_a_c_ordered_copy(self, rng):
         x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        ref.reduce_sum(ag.permute(x, (1, 0))).backward()
+        ref.reduce_sum(ag.transpose(x)).backward()
         assert x.grad.flags.c_contiguous and x.grad.flags.owndata
 
     def test_add_operands_each_hold_their_own_gradient(self, rng):
@@ -291,16 +294,14 @@ class TestGradientOracle:
             ag.matmul, [rng.uniform(-2, 2, (3, 4)), rng.uniform(-2, 2, (4, 2))], tol=1e-6
         )
 
-    def test_matmul_vector_cases(self, rng):
-        assert_grads_match(
-            ag.matmul, [rng.uniform(-2, 2, (4,)), rng.uniform(-2, 2, (4, 3))]
-        )
-        assert_grads_match(
-            ag.matmul, [rng.uniform(-2, 2, (3, 4)), rng.uniform(-2, 2, (4,))]
-        )
-        assert_grads_match(
-            ag.matmul, [rng.uniform(-2, 2, (4,)), rng.uniform(-2, 2, (4,))]
-        )
+    def test_linear_vector_weight(self, rng):
+        # The heads' shapes: [B, n, d] states, a [d] weight, a scalar bias.
+        for lead in ((5,), (2, 3)):
+            assert_grads_match(
+                ag.linear,
+                [rng.uniform(-2, 2, (*lead, 4)), rng.uniform(-2, 2, (4,)), rng.uniform(-2, 2, ())],
+                tol=1e-6,
+            )
 
     def test_matmul_batched(self, rng):
         assert_grads_match(
@@ -318,14 +319,10 @@ class TestGradientOracle:
     def test_log1p(self, rng):
         assert_grads_match(ag.log1p, [rng.uniform(-0.9, 2, (4, 5))])
 
-    def test_permute_and_reshape(self, rng):
+    def test_transpose_and_reshape(self, rng):
         assert_grads_match(
-            lambda t: ag.reshape(ag.permute(t, (1, 0, 2)), (4, 6)),
-            [rng.uniform(-2, 2, (2, 4, 3))],
+            lambda t: ag.reshape(ag.transpose(t), (2, 6)), [rng.uniform(-2, 2, (3, 4))]
         )
-
-    def test_transpose_last_two(self, rng):
-        assert_grads_match(ag.transpose_last_two, [rng.uniform(-2, 2, (2, 3, 4))])
 
     def test_gather_with_repeats(self, rng):
         idx = np.array([0, 2, 2, 1])
@@ -429,12 +426,16 @@ class TestFusedOps:
 
     @pytest.mark.parametrize("relu", [False, True])
     def test_linear_equals_matmul_add_relu(self, rng, relu):
-        x, w, b = rng.uniform(-2, 2, (7, 4)), rng.uniform(-1, 1, (4, 3)), rng.uniform(-1, 1, 3)
-        fused, fused_grads = values_and_grads(lambda *t: ag.linear(*t, relu), [x, w, b])
-        chain, chain_grads = values_and_grads(lambda *t: ref.linear(*t, relu), [x, w, b])
-        np.testing.assert_array_equal(fused, chain)
-        for got, want in zip(fused_grads, chain_grads):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        # A [d, d'] weight with a [d'] bias, and a head's [d] weight with a
+        # scalar bias over [B, n, d] states.
+        for x_shape, w_shape in (((7, 4), (4, 3)), ((2, 7, 4), (4,))):
+            x, w = rng.uniform(-2, 2, x_shape), rng.uniform(-1, 1, w_shape)
+            b = rng.uniform(-1, 1, w_shape[1:])
+            fused, fused_grads = values_and_grads(lambda *t: ag.linear(*t, relu), [x, w, b])
+            chain, chain_grads = values_and_grads(lambda *t: ref.linear(*t, relu), [x, w, b])
+            np.testing.assert_array_equal(fused, chain)
+            for got, want in zip(fused_grads, chain_grads):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_attention_equals_the_softmax_chain(self, rng):
         q, k, v, mask_bias = masked_attention_inputs(rng, texts=3, n=5, d=8)
@@ -529,6 +530,8 @@ class TestFusedOps:
             ag.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), Tensor(np.ones(3)))
         with pytest.raises(ShapeError, match="linear"):
             ag.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))), Tensor(np.ones(3)))
+        with pytest.raises(ShapeError, match="linear"):
+            ag.linear(Tensor(np.ones((2, 3))), Tensor(np.ones(3)), Tensor(np.ones(1)))
         rows = Tensor(np.ones((4, 6)))
         with pytest.raises(ShapeError, match="attention"):
             ag.attention(rows, rows, rows, np.zeros((2, 3)), 2, 1.0)
@@ -539,7 +542,7 @@ class TestFusedOps:
 def test_every_recording_op_has_a_caller_in_the_package():
     """The package keeps only the ops the model records: each public op that
     records a node is called as `ag.<name>` somewhere in `fectek`, or from
-    such an op (as `transpose_last_two` calls `permute`)."""
+    such an op."""
     package = Path(ag.__file__).parent
     module = ast.parse((package / "autograd.py").read_text(encoding="utf-8"))
     ops = {f.name: f for f in module.body if isinstance(f, ast.FunctionDef)}
@@ -568,7 +571,7 @@ def test_every_recording_op_has_a_caller_in_the_package():
         for callee in (called_names(ops[frontier.pop()]) & ops.keys()) - used:
             used.add(callee)
             frontier.append(callee)
-    assert {"linear", "attention", "permute"} <= recording
+    assert {"linear", "attention", "transpose"} <= recording
     assert sorted(recording - used) == []
 
 

@@ -124,6 +124,19 @@ class TestFaultInjection:
         with pytest.raises(CorruptFileError):
             load_tensors(self.write(tmp_path, b""))
 
+    @pytest.mark.parametrize(
+        "dims", [(0, 2**63), (0,) * 65], ids=["dimension-past-numpy-limit", "rank-65"]
+    )
+    def test_impossible_empty_shape_names_file_and_entry(self, tmp_path, dims):
+        # A zero dimension makes the payload empty, so only the reshape
+        # can see that numpy cannot hold the shape.
+        blob = MAGIC + struct.pack("<II", VERSION, 1)
+        blob += struct.pack("<H", 1) + b"w" + struct.pack("<B", len(dims))
+        blob += struct.pack(f"<{len(dims)}Q", *dims)
+        path = self.write(tmp_path, blob)
+        with pytest.raises(CorruptFileError, match=rf"bad\.ftck: entry 'w' .*rank {len(dims)}"):
+            load_tensors(path)
+
 
 @given(
     st.lists(

@@ -4,6 +4,7 @@ import argparse
 import inspect
 import io
 import json
+import struct
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
@@ -13,7 +14,7 @@ import pytest
 
 import per_text_reference as ref
 from fectek.autograd import Tensor
-from fectek.checkpoint import load_tensors, save_tensors
+from fectek.checkpoint import MAGIC, VERSION, load_tensors, save_tensors
 from fectek.cli import build_parser, main
 from fectek.encoder import EncoderConfig
 from fectek.index import InvertedIndex
@@ -616,6 +617,27 @@ class TestExitCodes:
         assert code == 4
         assert f"error: {broken}: " in err
         assert "parameter 'prob_head.weight'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dims", [(0, 2**63), (0,) * 65], ids=["huge-dim", "rank-65"])
+    def test_impossible_checkpoint_shape_is_4(self, workspace, tmp_path, dims):
+        broken = tmp_path / "broken.ftck"
+        broken.write_bytes(
+            MAGIC
+            + struct.pack("<IIH", VERSION, 1, 1)
+            + b"w"
+            + struct.pack(f"<B{len(dims)}Q", len(dims), *dims)
+        )
+        out = tmp_path / "weights.jsonl"
+        code, _, err = run_cli(
+            "encode",
+            "--checkpoint", str(broken),
+            "--vocab", str(workspace["vocab"]),
+            "--corpus", str(workspace["corpus"]),
+            "--out", str(out),
+        )
+        assert code == 4
+        assert f"error: {broken}: entry 'w'" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
