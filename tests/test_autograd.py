@@ -324,6 +324,17 @@ class TestGradientOracle:
             lambda t: ag.reshape(ag.transpose(t), (2, 6)), [rng.uniform(-2, 2, (3, 4))]
         )
 
+    # permute and transpose_last_two live on in the per-text reference, whose
+    # attention splits heads with them; the oracle's own gradients are checked.
+    def test_permute_and_reshape(self, rng):
+        assert_grads_match(
+            lambda t: ag.reshape(ref.permute(t, (1, 0, 2)), (4, 6)),
+            [rng.uniform(-2, 2, (2, 4, 3))],
+        )
+
+    def test_transpose_last_two(self, rng):
+        assert_grads_match(ref.transpose_last_two, [rng.uniform(-2, 2, (2, 3, 4))])
+
     def test_gather_with_repeats(self, rng):
         idx = np.array([0, 2, 2, 1])
         assert_grads_match(
