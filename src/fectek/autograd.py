@@ -8,6 +8,8 @@ replays it once in reverse, accumulating gradients into `.grad` buffers.
 Conventions that the rest of the package relies on:
 
 - every value is float64, end to end;
+- ops take `Tensor` operands (wrap a constant in `Tensor` first); only
+  indices, masks and labels are plain arrays;
 - relu'(0) is exactly 0;
 - broadcasting in add/mul follows numpy, with gradients summed back to the
   operand's shape;
@@ -115,10 +117,6 @@ def build_tape(root: Tensor) -> list[Tensor]:
     return order
 
 
-def _coerce(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _record(data, parents: tuple[Tensor, ...], backward, op: str) -> Tensor:
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
@@ -164,7 +162,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
     data = a.data + b.data
 
     def backward(g):
@@ -177,7 +174,6 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
     data = a.data * b.data
 
     def backward(g):
@@ -190,7 +186,6 @@ def mul(a, b) -> Tensor:
 
 
 def relu(a) -> Tensor:
-    a = _coerce(a)
     # Strict comparison: the derivative at 0 is defined as 0.
     mask = a.data > 0.0
     data = np.where(mask, a.data, 0.0)
@@ -202,7 +197,6 @@ def relu(a) -> Tensor:
 
 
 def sigmoid(a) -> Tensor:
-    a = _coerce(a)
     # exp(-|x|) never overflows, so both saturated tails stay finite.
     e = np.exp(-np.abs(a.data))
     data = np.where(a.data >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
@@ -214,7 +208,6 @@ def sigmoid(a) -> Tensor:
 
 
 def log1p(a) -> Tensor:
-    a = _coerce(a)
     data = np.log1p(a.data)
 
     def backward(g):
@@ -227,7 +220,6 @@ def log1p(a) -> Tensor:
 
 
 def reshape(a, shape) -> Tensor:
-    a = _coerce(a)
     data = a.data.reshape(shape)
 
     def backward(g):
@@ -238,7 +230,6 @@ def reshape(a, shape) -> Tensor:
 
 def transpose(a) -> Tensor:
     """The transpose of a 2-d tensor."""
-    a = _coerce(a)
     if a.data.ndim != 2:
         raise ShapeError(f"transpose needs a 2-d tensor, got shape {a.data.shape}")
 
@@ -250,7 +241,6 @@ def transpose(a) -> Tensor:
 
 def gather(a, indices) -> Tensor:
     """Select rows (axis 0) of `a`; the gradient scatter-adds back."""
-    a = _coerce(a)
     idx = np.asarray(indices, dtype=np.intp)
     data = a.data[idx]
 
@@ -284,7 +274,6 @@ def scatter(a, columns, width: int, reduce: str) -> Tensor:
     """
     if reduce not in ("max", "sum"):
         raise ValueError(f"unknown reduction {reduce!r}, expected max|sum")
-    a = _coerce(a)
     cols = np.asarray(columns, dtype=np.intp)
     if a.data.ndim != 2 or cols.shape != a.data.shape:
         raise ShapeError(
@@ -330,7 +319,6 @@ def scatter(a, columns, width: int, reduce: str) -> Tensor:
 def matmul(a, b) -> Tensor:
     """Matrix product of [..., m, k] and [..., k, n] operands; leading batch
     dimensions broadcast as in numpy.  A 1-d operand is a `ShapeError`."""
-    a, b = _coerce(a), _coerce(b)
     ad, bd = a.data, b.data
     if ad.ndim < 2 or bd.ndim < 2 or ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(
@@ -370,7 +358,6 @@ def linear(x, weight, bias, relu: bool = False) -> Tensor:
     NaN in `x` (checkpoints and training reject non-finite parameters), and
     the residual add carries that NaN past this op anyway.
     """
-    x, weight, bias = _coerce(x), _coerce(weight), _coerce(bias)
     xd, wd = x.data, weight.data
     if (
         xd.ndim < 2
@@ -413,7 +400,6 @@ def attention(q, k, v, mask_bias, heads: int, scale: float) -> Tensor:
     a large negative value drops it).  Returns the [B*n, d] context, heads
     side by side.  Only the softmax weights are kept for the backward pass.
     """
-    q, k, v = _coerce(q), _coerce(k), _coerce(v)
     mask_bias = np.asarray(mask_bias, dtype=np.float64)
     if mask_bias.ndim != 2:
         raise ShapeError(f"attention: mask_bias must be [B, n], got {mask_bias.shape}")
@@ -467,7 +453,6 @@ def attention(q, k, v, mask_bias, heads: int, scale: float) -> Tensor:
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
-    x, gain, bias = _coerce(x), _coerce(gain), _coerce(bias)
     n = x.data.shape[-1]
     if gain.data.shape != (n,) or bias.data.shape != (n,):
         raise ShapeError(
@@ -512,7 +497,6 @@ def softmax_nll(scores, target, mask=None) -> Tensor:
     column per row).  `mask`, if given, limits each row's softmax to the
     columns it marks; every row's target must be among them.
     """
-    scores = _coerce(scores)
     if scores.data.ndim not in (1, 2):
         raise ShapeError(f"softmax_nll expects 1-d or 2-d scores, got {scores.data.shape}")
     s = np.atleast_2d(scores.data)
@@ -550,7 +534,6 @@ def binary_cross_entropy(probs, labels, mask) -> Tensor:
     clamped away from {0,1}.  `labels` and `mask` are plain arrays (no
     gradient flows into them).
     """
-    probs = _coerce(probs)
     y = np.asarray(labels, dtype=np.float64)
     m = np.asarray(mask, dtype=bool)
     if y.shape != probs.data.shape or m.shape != probs.data.shape:

@@ -237,7 +237,6 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         seed=args.seed,
         eps=args.eps,
         tolerance=args.tolerance,
-        corrupt_group=args.corrupt_group,
         max_coords_per_group=args.max_coords,
     )
     for group in report.groups:
@@ -430,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=DEFAULT_EPS)
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--max-coords", type=int, default=None)
-    p.add_argument("--corrupt-group", default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("synth", help="generate a synthetic retrieval dataset")

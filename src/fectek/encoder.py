@@ -88,20 +88,12 @@ class EncodedBatch:
 class ContextEncoder:
     """Token + position embeddings followed by `layers` transformer blocks."""
 
-    def __init__(
-        self,
-        vocab_size: int,
-        config: EncoderConfig | None = None,
-        rng: int | np.random.Generator = 42,
-    ):
+    def __init__(self, vocab_size: int, config: EncoderConfig, rng: np.random.Generator):
         if vocab_size < len(SPECIAL_IDS) + 1:
             raise ValueError(f"vocab_size must cover the reserved ids, got {vocab_size}")
-        self.config = config or EncoderConfig()
+        self.config = config
         self.vocab_size = vocab_size
-        if isinstance(rng, np.random.Generator):
-            self._rng = rng
-        else:
-            self._rng = np.random.default_rng(rng)
+        self._rng = rng
         self.params: dict[str, Tensor] = {}
         self._init_parameters()
 

@@ -120,15 +120,12 @@ def run_gradient_check(
     seed: int = 42,
     eps: float = DEFAULT_EPS,
     tolerance: float = DEFAULT_TOLERANCE,
-    corrupt_group: str | None = None,
     max_coords_per_group: int | None = None,
 ) -> GradCheckReport:
     """Compare analytic gradients against central differences everywhere.
 
-    `corrupt_group` deliberately perturbs one group's analytic gradient so
-    the harness can prove it fails when it should.  `max_coords_per_group`
-    subsamples coordinates (seeded) for quicker smoke runs; the default
-    checks every coordinate.
+    `max_coords_per_group` subsamples coordinates (seeded) for quicker smoke
+    runs; the default checks every coordinate.
     """
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
@@ -142,8 +139,6 @@ def run_gradient_check(
         )
     model, triples = _toy_setup(seed)
     params = model.named_parameters()
-    if corrupt_group is not None and corrupt_group not in params:
-        raise ValueError(f"unknown parameter group {corrupt_group!r}")
 
     loss, _ = batch_loss(model, triples)
     loss.backward()
@@ -152,8 +147,6 @@ def run_gradient_check(
         for name, p in params.items()
     }
     model.zero_grad()
-    if corrupt_group is not None:
-        analytic[corrupt_group] = analytic[corrupt_group] + 1.0
 
     def loss_value() -> float:
         with ag.no_grad():

@@ -155,7 +155,7 @@ class InvertedIndex:
             if row and not (0 <= min(row) and max(row) < vocab_size):
                 term = next(t for t in sorted(row) if not 0 <= t < vocab_size)
                 raise DataFormatError(
-                    f"term id {term} outside vocabulary of size {vocab_size}"
+                    f"docid {docid!r}: term id {term} outside vocabulary of size {vocab_size}"
                 )
             lengths.append(len(row))
             terms.extend(row.keys())
@@ -164,9 +164,10 @@ class InvertedIndex:
         values = np.frombuffer(weights, dtype=np.float64)
         bad = np.flatnonzero(~((values >= 0.0) & (values < math.inf)))
         if bad.size:
+            doc = int(np.searchsorted(np.cumsum(lengths), bad[0], side="right"))
             raise DataFormatError(
-                f"weight {float(values[bad[0]])} for term {int(term_ids[bad[0]])} "
-                "is negative or not finite"
+                f"docid {docids[doc]!r}: weight {float(values[bad[0]])} for term "
+                f"{int(term_ids[bad[0]])} is negative or not finite"
             )
         step = quantization_step(float(values.max(initial=0.0)))
         impacts = quantize_value(values, step)

@@ -331,7 +331,7 @@ def batch_loss(
         )
         term_value = term.item()
         total = ag.add(total, term)
-    mean = ag.mul(total, 1.0 / n)
+    mean = ag.mul(total, Tensor(1.0 / n))
     metrics = {
         "total_loss": mean.item(),
         "text_loss": text.item() / n,

@@ -91,19 +91,46 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
+        """Read a saved vocabulary: the header line, then one new token per
+        line, each exactly as `tokenize` writes it (lowercase alphanumeric)."""
         with open_text(path) as fh:
-            raw = fh.read().splitlines()
-        if not raw:
+            header = fh.readline()
+            tokens = [line.rstrip("\n") for line in fh]
+        if not header:
             raise DataFormatError(f"{path}: empty vocabulary file")
-        m = _HEADER_RE.match(raw[0])
+        header = header.rstrip("\n")
+        m = _HEADER_RE.match(header)
         if m is None:
-            raise DataFormatError(f"{path}: bad vocabulary header {raw[0]!r}")
-        tokens = []
-        for lineno, line in enumerate(raw[1:], start=2):
-            if not line:
-                raise DataFormatError(f"{path}:{lineno}: blank vocabulary line")
-            tokens.append(line)
+            raise DataFormatError(f"{path}: bad vocabulary header {header!r}")
+        # Whole-list checks; lowercasing the joined text changes it exactly
+        # when it changes some token.
+        text = "".join(tokens)
+        if (
+            not all(map(str.isalnum, tokens))
+            or text.lower() != text
+            or len(set(tokens)) < len(tokens)
+        ):
+            _raise_first_bad_line(path, tokens)
         return cls(tokens, min_freq=int(m.group(1)))
+
+
+def _raise_first_bad_line(path: str | Path, tokens: list[str]) -> None:
+    """Raise for the first vocabulary line (line 2 on) that is not a new
+    lowercase alphanumeric token; `load` calls this only when there is one."""
+    seen: set[str] = set()
+    for lineno, token in enumerate(tokens, start=2):
+        if token in seen:
+            problem = f"duplicate token {token!r}"
+        elif token.isalnum() and token.lower() == token:
+            seen.add(token)
+            continue
+        elif not token:
+            problem = "blank vocabulary line"
+        elif token in RESERVED_TOKENS:
+            problem = f"reserved token {token!r} cannot enter the vocabulary"
+        else:
+            problem = f"{token!r} is not one lowercase alphanumeric token"
+        raise DataFormatError(f"{path}:{lineno}: {problem}")
 
 
 def vocabulary_coverage(vocab: Vocabulary, texts: Iterable[str]) -> float:

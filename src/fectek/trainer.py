@@ -69,7 +69,7 @@ def load_triples(path: str | Path) -> list[TrainingTriple]:
 
 
 def linear_warmup_decay(
-    step: int, total_steps: int, peak_lr: float, warmup_ratio: float = 0.1
+    step: int, total_steps: int, peak_lr: float, warmup_ratio: float
 ) -> float:
     """Piecewise-linear rate: 0 at step 0, peak at the end of warmup, 0 at the end.
 
@@ -86,21 +86,16 @@ def linear_warmup_decay(
     return peak_lr * (total_steps - step) / (total_steps - warmup)
 
 
+# AdamW's moment decays and denominator guard.  The rate comes with each
+# step and the weight decay from TrainerConfig.
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class AdamW:
     """Adam with decoupled weight decay; moments start at zero."""
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.01,
-    ):
+    def __init__(self, params: dict[str, Tensor], weight_decay: float):
         self.params = dict(params)
-        self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self._m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
@@ -110,25 +105,24 @@ class AdamW:
         for p in self.params.values():
             p.grad = None
 
-    def step(self, lr: float | None = None) -> None:
-        """Apply one update; a missing gradient counts as zero."""
-        rate = self.lr if lr is None else lr
+    def step(self, rate: float) -> None:
+        """Apply one update at `rate`; a missing gradient counts as zero."""
         self.step_count += 1
         t = self.step_count
-        bias1 = 1.0 - self.beta1**t
-        bias2 = 1.0 - self.beta2**t
+        bias1 = 1.0 - BETA1**t
+        bias2 = 1.0 - BETA2**t
         for name, p in self.params.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             m = self._m[name]
             v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
             m_hat = m / bias1
             v_hat = v / bias2
             p.data -= rate * (
-                m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * p.data
+                m_hat / (np.sqrt(v_hat) + ADAM_EPS) + self.weight_decay * p.data
             )
 
 
@@ -253,11 +247,7 @@ def train(
     n = len(encoded)
     steps_per_epoch = math.ceil(n / config.batch_queries)
     total_steps = steps_per_epoch * config.epochs
-    optimizer = AdamW(
-        model.named_parameters(),
-        lr=config.peak_lr,
-        weight_decay=config.weight_decay,
-    )
+    optimizer = AdamW(model.named_parameters(), config.weight_decay)
     rng = np.random.default_rng(config.seed)
     final_path = out / "model.ftck"
     metrics_path = out / "metrics.jsonl"

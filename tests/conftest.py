@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from fectek import gradcheck
+from fectek.autograd import Tensor
 from fectek.encoder import EncoderConfig
 from fectek.tokenizer import Vocabulary
 
@@ -32,3 +34,28 @@ def tiny_config() -> EncoderConfig:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def corrupt_gradient(monkeypatch):
+    """`corrupt_gradient(name)` adds 1.0 to the gradient that gradcheck's
+    backward pass leaves in parameter group `name`, as a faulty backward
+    would."""
+
+    def corrupt(name: str) -> None:
+        setup, backward = gradcheck._toy_setup, Tensor.backward
+        params = {}
+
+        def toy_setup(seed):
+            model, triples = setup(seed)
+            params.update(model.named_parameters())
+            return model, triples
+
+        def faulty_backward(self):
+            backward(self)
+            params[name].grad = params[name].grad + 1.0
+
+        monkeypatch.setattr(gradcheck, "_toy_setup", toy_setup)
+        monkeypatch.setattr(Tensor, "backward", faulty_backward)
+
+    return corrupt

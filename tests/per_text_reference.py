@@ -27,7 +27,6 @@ from fectek.tokenizer import PAD_ID
 
 
 def softmax(a, axis: int = -1) -> Tensor:
-    a = ag._coerce(a)
     x = a.data
     m = x.max(axis=axis, keepdims=True)
     z = np.exp(x - m)
@@ -42,7 +41,6 @@ def softmax(a, axis: int = -1) -> Tensor:
 
 def reduce_sum(a) -> Tensor:
     """Sum of every element, as a scalar."""
-    a = ag._coerce(a)
     data = a.data.sum()
 
     def backward(g):
@@ -52,7 +50,6 @@ def reduce_sum(a) -> Tensor:
 
 
 def permute(a, axes: Sequence[int]) -> Tensor:
-    a = ag._coerce(a)
     axes = tuple(axes)
     data = np.transpose(a.data, axes)
 
@@ -63,7 +60,6 @@ def permute(a, axes: Sequence[int]) -> Tensor:
 
 
 def transpose_last_two(a) -> Tensor:
-    a = ag._coerce(a)
     if a.data.ndim < 2:
         raise ShapeError(f"transpose needs at least 2 dims, got shape {a.data.shape}")
     axes = list(range(a.data.ndim))
@@ -74,7 +70,6 @@ def transpose_last_two(a) -> Tensor:
 def matmul(a, b) -> Tensor:
     """Matrix product with numpy semantics: 1-D operands are promoted and the
     result squeezed back; leading batch dimensions broadcast."""
-    a, b = ag._coerce(a), ag._coerce(b)
     ad, bd = a.data, b.data
     if ad.ndim == 0 or bd.ndim == 0:
         raise ShapeError(
@@ -134,7 +129,7 @@ def attention(q, k, v, mask_bias, heads: int, scale: float) -> Tensor:
 
     q, k, v = split_heads(q), split_heads(k), split_heads(v)
     logits = ag.add(
-        ag.mul(matmul(q, transpose_last_two(k)), scale),
+        ag.mul(matmul(q, transpose_last_two(k)), Tensor(scale)),
         Tensor(mask_bias.reshape(b, 1, 1, n)),
     )
     weights = softmax(logits, axis=-1)

@@ -192,7 +192,7 @@ class TestRowwiseLosses:
 class TestBackwardStructure:
     def test_replay_frees_interior_nodes_and_leaves_keep_grads(self, rng):
         x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        hidden = ag.relu(ag.mul(x, 2.0))
+        hidden = ag.relu(ag.mul(x, Tensor(2.0)))
         loss = ref.reduce_sum(hidden)
         loss.backward()
         assert x.grad is not None
@@ -244,7 +244,7 @@ class TestBackwardStructure:
 
     def test_tape_visits_each_node_once(self):
         x = Tensor([1.0], requires_grad=True)
-        a = ag.mul(x, 2.0)
+        a = ag.mul(x, Tensor(2.0))
         b = ag.add(a, a)
         c = ag.add(b, a)
         tape = ag.build_tape(ref.reduce_sum(c))

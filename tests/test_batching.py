@@ -170,7 +170,7 @@ class TestTraining:
 
         loss, metrics = batch_loss(model, batch, enable_term=enable_term)
         parts = [ref.triple_loss(model, t, enable_term) for t in batch]
-        expected = ag.mul(sum_tensors([p[0] for p in parts]), 1.0 / len(batch))
+        expected = ag.mul(sum_tensors([p[0] for p in parts]), Tensor(1.0 / len(batch)))
         assert metrics["text_loss"] == pytest.approx(
             np.mean([p[1] for p in parts]), rel=0, abs=1e-12
         )

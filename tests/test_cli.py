@@ -427,7 +427,29 @@ class TestExitCodes:
             "--out", str(out),
         )
         assert code == 4
-        assert "term 7" in err
+        assert "docid 'b': weight" in err and "term 7" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "weights, fault",
+        [
+            pytest.param('{"7": -1.0}', "weight -1.0 for term 7", id="negative"),
+            pytest.param('{"99999": 1.0}', "term id 99999 outside", id="out-of-range"),
+        ],
+    )
+    def test_bad_weight_names_docid(self, workspace, tmp_path, weights, fault):
+        data = tmp_path / "weights.jsonl"
+        data.write_text(
+            '{"docid": "a", "weights": {"5": 1.0}}\n'
+            f'{{"docid": "b", "weights": {weights}}}\n'
+            '{"docid": "c", "weights": {"6": 1.0}}\n'
+        )
+        out = tmp_path / "index.ftek"
+        code, _, err = run_cli(
+            "index", "--weights", str(data), "--vocab", str(workspace["vocab"]), "--out", str(out)
+        )
+        assert code == 4
+        assert f"error: docid 'b': {fault}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -564,6 +586,25 @@ class TestExitCodes:
         code, _, err = run_cli(command, *flags, *vocab)
         assert code == 4
         assert f"error: {data}{'' if line is None else f':{line}'}: " in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            pytest.param("alpha\nalpha\n", 3, id="duplicate"),
+            pytest.param("alpha\n[PAD]\n", 3, id="reserved"),
+            pytest.param("alpha\x0c\nbeta\n", 2, id="form-feed"),
+        ],
+    )
+    def test_bad_vocabulary_line_is_4(self, workspace, tmp_path, body, line):
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_bytes(f"#fectek-vocab v1 min_freq=1\n{body}".encode())
+        out = tmp_path / "index.ftek"
+        code, _, err = run_cli(
+            "index", "--weights", str(workspace["weights"]), "--vocab", str(vocab), "--out", str(out)
+        )
+        assert code == 4
+        assert f"error: {vocab}:{line}: " in err
         assert not out.exists()
 
     def test_empty_vocabulary_is_4(self, workspace, tmp_path):
@@ -788,12 +829,9 @@ class TestGradcheckCommand:
         assert "gradcheck passed" in out
         assert "max_rel_err" in out
 
-    def test_corrupt_hook_exits_one_naming_offender(self):
-        code, out, err = run_cli(
-            "gradcheck",
-            "--max-coords", "2",
-            "--corrupt-group", "feature_gate.excite.weight",
-        )
+    def test_corrupt_hook_exits_one_naming_offender(self, corrupt_gradient):
+        corrupt_gradient("feature_gate.excite.weight")
+        code, out, err = run_cli("gradcheck", "--max-coords", "2")
         assert code == 1
         assert "gradcheck FAILED: feature_gate.excite.weight" in err
 
@@ -817,12 +855,6 @@ class TestGradcheckCommand:
         assert code == 2
         assert "passed" not in out
         assert f"error: {flag[2:].replace('-', ' ')}" in err
-
-    def test_unknown_group_is_usage_error(self):
-        code, _, _ = run_cli(
-            "gradcheck", "--max-coords", "1", "--corrupt-group", "bogus"
-        )
-        assert code == 2
 
 
 class TestSynthCommand:
@@ -949,12 +981,15 @@ def field_names(*classes):
     return {f.name for cls in classes for f in fields(cls)}
 
 
-def flag_dests(command):
+def subcommands():
     parser = build_parser()
-    commands = next(
+    return next(
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     ).choices
-    return {a.dest for a in commands[command]._actions} - {"help"}
+
+
+def flag_dests(command):
+    return {a.dest for a in subcommands()[command]._actions} - {"help"}
 
 
 # Every setting flag of `train`, each at a value that is not its default.
@@ -995,6 +1030,12 @@ class TestFlagsMatchConfigs:
             "aggregation", "data_dir", "out_dir",
         }
         assert flag_dests("synth") == field_names(SynthConfig) | {"out_dir"}
+
+    def test_no_flag_is_hidden(self):
+        # A flag left out of --help is a test hook users cannot see.
+        for command, parser in subcommands().items():
+            for action in parser._actions:
+                assert action.help != argparse.SUPPRESS, (command, action.dest)
 
     def test_every_setting_flag_reaches_the_header(self, workspace, tmp_path):
         assert set(NON_DEFAULT_SETTINGS) == flag_dests("train") - {

@@ -14,6 +14,10 @@ def encode_ids(vocab, text, max_len=16):
     return vocab.encode(text, max_len)
 
 
+def make_encoder(vocab, config, seed=42):
+    return ContextEncoder(len(vocab), config, np.random.default_rng(seed))
+
+
 class TestConfig:
     def test_defaults(self):
         config = EncoderConfig()
@@ -36,7 +40,7 @@ class TestConfig:
 
 class TestForward:
     def test_hidden_shape_matches_input(self, tiny_vocab, tiny_config):
-        enc = ContextEncoder(len(tiny_vocab), tiny_config)
+        enc = make_encoder(tiny_vocab, tiny_config)
         ids = encode_ids(tiny_vocab, "quick brown fox")
         out = enc.forward([ids, ids[:3]])
         assert out.hidden.shape == (2, len(ids), tiny_config.dim)
@@ -45,20 +49,20 @@ class TestForward:
 
     def test_same_seed_same_output(self, tiny_vocab, tiny_config):
         ids = [encode_ids(tiny_vocab, "pack my box")]
-        a = ContextEncoder(len(tiny_vocab), tiny_config, rng=7).forward(ids)
-        b = ContextEncoder(len(tiny_vocab), tiny_config, rng=7).forward(ids)
+        a = make_encoder(tiny_vocab, tiny_config, 7).forward(ids)
+        b = make_encoder(tiny_vocab, tiny_config, 7).forward(ids)
         assert np.array_equal(a.hidden.data, b.hidden.data)
 
     def test_different_seed_different_output(self, tiny_vocab, tiny_config):
         ids = [encode_ids(tiny_vocab, "pack my box")]
-        a = ContextEncoder(len(tiny_vocab), tiny_config, rng=7).forward(ids)
-        b = ContextEncoder(len(tiny_vocab), tiny_config, rng=8).forward(ids)
+        a = make_encoder(tiny_vocab, tiny_config, 7).forward(ids)
+        b = make_encoder(tiny_vocab, tiny_config, 8).forward(ids)
         assert not np.array_equal(a.hidden.data, b.hidden.data)
 
     def test_trailing_padding_leaves_real_rows_unchanged(self, tiny_vocab, tiny_config):
         # Pad columns are masked out of attention, so appending pads (or
         # sharing a batch with a longer text) cannot move a real row's state.
-        enc = ContextEncoder(len(tiny_vocab), tiny_config)
+        enc = make_encoder(tiny_vocab, tiny_config)
         ids = encode_ids(tiny_vocab, "quick brown fox")
         plain = enc.forward([ids]).hidden.data[0]
         padded = enc.forward([ids + [PAD_ID, PAD_ID]]).hidden.data[0]
@@ -69,27 +73,27 @@ class TestForward:
         np.testing.assert_allclose(batched[: len(ids)], plain, rtol=0, atol=1e-12)
 
     def test_real_mask_tracks_pads(self, tiny_vocab, tiny_config):
-        enc = ContextEncoder(len(tiny_vocab), tiny_config)
+        enc = make_encoder(tiny_vocab, tiny_config)
         ids = encode_ids(tiny_vocab, "fox")
         out = enc.forward([ids + [PAD_ID], ids])
         assert out.real_mask.tolist() == [[True, True, True, False], [True, True, True, False]]
         assert out.token_ids[1].tolist() == ids + [PAD_ID]
 
     def test_sequence_longer_than_table_rejected(self, tiny_vocab, tiny_config):
-        enc = ContextEncoder(len(tiny_vocab), tiny_config)
+        enc = make_encoder(tiny_vocab, tiny_config)
         too_long = np.full(tiny_config.max_passage_len + 1, 4)
         with pytest.raises(ShapeError, match="positional table"):
             enc.forward([[4, 5], too_long])
 
     def test_empty_sequence_rejected(self, tiny_vocab, tiny_config):
-        enc = ContextEncoder(len(tiny_vocab), tiny_config)
+        enc = make_encoder(tiny_vocab, tiny_config)
         with pytest.raises(ShapeError):
             enc.forward([[4, 5], np.array([], dtype=np.int64)])
         with pytest.raises(ShapeError):
             enc.forward([])
 
     def test_out_of_range_token_rejected(self, tiny_vocab, tiny_config):
-        enc = ContextEncoder(len(tiny_vocab), tiny_config)
+        enc = make_encoder(tiny_vocab, tiny_config)
         with pytest.raises(ShapeError, match="outside vocabulary"):
             enc.forward([[2, len(tiny_vocab), 3]])
         with pytest.raises(ShapeError, match="outside vocabulary"):
@@ -100,7 +104,7 @@ class TestForward:
     ):
         # With positional embeddings zeroed, self-attention is a set
         # operation: swapping two real tokens permutes the output rows.
-        enc = ContextEncoder(len(tiny_vocab), tiny_config)
+        enc = make_encoder(tiny_vocab, tiny_config)
         enc.params["embeddings.position"].data[:] = 0.0
         a = np.array(encode_ids(tiny_vocab, "quick fox"))
         b = a.copy()
@@ -113,7 +117,7 @@ class TestForward:
 
 class TestGradients:
     def test_sampled_parameter_gradients_match_fd(self, tiny_vocab, tiny_config):
-        enc = ContextEncoder(len(tiny_vocab), tiny_config, rng=3)
+        enc = make_encoder(tiny_vocab, tiny_config, 3)
         batch = [
             encode_ids(tiny_vocab, "sphinx of black quartz"),
             encode_ids(tiny_vocab, "judge my vow"),
@@ -149,7 +153,7 @@ class TestGradients:
         assert worst <= 1e-4, f"worst sampled encoder gradient error {worst:.3e}"
 
     def test_gradient_reaches_every_parameter(self, tiny_vocab, tiny_config):
-        enc = ContextEncoder(len(tiny_vocab), tiny_config)
+        enc = make_encoder(tiny_vocab, tiny_config)
         ids = encode_ids(tiny_vocab, "how vexingly quick daft zebras jump")
         out = enc.forward([ids])
         ref.reduce_sum(ag.mul(out.hidden, out.hidden)).backward()

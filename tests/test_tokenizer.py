@@ -144,8 +144,32 @@ class TestPersistence:
     def test_duplicate_line_rejected(self, tmp_path):
         path = tmp_path / "vocab.txt"
         path.write_text("#fectek-vocab v1 min_freq=1\nalpha\nalpha\n")
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataFormatError, match=r":3: duplicate token 'alpha'"):
             Vocabulary.load(path)
+
+    def test_reserved_line_rejected(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("#fectek-vocab v1 min_freq=1\nalpha\n[UNK]\n")
+        with pytest.raises(DataFormatError, match=r":3: reserved token '\[UNK\]'"):
+            Vocabulary.load(path)
+
+    @pytest.mark.parametrize(
+        "line", ["alpha\x0c", "alpha\u2028beta", "al pha", "Alpha", "al_pha", "[pad]"]
+    )
+    def test_line_that_is_not_a_token_rejected(self, tmp_path, line):
+        # Lines end only at a newline, as when iterating the file, so a form
+        # feed or U+2028 stays inside its line and the next line is line 3.
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(f"#fectek-vocab v1 min_freq=1\n{line}\nbeta\n".encode())
+        with pytest.raises(DataFormatError, match=":2: .* is not one lowercase alphanumeric token"):
+            Vocabulary.load(path)
+
+    def test_any_tokenizer_output_loads(self, tmp_path):
+        vocab = Vocabulary.build(["Ünïcode straße 42 über ΣΑΣ x2y"])
+        path = tmp_path / "vocab.txt"
+        vocab.save(path)
+        loaded = Vocabulary.load(path)
+        assert len(loaded) == len(vocab)
 
 
 class TestCoverage:

@@ -49,37 +49,35 @@ def toy_model(toy_vocab, tiny_config):
 class TestSchedule:
     def test_knots_are_exact(self):
         peak = 2e-3
-        assert linear_warmup_decay(0, 100, peak) == 0.0
-        assert linear_warmup_decay(10, 100, peak) == peak
-        assert linear_warmup_decay(100, 100, peak) == 0.0
+        assert linear_warmup_decay(0, 100, peak, 0.1) == 0.0
+        assert linear_warmup_decay(10, 100, peak, 0.1) == peak
+        assert linear_warmup_decay(100, 100, peak, 0.1) == 0.0
 
     def test_linear_between_knots(self):
         peak = 1.0
-        assert linear_warmup_decay(5, 100, peak) == pytest.approx(0.5)
-        assert linear_warmup_decay(55, 100, peak) == pytest.approx(0.5)
+        assert linear_warmup_decay(5, 100, peak, 0.1) == pytest.approx(0.5)
+        assert linear_warmup_decay(55, 100, peak, 0.1) == pytest.approx(0.5)
 
     def test_zero_warmup_starts_at_peak(self):
-        assert linear_warmup_decay(1, 10, 1e-3, warmup_ratio=0.0) == pytest.approx(
-            1e-3 * 9 / 10
-        )
+        assert linear_warmup_decay(1, 10, 1e-3, 0.0) == pytest.approx(1e-3 * 9 / 10)
 
     def test_clamps_out_of_range_steps(self):
-        assert linear_warmup_decay(-5, 100, 1.0) == 0.0
-        assert linear_warmup_decay(999, 100, 1.0) == 0.0
+        assert linear_warmup_decay(-5, 100, 1.0, 0.1) == 0.0
+        assert linear_warmup_decay(999, 100, 1.0, 0.1) == 0.0
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            linear_warmup_decay(1, 0, 1.0)
+            linear_warmup_decay(1, 0, 1.0, 0.1)
         with pytest.raises(ValueError):
-            linear_warmup_decay(1, 10, 1.0, warmup_ratio=1.0)
+            linear_warmup_decay(1, 10, 1.0, 1.0)
 
 
 class TestAdamW:
     def test_first_step_without_decay(self):
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
         p.grad = np.ones(2)
-        opt = AdamW({"p": p}, lr=0.01, weight_decay=0.0)
-        opt.step()
+        opt = AdamW({"p": p}, weight_decay=0.0)
+        opt.step(0.01)
         # Bias-corrected m_hat = v_hat = 1 on the first unit-gradient step.
         expected = np.array([1.0, -2.0]) - 0.01 / (1.0 + 1e-8)
         np.testing.assert_allclose(p.data, expected, rtol=1e-14)
@@ -87,38 +85,38 @@ class TestAdamW:
     def test_decoupled_decay_applies_even_with_zero_gradient(self):
         p = Tensor(np.array([2.0]), requires_grad=True)
         p.grad = np.zeros(1)
-        opt = AdamW({"p": p}, lr=0.1, weight_decay=0.01)
-        opt.step()
+        opt = AdamW({"p": p}, weight_decay=0.01)
+        opt.step(0.1)
         np.testing.assert_allclose(p.data, [2.0 - 0.1 * 0.01 * 2.0], rtol=1e-14)
 
     def test_zero_gradient_zero_decay_is_identity(self):
         p = Tensor(np.array([1.5]), requires_grad=True)
         p.grad = np.zeros(1)
-        opt = AdamW({"p": p}, lr=0.1, weight_decay=0.0)
-        opt.step()
+        opt = AdamW({"p": p}, weight_decay=0.0)
+        opt.step(0.1)
         assert p.data.tolist() == [1.5]
 
     def test_missing_gradient_counts_as_zero(self):
         p = Tensor(np.array([1.5]), requires_grad=True)
-        opt = AdamW({"p": p}, lr=0.1, weight_decay=0.0)
-        opt.step()
+        opt = AdamW({"p": p}, weight_decay=0.0)
+        opt.step(0.1)
         assert p.data.tolist() == [1.5]
 
     def test_constant_gradient_approaches_signed_rate(self):
         p = Tensor(np.array([0.0]), requires_grad=True)
-        opt = AdamW({"p": p}, lr=0.01, weight_decay=0.0)
+        opt = AdamW({"p": p}, weight_decay=0.0)
         for _ in range(400):
             p.grad = np.array([-3.0])
             before = p.data.copy()
-            opt.step()
+            opt.step(0.01)
         delta = p.data - before
         np.testing.assert_allclose(delta, [0.01], rtol=1e-6)
 
     def test_step_rate_override(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
         p.grad = np.ones(1)
-        opt = AdamW({"p": p}, lr=0.5, weight_decay=0.0)
-        opt.step(lr=0.0)
+        opt = AdamW({"p": p}, weight_decay=0.0)
+        opt.step(0.0)
         assert p.data.tolist() == [1.0]
 
 
@@ -193,7 +191,7 @@ class TestTrainStep:
 
     def test_zero_rate_freezes_model(self, toy_model, toy_vocab):
         encoded = encode_triples(TOY_TRIPLES, toy_vocab, 16, 24, 7)
-        opt = AdamW(toy_model.named_parameters())
+        opt = AdamW(toy_model.named_parameters(), weight_decay=0.01)
         a = train_step(toy_model, opt, encoded, 0.0, TrainerConfig())
         b = train_step(toy_model, opt, encoded, 0.0, TrainerConfig())
         assert a["total_loss"] == b["total_loss"]
@@ -201,7 +199,7 @@ class TestTrainStep:
     def test_divergence_names_component(self, toy_model, toy_vocab):
         encoded = encode_triples(TOY_TRIPLES, toy_vocab, 16, 24, 7)
         toy_model.prob_w.data[:] = np.nan
-        opt = AdamW(toy_model.named_parameters())
+        opt = AdamW(toy_model.named_parameters(), weight_decay=0.01)
         with pytest.raises(TrainingDivergedError, match="term_loss"):
             train_step(toy_model, opt, encoded, 1e-3, TrainerConfig())
 
@@ -216,7 +214,7 @@ class TestTrainStep:
         monkeypatch.setattr(trainer, "batch_loss", lambda *a, **k: (loss, metrics))
         toy_model.weight_w.grad = np.full(toy_model.weight_w.data.shape, np.inf)
         before = {n: p.data.copy() for n, p in toy_model.named_parameters().items()}
-        opt = AdamW(toy_model.named_parameters())
+        opt = AdamW(toy_model.named_parameters(), weight_decay=0.01)
         with pytest.raises(TrainingDivergedError, match="gradient norm"):
             train_step(toy_model, opt, encoded, 1e-3, TrainerConfig())
         assert opt.step_count == 0
