@@ -3,11 +3,13 @@
 Qrels rows are `qid 0 docid relevance` (whitespace separated); run rows are
 `qid Q0 docid rank score tag`.  Metrics depend only on ranks and relevance
 membership, so a written-then-reparsed run scores identically to the
-in-memory ranking.
+in-memory ranking.  Relevance and ranks must be canonical integers and
+scores finite, as `write_run` writes them.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
 from pathlib import Path
 
@@ -15,6 +17,15 @@ from .errors import DataFormatError, open_text
 
 Run = dict[str, list[tuple[str, float]]]
 Qrels = dict[str, set[str]]
+
+
+def _canonical_int(text: str) -> int:
+    """`int(text)` for text that `str` of an int writes; ValueError for any
+    other ("01", "+1" and "1_0" would alias 1, 1 and 10)."""
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"{text!r} is not a canonical integer")
+    return value
 
 
 def load_qrels(path: str | Path) -> Qrels:
@@ -32,10 +43,10 @@ def load_qrels(path: str | Path) -> Qrels:
                 )
             qid, _, docid, relevance = parts
             try:
-                rel = int(relevance)
+                rel = _canonical_int(relevance)
             except ValueError as exc:
                 raise DataFormatError(
-                    f"{path}:{lineno}: relevance {relevance!r} is not an integer"
+                    f"{path}:{lineno}: relevance {relevance!r} is not a canonical integer"
                 ) from exc
             if rel > 0:
                 qrels.setdefault(qid, set()).add(docid)
@@ -70,11 +81,14 @@ def load_run(path: str | Path) -> Run:
                 )
             qid, _, docid, rank, score, _ = parts
             try:
-                rows.setdefault(qid, []).append((int(rank), docid, float(score)))
+                position, value = _canonical_int(rank), float(score)
             except ValueError as exc:
                 raise DataFormatError(
                     f"{path}:{lineno}: bad rank or score in {line!r}"
                 ) from exc
+            if not math.isfinite(value):
+                raise DataFormatError(f"{path}:{lineno}: score {score!r} is not finite")
+            rows.setdefault(qid, []).append((position, docid, value))
     run: Run = {}
     for qid, entries in rows.items():
         entries.sort(key=lambda e: e[0])

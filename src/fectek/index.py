@@ -4,9 +4,12 @@
 8-bit impact with a single document-side scale (`max weight / 255`) and sorts
 the nonzero impacts by term into flat CSR arrays: term t's postings are
 `ordinals[offsets[t]:offsets[t + 1]]` and the matching `impacts`, by ascending
-ordinal.  Search accumulates integer impact products over the query's posting
-lists, so top-k results are exact: identical to brute-force scoring of every
-document, with ties broken by ascending ordinal.
+ordinal.  Search merges the query's posting lists with one stable sort of
+their ordinals and sums each document's integer impact products, then sorts
+only the candidates at or above the k-th largest score.  Its cost grows with
+the postings touched, not with the document count, and the top k is exact:
+identical to brute-force scoring of every document, with ties broken by
+ascending ordinal.
 
 On-disk layout (little-endian throughout), magic "FTEK":
 
@@ -286,7 +289,11 @@ def search(
     """Exact top-k by integer impact dot product, ties broken by ordinal.
 
     The query side is quantized with its own scale (max query weight / 255);
-    float scores are the integer scores times both scales.
+    float scores are the integer scores times both scales.  Term ids outside
+    the vocabulary match nothing, but their weights still set that scale.
+    Work is a merge sort of the touched postings plus a sort of the
+    candidates tied with or above the k-th score, so no array is sized by
+    the document count.
     """
     if k <= 0 or not query_weights:
         return []
@@ -303,13 +310,24 @@ def search(
         return []
 
     ordinals = np.concatenate([index.ordinals[span] for span, _ in lists])
+    if not ordinals.size:
+        return []
     products = np.concatenate(
         [index.impacts[span] * query_impact for span, query_impact in lists]
     )
-    candidates, slots = np.unique(ordinals, return_inverse=True)
-    scores = np.zeros(len(candidates), dtype=np.int64)
-    np.add.at(scores, slots, products)
-    top = np.lexsort((candidates, -scores))[:k]
+    # Each list ascends, so a stable sort (timsort) merges the runs; each
+    # candidate's score is then the sum over its run of equal ordinals.
+    order = np.argsort(ordinals, kind="stable")
+    ordinals = ordinals[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordinals[1:] != ordinals[:-1])))
+    candidates = ordinals[starts]
+    scores = np.add.reduceat(products[order], starts)
+    if len(scores) > k:
+        # Everything at or above the k-th largest score, ties at it included.
+        keep = np.flatnonzero(scores >= np.partition(scores, -k)[-k])
+        candidates, scores = candidates[keep], scores[keep]
+    # Candidates ascend, so a stable sort breaks score ties by ordinal.
+    top = np.argsort(-scores, kind="stable")[:k]
     return [
         SearchHit(
             docid=index.docids[ordinal],

@@ -431,6 +431,30 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "row, fault",
+        [
+            pytest.param("q1 Q0 d2 2 nan t", "score 'nan' is not finite", id="nan-score"),
+            pytest.param("q1 Q0 d2 2 inf t", "score 'inf' is not finite", id="inf-score"),
+            pytest.param("q1 Q0 d2 02 1.0 t", "bad rank or score", id="rank-02"),
+        ],
+    )
+    def test_bad_run_row_is_4(self, tmp_path, row, fault):
+        run, qrels = tmp_path / "run.tsv", tmp_path / "qrels.tsv"
+        run.write_text(f"q1 Q0 d1 1 2.0 t\n{row}\n")
+        qrels.write_text("q1 0 d1 1\n")
+        code, _, err = run_cli("evaluate", "--run", str(run), "--qrels", str(qrels))
+        assert code == 4
+        assert f"run.tsv:2: {fault}" in err
+
+    def test_non_canonical_relevance_is_4(self, tmp_path):
+        run, qrels = tmp_path / "run.tsv", tmp_path / "qrels.tsv"
+        run.write_text("q1 Q0 d1 1 2.0 t\n")
+        qrels.write_text("q1 0 d1 1_0\n")
+        code, _, err = run_cli("evaluate", "--run", str(run), "--qrels", str(qrels))
+        assert code == 4
+        assert "qrels.tsv:1: relevance '1_0' is not a canonical integer" in err
+
+    @pytest.mark.parametrize(
         "weights, fault",
         [
             pytest.param('{"7": -1.0}', "weight -1.0 for term 7", id="negative"),

@@ -95,6 +95,14 @@ class TestQrelsFile:
         with pytest.raises(DataFormatError, match="relevance"):
             load_qrels(path)
 
+    # Each would alias a positive relevance (10, 1, 1) that int() accepts.
+    @pytest.mark.parametrize("relevance", ["1_0", "+1", "01"])
+    def test_non_canonical_relevance_rejected(self, tmp_path, relevance):
+        path = tmp_path / "qrels.tsv"
+        path.write_text(f"q1 0 d1 1\nq1 0 d2 {relevance}\n")
+        with pytest.raises(DataFormatError, match="qrels.tsv:2: relevance .* not a canonical"):
+            load_qrels(path)
+
     def test_all_negative_rows_rejected(self, tmp_path):
         path = tmp_path / "qrels.tsv"
         path.write_text("q1 0 d1 0\n")
@@ -137,6 +145,21 @@ class TestRunFile:
         path = tmp_path / "run.tsv"
         path.write_text("q1 Q0 d1 first 1.0 tag\n")
         with pytest.raises(DataFormatError, match="bad rank or score"):
+            load_run(path)
+
+    # Each would alias rank 2, so the ranks would otherwise read 1..2.
+    @pytest.mark.parametrize("rank", ["0_2", "+2", "02"])
+    def test_non_canonical_rank_rejected(self, tmp_path, rank):
+        path = tmp_path / "run.tsv"
+        path.write_text(f"q1 Q0 d1 1 2.0 tag\nq1 Q0 d2 {rank} 1.0 tag\n")
+        with pytest.raises(DataFormatError, match="run.tsv:2: bad rank or score"):
+            load_run(path)
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "Infinity"])
+    def test_non_finite_score_rejected(self, tmp_path, score):
+        path = tmp_path / "run.tsv"
+        path.write_text(f"q1 Q0 d1 1 2.0 tag\nq1 Q0 d2 2 {score} tag\n")
+        with pytest.raises(DataFormatError, match=f"run.tsv:2: score '{score}' is not finite"):
             load_run(path)
 
     def test_non_contiguous_ranks_rejected(self, tmp_path):

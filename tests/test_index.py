@@ -192,6 +192,21 @@ def build_from(rows, vocab_size):
     return InvertedIndex.build(rows, vocab_size)
 
 
+def zipf_terms(rng, vocab_size, size):
+    """Distinct term ids, rank r drawn with weight 1 / (r + 2)."""
+    p = 1.0 / (np.arange(vocab_size) + 2.0)
+    return rng.choice(vocab_size, size=size, replace=False, p=p / p.sum())
+
+
+def zipf_corpus(rng, docs, vocab_size, levels):
+    """Documents of 10..30 Zipf-drawn terms, each weight one of `levels`."""
+    rows = []
+    for d in range(docs):
+        terms = zipf_terms(rng, vocab_size, int(rng.integers(10, 31)))
+        rows.append((f"doc{d:04d}", {int(t): float(rng.choice(levels)) for t in terms}))
+    return rows
+
+
 class TestQuantization:
     def test_max_weight_maps_to_top_level(self):
         step = quantization_step(7.5)
@@ -762,6 +777,39 @@ class TestSearch:
             assert [(d, s) for d, s, _ in got] == [(d, s) for d, s, _ in want]
             for (_, _, gv), (_, _, wv) in zip(got, want):
                 assert gv == pytest.approx(wv, rel=1e-12)
+
+    def test_matches_brute_force_at_index_scale(self):
+        # Thousands of candidates per query, and so few weight levels that
+        # many documents share the k-th score: the top k is cut inside a tie.
+        rng = np.random.default_rng(7)
+        vocab_size, k = 400, 10
+        index = build_from(zipf_corpus(rng, 2000, vocab_size, TIED_LEVELS), vocab_size)
+        cut_inside_a_tie = 0
+        for _ in range(12):
+            query = {
+                int(t): float(rng.choice(TIED_LEVELS[1:]))
+                for t in zipf_terms(rng, vocab_size, 8)
+            }
+            ranked = brute_force(index, query, index.doc_count)
+            assert len(ranked) > 50 * k
+            scores = [score for _, score, _ in ranked]
+            cut_inside_a_tie += scores[k - 1] == scores[k]
+            for top in (1, k, 100):
+                got = [(h.docid, h.score, h.value) for h in search(index, query, top)]
+                assert [(d, s) for d, s, _ in got] == [(d, s) for d, s, _ in ranked[:top]]
+                for (_, _, gv), (_, _, wv) in zip(got, ranked):
+                    assert gv == pytest.approx(wv, rel=1e-12)
+        assert cut_inside_a_tie >= 6
+
+    @pytest.mark.parametrize("stray", [-1, 4, 2**70])
+    def test_out_of_vocabulary_terms_are_skipped_but_set_the_query_step(self, stray):
+        index = build_from([("a", {1: 2.0}), ("b", {1: 1.0, 3: 2.0})], 4)
+        assert search(index, {stray: 2.0}, 10) == []
+        # The stray weight 2.0 sets the query step 2/255: term 1 at 1.0 is
+        # impact 128, not the 255 it has alone.
+        hits = search(index, {1: 1.0, stray: 2.0}, 10)
+        assert [(h.docid, h.score) for h in hits] == [("a", 255 * 128), ("b", 128 * 128)]
+        assert hits[0].value == 255 * 128 * quantization_step(2.0) * index.scale
 
     def test_integer_scores_are_exact_sums(self):
         rows = [("a", {1: 2.0, 2: 1.0}), ("b", {1: 1.0})]
