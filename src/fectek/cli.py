@@ -15,7 +15,7 @@ from pathlib import Path
 from . import index as findex  # via the module, so a replaced index.search is used
 from .encoder import EncoderConfig
 from .errors import CorruptFileError, DataFormatError, TrainingDivergedError, open_text
-from .evaluation import load_qrels, load_run, mrr_at_k, recall_at_k, write_run
+from .evaluation import canonical_int, load_qrels, load_run, mrr_at_k, recall_at_k, write_run
 from .gradcheck import DEFAULT_EPS, DEFAULT_TOLERANCE, run_gradient_check
 from .index import InvertedIndex
 from .model import AGGREGATIONS, FecTekModel, load_model
@@ -51,8 +51,24 @@ def _read_tsv_pairs(path: str | Path, what: str) -> list[tuple[str, str]]:
     return rows
 
 
+class _TermIds(dict):
+    """Term id of each key string found canonical; a new key is checked once,
+    on its first lookup, and a non-canonical one raises ValueError."""
+
+    def __missing__(self, key: str) -> int:
+        self[key] = term = canonical_int(key)
+        return term
+
+
 def _iter_weight_stream(path: str | Path):
-    """Yield (docid, {term_id: weight}) rows from an encoded-weights file."""
+    """Yield (docid, term ids, weights) rows from an encoded-weights file.
+
+    A row whose keys are canonical and whose values are all floats passes
+    with no per-key Python: its keys map through `_TermIds` and one set of
+    value types is checked.  Any other row takes the per-key walk, which
+    names its first bad key or value, or turns its integer weights to floats.
+    """
+    terms_of = _TermIds()
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -70,27 +86,33 @@ def _iter_weight_stream(path: str | Path):
                 raise DataFormatError(
                     f"{path}:{lineno}: expected {{'docid': str, 'weights': {{...}}}}"
                 )
-            weights: dict[int, float] = {}
-            for key, value in row["weights"].items():
-                try:
-                    term = int(key)
-                except ValueError:
-                    term = None
-                if key != str(term):  # "07", " 7", "+7" and "0_7" would alias term 7
-                    raise DataFormatError(
-                        f"{path}:{lineno}: term id {key!r} is not a canonical integer"
-                    )
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    raise DataFormatError(
-                        f"{path}:{lineno}: weight for term {key} is not a number"
-                    )
-                try:
-                    weights[term] = float(value)
-                except OverflowError as exc:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: weight for term {key} is too large"
-                    ) from exc
-            yield row["docid"], weights
+            raw = row["weights"]
+            weights = raw.values()
+            try:
+                terms = list(map(terms_of.__getitem__, raw))
+            except ValueError:
+                terms = None
+            if terms is None or not set(map(type, weights)) <= {float}:
+                terms, weights = [], []
+                for key, value in raw.items():
+                    try:  # "07", " 7", "+7" and "0_7" would alias term 7
+                        term = canonical_int(key)
+                    except ValueError as exc:
+                        raise DataFormatError(
+                            f"{path}:{lineno}: term id {key!r} is not a canonical integer"
+                        ) from exc
+                    if not isinstance(value, (int, float)) or isinstance(value, bool):
+                        raise DataFormatError(
+                            f"{path}:{lineno}: weight for term {key} is not a number"
+                        )
+                    try:
+                        weights.append(float(value))
+                    except OverflowError as exc:
+                        raise DataFormatError(
+                            f"{path}:{lineno}: weight for term {key} is too large"
+                        ) from exc
+                    terms.append(term)
+            yield row["docid"], terms, weights
 
 
 def _config(cls, args: argparse.Namespace):
@@ -304,7 +326,8 @@ def cmd_ablation(args: argparse.Namespace) -> int:
         run_config = replace(trainer_config, enable_term_loss=use_guidance)
         train(model, triples, vocab, run_config, run_dir, {"ablation": name})
         weights = _weigh(model, vocab, [text for _, text in corpus_rows], config.max_passage_len)
-        index = InvertedIndex.build(zip((docid for docid, _ in corpus_rows), weights), len(vocab))
+        stream = ((docid, w, w.values()) for (docid, _), w in zip(corpus_rows, weights))
+        index = InvertedIndex.build(stream, len(vocab))
         mrr = mrr_at_k(_rank(model, vocab, index, queries, 10), qrels, k=10)
         rows.append({"config": name, "fcm": use_gate, "tkgm": use_guidance, "mrr@10": mrr})
 

@@ -3,8 +3,8 @@
 Qrels rows are `qid 0 docid relevance` (whitespace separated); run rows are
 `qid Q0 docid rank score tag`.  Metrics depend only on ranks and relevance
 membership, so a written-then-reparsed run scores identically to the
-in-memory ranking.  Relevance and ranks must be canonical integers and
-scores finite, as `write_run` writes them.
+in-memory ranking.  Relevance and ranks must be canonical integers, scores
+finite and each docid ranked once per query, as `write_run` writes them.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ Run = dict[str, list[tuple[str, float]]]
 Qrels = dict[str, set[str]]
 
 
-def _canonical_int(text: str) -> int:
+def canonical_int(text: str) -> int:
     """`int(text)` for text that `str` of an int writes; ValueError for any
     other ("01", "+1" and "1_0" would alias 1, 1 and 10)."""
     value = int(text)
@@ -43,7 +43,7 @@ def load_qrels(path: str | Path) -> Qrels:
                 )
             qid, _, docid, relevance = parts
             try:
-                rel = _canonical_int(relevance)
+                rel = canonical_int(relevance)
             except ValueError as exc:
                 raise DataFormatError(
                     f"{path}:{lineno}: relevance {relevance!r} is not a canonical integer"
@@ -68,6 +68,7 @@ def write_run(
 def load_run(path: str | Path) -> Run:
     """Parse a run file back into ranked (docid, score) lists per query."""
     rows: dict[str, list[tuple[int, str, float]]] = {}
+    seen: set[tuple[str, str]] = set()
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -81,13 +82,18 @@ def load_run(path: str | Path) -> Run:
                 )
             qid, _, docid, rank, score, _ = parts
             try:
-                position, value = _canonical_int(rank), float(score)
+                position, value = canonical_int(rank), float(score)
             except ValueError as exc:
                 raise DataFormatError(
                     f"{path}:{lineno}: bad rank or score in {line!r}"
                 ) from exc
             if not math.isfinite(value):
                 raise DataFormatError(f"{path}:{lineno}: score {score!r} is not finite")
+            if (qid, docid) in seen:
+                raise DataFormatError(
+                    f"{path}:{lineno}: docid {docid!r} appears twice for query {qid!r}"
+                )
+            seen.add((qid, docid))
             rows.setdefault(qid, []).append((position, docid, value))
     run: Run = {}
     for qid, entries in rows.items():

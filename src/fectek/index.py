@@ -1,10 +1,12 @@
 """Impact-quantized inverted index with exact score-at-a-time search.
 
-`InvertedIndex.build` reads the weight stream once, maps every weight to an
-8-bit impact with a single document-side scale (`max weight / 255`) and sorts
-the nonzero impacts by term into flat CSR arrays: term t's postings are
-`ordinals[offsets[t]:offsets[t + 1]]` and the matching `impacts`, by ascending
-ordinal.  Search merges the query's posting lists with one stable sort of
+`InvertedIndex.build` reads the weight stream of (docid, term ids, weights)
+rows once, extending flat columns with no per-posting Python.  It then checks
+every term id and weight in one vectorized pass, maps every weight to an 8-bit
+impact with a single document-side scale (`max weight / 255`) and stably
+sorts the nonzero impacts by term (a radix sort up to 65,536 ids) into flat
+CSR arrays: term t's postings are `ordinals[offsets[t]:offsets[t + 1]]` and
+the matching `impacts`, by ascending ordinal.  Search merges the query's posting lists with one stable sort of
 their ordinals and sums each document's integer impact products, then sorts
 only the candidates at or above the k-th largest score.  Its cost grows with
 the postings touched, not with the document count, and the top k is exact:
@@ -42,7 +44,8 @@ VERSION = 2
 LEVELS = 256
 _HEADER = struct.Struct("<4sIQQd")
 
-WeightStream = Iterable[tuple[str, dict[int, float]]]
+# (docid, term ids, weights) rows; each row's two columns have equal length.
+WeightStream = Iterable[tuple[str, Iterable[int], Iterable[float]]]
 
 
 # -- varint codec -------------------------------------------------------------
@@ -112,6 +115,22 @@ def quantize_weights(weights: dict[int, float], step: float) -> dict[int, int]:
 # -- index ----------------------------------------------------------------------
 
 
+def _reject_terms(docid: str, terms: Iterable[int], vocab_size: int) -> None:
+    """Raise for the smallest of a row's term ids outside the vocabulary."""
+    term = min(t for t in map(int, terms) if not 0 <= t < vocab_size)
+    raise DataFormatError(
+        f"docid {docid!r}: term id {term} outside vocabulary of size {vocab_size}"
+    )
+
+
+def _first_postings(offsets: np.ndarray) -> np.ndarray:
+    """Mask of the postings that open a term's list (an ordinal, not a gap)."""
+    starts = offsets[:-1]
+    first = np.zeros(int(offsets[-1]), dtype=bool)
+    first[starts[starts < offsets[1:]]] = True
+    return first
+
+
 @dataclass
 class SearchHit:
     """One ranked document: exact integer score plus its float image."""
@@ -143,31 +162,38 @@ class InvertedIndex:
 
     @classmethod
     def build(cls, stream: WeightStream, vocab_size: int) -> "InvertedIndex":
-        """One pass over the weight stream, then one quantization with the
-        global maximum weight and a stable sort of the postings by term."""
+        """One pass over the weight stream that only appends each row to flat
+        columns, then vectorized checks, one quantization with the global
+        maximum weight and a stable (radix) sort of the postings by term."""
         if vocab_size <= 0:
             raise ValueError("vocab_size must be positive")
         docids: list[str] = []
         seen: set[str] = set()
         lengths, terms, weights = array("q"), array("q"), array("d")
-        for docid, row in stream:
+        for docid, row_terms, row_weights in stream:
             if docid in seen:
                 raise DataFormatError(f"duplicate docid {docid!r} in weight stream")
             seen.add(docid)
             docids.append(docid)
-            if row and not (0 <= min(row) and max(row) < vocab_size):
-                term = next(t for t in sorted(row) if not 0 <= t < vocab_size)
-                raise DataFormatError(
-                    f"docid {docid!r}: term id {term} outside vocabulary of size {vocab_size}"
-                )
-            lengths.append(len(row))
-            terms.extend(row.keys())
-            weights.extend(row.values())
+            lengths.append(len(row_terms))
+            try:
+                terms.extend(row_terms)
+            except OverflowError:  # beyond int64, so outside any vocabulary
+                _reject_terms(docid, row_terms, vocab_size)
+            weights.extend(row_weights)
         term_ids = np.frombuffer(terms, dtype=np.int64)
         values = np.frombuffer(weights, dtype=np.float64)
+        if len(term_ids) != len(values):
+            raise ValueError("every row needs as many weights as term ids")
+        ends = np.cumsum(lengths)
+        bad = np.flatnonzero((term_ids < 0) | (term_ids >= vocab_size))
+        if bad.size:
+            doc = int(np.searchsorted(ends, bad[0], side="right"))
+            row = term_ids[ends[doc] - lengths[doc] : ends[doc]]
+            _reject_terms(docids[doc], row, vocab_size)
         bad = np.flatnonzero(~((values >= 0.0) & (values < math.inf)))
         if bad.size:
-            doc = int(np.searchsorted(np.cumsum(lengths), bad[0], side="right"))
+            doc = int(np.searchsorted(ends, bad[0], side="right"))
             raise DataFormatError(
                 f"docid {docids[doc]!r}: weight {float(values[bad[0]])} for term "
                 f"{int(term_ids[bad[0]])} is negative or not finite"
@@ -176,14 +202,16 @@ class InvertedIndex:
         impacts = quantize_value(values, step)
         ordinals = np.repeat(np.arange(len(docids)), lengths)
         kept = np.flatnonzero(impacts > 0)
-        kept = kept[np.argsort(term_ids[kept], kind="stable")]
+        # Ids below vocab_size fit its smallest dtype: a radix sort up to 16 bits.
+        narrow = term_ids[kept].astype(np.min_scalar_type(vocab_size))
+        kept = kept[np.argsort(narrow, kind="stable")]
         offsets = np.searchsorted(term_ids[kept], np.arange(vocab_size + 1))
         return cls(step, docids, offsets, ordinals[kept], impacts[kept])
 
     # -- persistence ----
 
     def save(self, path: str | Path) -> None:
-        first = np.isin(np.arange(len(self.ordinals)), self.offsets)
+        first = _first_postings(self.offsets)
         gaps = np.where(first, self.ordinals, np.diff(self.ordinals, prepend=0))
         bad = np.flatnonzero(~first & (gaps <= 0))
         if bad.size:
@@ -251,7 +279,7 @@ class InvertedIndex:
             trailing = len(blob) - bounds[-1]
             raise CorruptFileError(f"{trailing} trailing bytes after docid table")
 
-        first = np.isin(np.arange(count), offsets)
+        first = _first_postings(offsets)
         bad = np.flatnonzero(~first & (gaps == 0))
         if bad.size:
             raise CorruptFileError(f"term {term_of(bad[0])} postings not strictly increasing")

@@ -86,7 +86,8 @@ def pipeline(tmp_path_factory) -> Pipeline:
     train(model, triples, vocab, trainer_config, tmp_path_factory.mktemp("synth-run"))
 
     passages = model.weigh([vocab.encode(text, config.max_passage_len) for _, text in data.corpus])
-    index = InvertedIndex.build(zip([docid for docid, _ in data.corpus], passages), len(vocab))
+    stream = ((docid, w, w.values()) for (docid, _), w in zip(data.corpus, passages))
+    index = InvertedIndex.build(stream, len(vocab))
     queries = model.weigh([vocab.encode(text, config.max_query_len) for _, text in data.queries])
     query_weights = {qid: weights for (qid, _), weights in zip(data.queries, queries)}
     hits = {qid: search(index, weights, 10) for qid, weights in query_weights.items()}
@@ -332,9 +333,8 @@ def build_small_index() -> InvertedIndex:
     rows = []
     for d in range(30):
         chosen = rng.choice(20, size=6, replace=False)
-        rows.append(
-            (f"doc{d:03d}", {int(t): float(rng.uniform(0.1, 5.0)) for t in chosen})
-        )
+        weights = [float(rng.uniform(0.1, 5.0)) for _ in chosen]
+        rows.append((f"doc{d:03d}", chosen.tolist(), weights))
     return InvertedIndex.build(rows, 20)
 
 

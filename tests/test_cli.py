@@ -436,6 +436,9 @@ class TestExitCodes:
             pytest.param("q1 Q0 d2 2 nan t", "score 'nan' is not finite", id="nan-score"),
             pytest.param("q1 Q0 d2 2 inf t", "score 'inf' is not finite", id="inf-score"),
             pytest.param("q1 Q0 d2 02 1.0 t", "bad rank or score", id="rank-02"),
+            pytest.param(
+                "q1 Q0 d1 2 1.0 t", "docid 'd1' appears twice for query 'q1'", id="repeated-docid"
+            ),
         ],
     )
     def test_bad_run_row_is_4(self, tmp_path, row, fault):
@@ -648,7 +651,7 @@ class TestExitCodes:
     def test_index_vocabulary_size_mismatch_is_4(self, workspace, tmp_path):
         vocab_size = len(Vocabulary.load(workspace["vocab"]))
         other = tmp_path / "other.ftek"
-        InvertedIndex.build(iter([("d1", {5: 1.0})]), vocab_size + 1).save(other)
+        InvertedIndex.build(iter([("d1", [5], [1.0])]), vocab_size + 1).save(other)
         out = tmp_path / "run.tsv"
         code, _, err = run_cli(
             "search",

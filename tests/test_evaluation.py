@@ -162,6 +162,14 @@ class TestRunFile:
         with pytest.raises(DataFormatError, match=f"run.tsv:2: score '{score}' is not finite"):
             load_run(path)
 
+    def test_repeated_docid_within_a_query_rejected(self, tmp_path):
+        path = tmp_path / "run.tsv"
+        path.write_text("q1 Q0 d1 1 2.0 tag\nq2 Q0 d1 1 2.0 tag\nq1 Q0 d1 2 1.0 tag\n")
+        with pytest.raises(
+            DataFormatError, match="run.tsv:3: docid 'd1' appears twice for query 'q1'"
+        ):
+            load_run(path)
+
     def test_non_contiguous_ranks_rejected(self, tmp_path):
         path = tmp_path / "run.tsv"
         path.write_text("q1 Q0 d1 1 2.0 tag\nq1 Q0 d2 3 1.0 tag\n")

@@ -16,6 +16,7 @@ from fectek.index import (
     InvertedIndex,
     _decode_varints,
     _encode_varints,
+    _first_postings,
     quantization_step,
     quantize_value,
     quantize_weights,
@@ -189,7 +190,8 @@ def random_corpus(rng, docs, terms, density=0.3, max_weight=4.0):
 
 
 def build_from(rows, vocab_size):
-    return InvertedIndex.build(rows, vocab_size)
+    """Build from (docid, {term: weight}) rows."""
+    return InvertedIndex.build(((d, w, w.values()) for d, w in rows), vocab_size)
 
 
 def zipf_terms(rng, vocab_size, size):
@@ -334,6 +336,12 @@ class TestBuild:
 
 
 class TestPersistence:
+    @given(st.lists(st.integers(0, 4), max_size=12))
+    def test_first_postings_are_the_offsets_of_nonempty_terms(self, sizes):
+        offsets = np.cumsum([0, *sizes])
+        expected = np.isin(np.arange(offsets[-1]), offsets)
+        assert np.array_equal(_first_postings(offsets), expected)
+
     def test_round_trip(self, tmp_path, rng):
         rows = random_corpus(rng, docs=20, terms=12)
         index = build_from(rows, 12)
