@@ -85,6 +85,16 @@ class EncodedBatch:
         return len(self.token_ids)
 
 
+def normal(rng: np.random.Generator, shape: tuple[int, ...]) -> Tensor:
+    """A trainable parameter of N(0, INIT_STD^2) draws from `rng`."""
+    return Tensor(rng.normal(0.0, INIT_STD, size=shape), requires_grad=True)
+
+
+def constant(value: float, *shape: int) -> Tensor:
+    """A trainable parameter filled with `value`."""
+    return Tensor(np.full(shape, value), requires_grad=True)
+
+
 class ContextEncoder:
     """Token + position embeddings followed by `layers` transformer blocks."""
 
@@ -93,45 +103,27 @@ class ContextEncoder:
             raise ValueError(f"vocab_size must cover the reserved ids, got {vocab_size}")
         self.config = config
         self.vocab_size = vocab_size
-        self._rng = rng
-        self.params: dict[str, Tensor] = {}
-        self._init_parameters()
-
-    # Parameter creation order is fixed, so one seed pins every weight.
-    def _normal(self, name: str, shape: tuple[int, ...]) -> None:
-        self.params[name] = Tensor(
-            self._rng.normal(0.0, INIT_STD, size=shape), requires_grad=True
-        )
-
-    def _zeros(self, name: str, shape: tuple[int, ...]) -> None:
-        self.params[name] = Tensor(np.zeros(shape), requires_grad=True)
-
-    def _ones(self, name: str, shape: tuple[int, ...]) -> None:
-        self.params[name] = Tensor(np.ones(shape), requires_grad=True)
-
-    def _init_parameters(self) -> None:
-        cfg = self.config
-        d = cfg.dim
-        self._normal("embeddings.token", (self.vocab_size, d))
-        self._normal("embeddings.position", (cfg.max_len, d))
-        self._ones("embeddings.norm.gain", (d,))
-        self._zeros("embeddings.norm.bias", (d,))
-        hidden = d * cfg.ffn_multiplier
-        for i in range(cfg.layers):
+        d = config.dim
+        hidden = d * config.ffn_multiplier
+        # Parameter creation order is fixed, so one seed pins every weight.
+        p = self.params = {
+            "embeddings.token": normal(rng, (vocab_size, d)),
+            "embeddings.position": normal(rng, (config.max_len, d)),
+            "embeddings.norm.gain": constant(1.0, d),
+            "embeddings.norm.bias": constant(0.0, d),
+        }
+        for i in range(config.layers):
             for part in ("query", "key", "value", "output"):
-                self._normal(f"layers.{i}.attn.{part}.weight", (d, d))
-                self._zeros(f"layers.{i}.attn.{part}.bias", (d,))
-            self._ones(f"layers.{i}.norm1.gain", (d,))
-            self._zeros(f"layers.{i}.norm1.bias", (d,))
-            self._normal(f"layers.{i}.ffn.expand.weight", (d, hidden))
-            self._zeros(f"layers.{i}.ffn.expand.bias", (hidden,))
-            self._normal(f"layers.{i}.ffn.contract.weight", (hidden, d))
-            self._zeros(f"layers.{i}.ffn.contract.bias", (d,))
-            self._ones(f"layers.{i}.norm2.gain", (d,))
-            self._zeros(f"layers.{i}.norm2.bias", (d,))
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        return dict(self.params)
+                p[f"layers.{i}.attn.{part}.weight"] = normal(rng, (d, d))
+                p[f"layers.{i}.attn.{part}.bias"] = constant(0.0, d)
+            p[f"layers.{i}.norm1.gain"] = constant(1.0, d)
+            p[f"layers.{i}.norm1.bias"] = constant(0.0, d)
+            p[f"layers.{i}.ffn.expand.weight"] = normal(rng, (d, hidden))
+            p[f"layers.{i}.ffn.expand.bias"] = constant(0.0, hidden)
+            p[f"layers.{i}.ffn.contract.weight"] = normal(rng, (hidden, d))
+            p[f"layers.{i}.ffn.contract.bias"] = constant(0.0, d)
+            p[f"layers.{i}.norm2.gain"] = constant(1.0, d)
+            p[f"layers.{i}.norm2.bias"] = constant(0.0, d)
 
     def forward(self, batch: Sequence[Sequence[int]]) -> EncodedBatch:
         """Encode a batch of id sequences, each padded with [PAD] to the longest.

@@ -27,7 +27,7 @@ import numpy as np
 from . import autograd as ag
 from . import checkpoint as ckpt
 from .autograd import Tensor
-from .encoder import INIT_STD, ContextEncoder, EncodedBatch, EncoderConfig
+from .encoder import ContextEncoder, EncodedBatch, EncoderConfig, constant, normal
 from .errors import CorruptFileError, ShapeError
 from .tokenizer import SPECIAL_IDS
 
@@ -145,18 +145,10 @@ class FeatureContextGate:
         self.dim = dim
         self.bottleneck = max(1, dim // 16)
         self.params = {
-            "feature_gate.squeeze.weight": Tensor(
-                rng.normal(0.0, INIT_STD, size=(dim, self.bottleneck)),
-                requires_grad=True,
-            ),
-            "feature_gate.squeeze.bias": Tensor(
-                np.zeros(self.bottleneck), requires_grad=True
-            ),
-            "feature_gate.excite.weight": Tensor(
-                rng.normal(0.0, INIT_STD, size=(self.bottleneck, dim)),
-                requires_grad=True,
-            ),
-            "feature_gate.excite.bias": Tensor(np.zeros(dim), requires_grad=True),
+            "feature_gate.squeeze.weight": normal(rng, (dim, self.bottleneck)),
+            "feature_gate.squeeze.bias": constant(0.0, self.bottleneck),
+            "feature_gate.excite.weight": normal(rng, (self.bottleneck, dim)),
+            "feature_gate.excite.bias": constant(0.0, dim),
         }
 
     def gate_vector(self, hidden: Tensor, real_mask: np.ndarray) -> Tensor:
@@ -207,19 +199,21 @@ class FecTekModel:
         self.encoder = ContextEncoder(vocab_size, self.config, rng=rng)
         self.feature_gate = FeatureContextGate(self.config.dim, rng)
         d = self.config.dim
-        self.weight_w = Tensor(rng.normal(0.0, INIT_STD, size=(d,)), requires_grad=True)
-        self.weight_b = Tensor(0.0, requires_grad=True)
-        self.prob_w = Tensor(rng.normal(0.0, INIT_STD, size=(d,)), requires_grad=True)
-        self.prob_b = Tensor(0.0, requires_grad=True)
+        self.weight_w = normal(rng, (d,))
+        self.weight_b = constant(0.0)
+        self.prob_w = normal(rng, (d,))
+        self.prob_b = constant(0.0)
 
     def named_parameters(self) -> dict[str, Tensor]:
-        params = dict(self.encoder.named_parameters())
-        params.update(self.feature_gate.params)
-        params["weight_head.weight"] = self.weight_w
-        params["weight_head.bias"] = self.weight_b
-        params["prob_head.weight"] = self.prob_w
-        params["prob_head.bias"] = self.prob_b
-        return params
+        """Every parameter by checkpoint entry name, in creation order."""
+        return {
+            **self.encoder.params,
+            **self.feature_gate.params,
+            "weight_head.weight": self.weight_w,
+            "weight_head.bias": self.weight_b,
+            "prob_head.weight": self.prob_w,
+            "prob_head.bias": self.prob_b,
+        }
 
     def zero_grad(self) -> None:
         for p in self.named_parameters().values():

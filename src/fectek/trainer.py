@@ -101,10 +101,6 @@ class AdamW:
         self._m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
         self._v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
 
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
-
     def step(self, rate: float) -> None:
         """Apply one update at `rate`; a missing gradient counts as zero."""
         self.step_count += 1
@@ -215,7 +211,7 @@ def train_step(
     if not math.isfinite(grad_norm):
         raise TrainingDivergedError(f"non-finite gradient norm ({grad_norm}) in training step")
     optimizer.step(lr)
-    optimizer.zero_grad()
+    model.zero_grad()
     metrics["grad_norm"] = grad_norm
     metrics["lr"] = lr
     return metrics

@@ -138,6 +138,42 @@ class TestFaultInjection:
             load_tensors(path)
 
 
+# Byte spans of {"w": [2, 3], "t": [2, 1, 2]}: magic 0-4, header 4-12, then
+# "w" at 12-80 and "t" at 80-140 (name length 2 bytes, name 1, rank 1,
+# dims 8 per axis, payload 8 per value).  Each cut ends inside one field.
+@pytest.mark.parametrize(
+    "cut, field",
+    [
+        (2, "magic"),
+        (9, "header"),
+        (81, "entry 1 name length"),
+        (82, "entry 1 name"),
+        (83, "entry 't' rank"),
+        (96, "entry 't' dims"),
+        (130, "entry 't' payload"),
+    ],
+)
+def test_truncation_names_the_field(tmp_path, rng, cut, field):
+    path = tmp_path / "t.ftck"
+    save_tensors(path, {"w": rng.normal(size=(2, 3)), "t": rng.normal(size=(2, 1, 2))})
+    blob = path.read_bytes()
+    assert len(blob) == 140
+    path.write_bytes(blob[:cut])
+    with pytest.raises(CorruptFileError) as info:
+        load_tensors(path)
+    assert str(info.value) == f"{path}: truncated while reading {field}"
+
+
+def test_dims_past_any_memory_report_a_truncated_payload(tmp_path):
+    path = tmp_path / "t.ftck"
+    blob = MAGIC + struct.pack("<II", VERSION, 1)
+    blob += struct.pack("<H", 1) + b"w" + struct.pack("<B2Q", 2, 2**40, 2**40)
+    path.write_bytes(blob)
+    with pytest.raises(CorruptFileError) as info:
+        load_tensors(path)
+    assert str(info.value) == f"{path}: truncated while reading entry 'w' payload"
+
+
 @given(
     st.lists(
         st.tuples(

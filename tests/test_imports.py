@@ -1,7 +1,8 @@
-"""Every module of the package reads each name it imports.
+"""Every module of the package reads each name it imports, and every
+function and class the package defines is named somewhere in it.
 
-An AST walk, so the check needs no linter: a name bound by an import must
-be read somewhere in its module, or be re-exported through `__all__`.
+AST walks, so the checks need no linter: a name bound by an import must be
+read somewhere in its module, or be re-exported through `__all__`.
 """
 
 import ast
@@ -53,3 +54,57 @@ def test_checker_flags_unused_and_keeps_read_or_exported_names():
     )
     assert unused_imports(source) == ["SE (line 4)"]
     assert unused_imports("from collections.abc import Sequence\n") == ["Sequence (line 1)"]
+
+
+# Defined in the package but named only outside it.
+UNREFERENCED_OK = {
+    "TermWeights.as_dict": "perfbench/workloads.py calls it (ROADMAP item 5)",
+    "FecTekModel.encode_ids": "perfbench/workloads.py calls it (ROADMAP item 5)",
+}
+
+
+def unreferenced_definitions(sources: list[str]) -> list[str]:
+    """Functions, classes and methods of `sources` (dunders aside) whose name
+    no `Name`, `Attribute` or import alias in any of them mentions."""
+    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    defined: dict[str, str] = {}
+    owners: dict[ast.AST, str] = {}
+    named: set[str] = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                owners.update((child, node.name) for child in node.body)
+            if isinstance(node, definitions):
+                owner = owners.get(node)
+                defined[f"{owner}.{node.name}" if owner else node.name] = node.name
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    return sorted(
+        where
+        for where, name in defined.items()
+        if name not in named and not (name.startswith("__") and name.endswith("__"))
+    )
+
+
+def test_package_names_everything_it_defines():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))]
+    assert unreferenced_definitions(sources) == sorted(UNREFERENCED_OK)
+
+
+def test_dead_code_checker_flags_unnamed_definitions_only():
+    source = (
+        "from .x import helper as h\n"
+        "class Box:\n"
+        "    def __init__(self): self.size = shape()\n"
+        "    def used(self): return h\n"
+        "    def unused(self): pass\n"
+        "def shape(): return Box().used()\n"
+        "def orphan(): pass\n"
+        "def helper(): pass\n"
+        "class Spare: pass\n"
+    )
+    assert unreferenced_definitions([source]) == ["Box.unused", "Spare", "orphan"]
