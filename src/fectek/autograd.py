@@ -262,18 +262,15 @@ def gather(a, indices) -> Tensor:
     return _record(data, (a,), backward, "gather")
 
 
-def scatter(a, columns, width: int, reduce: str) -> Tensor:
-    """Collapse each row's positions into `width` cells.
+def scatter(a, columns, width: int) -> Tensor:
+    """Collapse each row's positions into `width` cells by max.
 
     `a` is [B, n]; `columns[b, i]` names the cell of position i of row b,
     and a negative column drops the position.  The result is [B, width]:
-    each cell holds the max or the sum of its positions' values, and a cell
-    no position reaches is 0.  Under max the gradient goes only to the
-    lowest position holding the cell's maximum; under sum it goes to every
-    position of the cell.
+    each cell holds the max of its positions' values, and a cell no
+    position reaches is 0.  The gradient goes only to the lowest position
+    holding the cell's maximum.
     """
-    if reduce not in ("max", "sum"):
-        raise ValueError(f"unknown reduction {reduce!r}, expected max|sum")
     cols = np.asarray(columns, dtype=np.intp)
     if a.data.ndim != 2 or cols.shape != a.data.shape:
         raise ShapeError(
@@ -287,27 +284,20 @@ def scatter(a, columns, width: int, reduce: str) -> Tensor:
     sources = np.flatnonzero(flat >= 0)
     cells = sources // n * width + flat[sources]
     values = a.data.reshape(-1)[sources]
-    if reduce == "max":
-        data = np.full(rows * width, -np.inf)
-        np.maximum.at(data, cells, values)
-        empty = np.ones(data.size, dtype=bool)
-        empty[cells] = False
-        data[empty] = 0.0
-    else:
-        data = np.zeros(rows * width)
-        np.add.at(data, cells, values)
+    data = np.full(rows * width, -np.inf)
+    np.maximum.at(data, cells, values)
+    empty = np.ones(data.size, dtype=bool)
+    empty[cells] = False
+    data[empty] = 0.0
 
     def backward(g):
-        src, dst = sources, cells
-        if reduce == "max":
-            # The lowest flat position among those equal to their cell's max.
-            at_max = values == data[cells]
-            winner = np.full(data.size, a.data.size)
-            np.minimum.at(winner, cells[at_max], sources[at_max])
-            dst = np.flatnonzero(winner < a.data.size)
-            src = winner[dst]
+        # The lowest flat position among those equal to their cell's max.
+        at_max = values == data[cells]
+        winner = np.full(data.size, a.data.size)
+        np.minimum.at(winner, cells[at_max], sources[at_max])
+        dst = np.flatnonzero(winner < a.data.size)
         grad = np.zeros(a.data.size)
-        grad[src] = g.reshape(-1)[dst]
+        grad[winner[dst]] = g.reshape(-1)[dst]
         _accumulate(a, grad.reshape(a.data.shape))
 
     return _record(data.reshape(rows, width), (a,), backward, "scatter")
@@ -317,25 +307,26 @@ def scatter(a, columns, width: int, reduce: str) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product of [..., m, k] and [..., k, n] operands; leading batch
-    dimensions broadcast as in numpy.  A 1-d operand is a `ShapeError`."""
+    """Matrix product of [..., m, k] and [..., k, n] operands with equal
+    batch dimensions.  A 1-d operand is a `ShapeError`."""
     ad, bd = a.data, b.data
-    if ad.ndim < 2 or bd.ndim < 2 or ad.shape[-1] != bd.shape[-2]:
+    if (
+        ad.ndim < 2
+        or bd.ndim < 2
+        or ad.shape[:-2] != bd.shape[:-2]
+        or ad.shape[-1] != bd.shape[-2]
+    ):
         raise ShapeError(
-            f"matmul needs [..., m, k] x [..., k, n] operands, got {ad.shape} x {bd.shape}"
+            f"matmul needs [..., m, k] x [..., k, n] operands with equal batch "
+            f"dimensions, got {ad.shape} x {bd.shape}"
         )
-    try:
-        data = np.matmul(ad, bd)
-    except ValueError as exc:
-        raise ShapeError(
-            f"matmul: batch dimensions incompatible: {ad.shape} x {bd.shape}"
-        ) from exc
+    data = np.matmul(ad, bd)
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape))
+            _accumulate(a, np.matmul(g, np.swapaxes(bd, -1, -2)))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape))
+            _accumulate(b, np.matmul(np.swapaxes(ad, -1, -2), g))
 
     return _record(data, (a, b), backward, "matmul")
 
@@ -490,26 +481,26 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     return _record(data, (x, gain, bias), backward, "layer_norm")
 
 
-def softmax_nll(scores, target, mask=None) -> Tensor:
+def softmax_nll(scores, target, mask) -> Tensor:
     """Negative log softmax of each row's target score, summed over rows.
 
-    `scores` is one row (1-d, `target` an int) or [Q, C] rows (`target` one
-    column per row).  `mask`, if given, limits each row's softmax to the
-    columns it marks; every row's target must be among them.
+    `scores` is [Q, C], `target` one column per row, and `mask` a [Q, C]
+    array that limits each row's softmax to the columns it marks; every
+    row's target must be among them.
     """
-    if scores.data.ndim not in (1, 2):
-        raise ShapeError(f"softmax_nll expects 1-d or 2-d scores, got {scores.data.shape}")
-    s = np.atleast_2d(scores.data)
+    s = scores.data
+    if s.ndim != 2:
+        raise ShapeError(f"softmax_nll expects [Q, C] scores, got {s.shape}")
     q, c = s.shape
     if c == 0:
         raise ValueError("softmax_nll on an empty score vector")
-    t = np.asarray(target, dtype=np.intp).reshape(-1)
+    t = np.asarray(target, dtype=np.intp)
     if t.shape != (q,):
         raise ShapeError(f"softmax_nll needs one target per row, got {t.size} for {q}")
     if t.min() < 0 or t.max() >= c:
         raise ValueError(f"target index outside score vector of length {c}")
     rows = np.arange(q)
-    keep = np.ones(s.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    keep = np.asarray(mask, dtype=bool)
     if keep.shape != s.shape or not keep[rows, t].all():
         raise ValueError("softmax_nll mask must match the scores and keep each target")
     x = np.where(keep, s, -np.inf)
@@ -521,7 +512,7 @@ def softmax_nll(scores, target, mask=None) -> Tensor:
     def backward(g):
         p = z / total
         p[rows, t] -= 1.0
-        _accumulate(scores, (p * g).reshape(scores.data.shape))
+        _accumulate(scores, p * g)
 
     return _record(np.float64(loss), (scores,), backward, "softmax_nll")
 

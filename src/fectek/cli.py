@@ -18,7 +18,7 @@ from .errors import CorruptFileError, DataFormatError, TrainingDivergedError, op
 from .evaluation import canonical_int, load_qrels, load_run, mrr_at_k, recall_at_k, write_run
 from .gradcheck import DEFAULT_EPS, DEFAULT_TOLERANCE, run_gradient_check
 from .index import InvertedIndex
-from .model import AGGREGATIONS, FecTekModel, load_model
+from .model import FecTekModel, load_model
 from .synth import SynthConfig, write_dataset
 from .tokenizer import Vocabulary, vocabulary_coverage
 from .trainer import TrainerConfig, load_triples, train
@@ -122,14 +122,6 @@ def _config(cls, args: argparse.Namespace):
     return cls(**{name: value for name, value in given.items() if value is not None})
 
 
-def _apply_model_flags(model: FecTekModel, args: argparse.Namespace) -> None:
-    """Set the gate and aggregation flags that were given; the rest keep the
-    model's own values (a loaded checkpoint's, or the constructor's)."""
-    for name in ("use_feature_gate", "aggregation"):
-        if getattr(args, name, None) is not None:
-            setattr(model, name, getattr(args, name))
-
-
 def _weigh(
     model: FecTekModel, vocab: Vocabulary, texts: list[str], max_len: int
 ) -> list[dict[int, float]]:
@@ -190,7 +182,8 @@ def cmd_train(args: argparse.Namespace) -> int:
                 )
     else:
         model = FecTekModel(len(vocab), config, seed=trainer_config.seed)
-    _apply_model_flags(model, args)
+    if args.use_feature_gate is not None:  # --no-fcm; otherwise a loaded model keeps its gate
+        model.use_feature_gate = args.use_feature_gate
     inputs = {
         "triples": str(args.triples),
         "vocab": str(args.vocab),
@@ -322,7 +315,6 @@ def cmd_ablation(args: argparse.Namespace) -> int:
         model = FecTekModel(
             len(vocab), config, use_feature_gate=use_gate, seed=trainer_config.seed
         )
-        _apply_model_flags(model, args)
         run_config = replace(trainer_config, enable_term_loss=use_guidance)
         train(model, triples, vocab, run_config, run_dir, {"ablation": name})
         weights = _weigh(model, vocab, [text for _, text in corpus_rows], config.max_passage_len)
@@ -374,12 +366,6 @@ def _add_training_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--weight-decay", type=float)
     parser.add_argument("--clip-norm", type=float, help="0 turns clipping off")
     parser.add_argument("--seed", type=int, help="non-negative")
-    parser.add_argument(
-        "--aggregation",
-        choices=AGGREGATIONS,
-        help="how duplicate term occurrences collapse (default max, or the "
-        "loaded checkpoint's)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -31,7 +31,6 @@ from .encoder import ContextEncoder, EncodedBatch, EncoderConfig, constant, norm
 from .errors import CorruptFileError, ShapeError
 from .tokenizer import SPECIAL_IDS
 
-AGGREGATIONS = ("max", "sum")
 # Inference runs at most this many texts per forward pass; 16, 32 and 64
 # encoded the desk corpus at rates within host noise of each other.
 CHUNK_TEXTS = 32
@@ -78,9 +77,8 @@ class TermWeights:
     """Term weights of a batch of texts, one column per term.
 
     `weights[b, j]` is the weight of term `terms[j]` in text b, and 0 where
-    the text lacks it.  Duplicate occurrences of a term have already been
-    collapsed (max keeps the strongest occurrence and routes the gradient
-    only to it, sum spreads gradient across all).
+    the text lacks it.  Repeated occurrences of a term have already been
+    collapsed to the strongest one, which alone receives the gradient.
     """
 
     terms: np.ndarray
@@ -91,7 +89,6 @@ class TermWeights:
         cls,
         token_ids: np.ndarray,
         position_weights: Tensor,
-        aggregation: str = "max",
         terms: np.ndarray | None = None,
     ) -> "TermWeights":
         """Collapse [B, n] position weights onto `terms`, a sorted array
@@ -106,7 +103,7 @@ class TermWeights:
         if terms is None:
             terms = np.unique(ids[scorable])
         columns = np.where(scorable, np.searchsorted(terms, ids), -1)
-        return cls(terms, ag.scatter(position_weights, columns, len(terms), aggregation))
+        return cls(terms, ag.scatter(position_weights, columns, len(terms)))
 
     def rows(self) -> list[dict[int, float]]:
         """One plain float mapping per text; exact zeros are dropped."""
@@ -183,18 +180,14 @@ class FecTekModel:
     def __init__(
         self,
         vocab_size: int,
-        config: EncoderConfig | None = None,
+        config: EncoderConfig,
         *,
         use_feature_gate: bool = True,
-        aggregation: str = "max",
         seed: int = 42,
     ):
-        if aggregation not in AGGREGATIONS:
-            raise ValueError(f"unknown aggregation {aggregation!r}, expected max|sum")
-        self.config = config or EncoderConfig()
+        self.config = config
         self.vocab_size = vocab_size
         self.use_feature_gate = use_feature_gate
-        self.aggregation = aggregation
         rng = np.random.default_rng(seed)
         self.encoder = ContextEncoder(vocab_size, self.config, rng=rng)
         self.feature_gate = FeatureContextGate(self.config.dim, rng)
@@ -234,7 +227,7 @@ class FecTekModel:
         # call a text alone gets, so its weights keep the same bits.
         raw = ag.linear(features, self.weight_w, self.weight_b)
         return TermWeights.from_positions(
-            batch.token_ids, ag.log1p(ag.relu(raw)), self.aggregation, terms
+            batch.token_ids, ag.log1p(ag.relu(raw)), terms
         )
 
     def term_probabilities(self, batch: EncodedBatch) -> Tensor:
@@ -336,16 +329,13 @@ def batch_loss(
 
 # -- persistence ---------------------------------------------------------------
 
-_AGGREGATION_CODES = {name: float(i) for i, name in enumerate(AGGREGATIONS)}
-
-
 def save_model(model: FecTekModel, path: str | Path) -> None:
     """Checkpoint the model: config scalars first, then every parameter."""
     config = {
         "vocab_size": model.vocab_size,
         **asdict(model.config),
         "use_feature_gate": 1.0 if model.use_feature_gate else 0.0,
-        "aggregation": _AGGREGATION_CODES[model.aggregation],
+        "aggregation": 0.0,  # `max`; kept so the checkpoint layout is unchanged
     }
     entries = {f"config.{name}": np.float64(value) for name, value in config.items()}
     for name, tensor in model.named_parameters().items():
@@ -378,7 +368,10 @@ def load_model(path: str | Path) -> FecTekModel:
         for f in fields(EncoderConfig)
     }
     use_feature_gate = bool(scalar("config.use_feature_gate", 0, 1))
-    aggregation = AGGREGATIONS[scalar("config.aggregation", 0, len(AGGREGATIONS) - 1)]
+    if scalar("config.aggregation", 0, 1):  # 0 is `max`, 1 was `sum`
+        raise CorruptFileError(
+            f"{path}: checkpoint stores the removed `sum` aggregation; retrain it"
+        )
     try:
         config = EncoderConfig(**stored)
     except ValueError as exc:
@@ -400,9 +393,7 @@ def load_model(path: str | Path) -> FecTekModel:
                 f"expected {expected}"
             )
 
-    model = FecTekModel(
-        vocab_size, config, use_feature_gate=use_feature_gate, aggregation=aggregation
-    )
+    model = FecTekModel(vocab_size, config, use_feature_gate=use_feature_gate)
     for name, tensor in model.named_parameters().items():
         if name not in entries:
             raise CorruptFileError(f"{path}: missing parameter {name!r}")

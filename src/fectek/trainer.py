@@ -252,7 +252,7 @@ def train(
     header = {
         **asdict(model.config),
         "feature_gate": model.use_feature_gate,
-        "aggregation": model.aggregation,
+        "aggregation": "max",
         **settings,
         "vocab_size": len(vocab),
         "queries": len(triples),

@@ -187,9 +187,9 @@ def gate(model, hidden: Tensor, real: np.ndarray) -> Tensor:
     return ag.mul(hidden, gates)
 
 
-def from_positions(token_ids, position_weights: Tensor, aggregation: str):
-    """(sorted term ids, their weights): max keeps the lowest position of
-    the largest value, sum adds every occurrence."""
+def from_positions(token_ids, position_weights: Tensor):
+    """(sorted term ids, their weights): each term keeps the lowest position
+    of its largest value."""
     ids = np.asarray(token_ids)
     groups: dict[int, list[int]] = {}
     for pos in np.flatnonzero(scorable_mask(ids)):
@@ -198,13 +198,8 @@ def from_positions(token_ids, position_weights: Tensor, aggregation: str):
     if not terms:
         return [], Tensor(np.zeros(0))
     values = position_weights.data
-    if aggregation == "max":
-        picks = [max(groups[t], key=lambda pos: (values[pos], -pos)) for t in terms]
-        return terms, ag.gather(position_weights, np.asarray(picks, dtype=np.intp))
-    pool = np.zeros((len(terms), len(ids)))
-    for row, t in enumerate(terms):
-        pool[row, groups[t]] = 1.0
-    return terms, matmul(Tensor(pool), position_weights)
+    picks = [max(groups[t], key=lambda pos: (values[pos], -pos)) for t in terms]
+    return terms, ag.gather(position_weights, np.asarray(picks, dtype=np.intp))
 
 
 def term_weights(model, token_ids):
@@ -212,7 +207,7 @@ def term_weights(model, token_ids):
     ids, hidden, real = forward(model.encoder, token_ids)
     features = gate(model, hidden, real) if model.use_feature_gate else hidden
     raw = ag.add(matmul(features, model.weight_w), model.weight_b)
-    terms, weights = from_positions(ids, ag.log1p(ag.relu(raw)), model.aggregation)
+    terms, weights = from_positions(ids, ag.log1p(ag.relu(raw)))
     return ids, hidden, terms, weights
 
 
@@ -237,12 +232,12 @@ def triple_loss(model, triple, enable_term: bool = True) -> tuple[Tensor, float,
     p_ids, p_hidden, *positive = term_weights(model, triple.positive_ids)
     negatives = [term_weights(model, ids)[2:] for ids in triple.negative_ids]
     scores = [match_score(query, c) for c in (positive, *negatives)]
-    # The candidate scores as one vector: each score times its one-hot row.
+    # The candidate scores as one [1, C] row: each score times its one-hot row.
     eye = np.eye(len(scores))
     for i, s in enumerate(scores):
-        term = ag.mul(ag.reshape(s, (1,)), Tensor(eye[i]))
+        term = ag.mul(ag.reshape(s, (1, 1)), Tensor(eye[i : i + 1]))
         stacked = term if i == 0 else ag.add(stacked, term)
-    text = ag.softmax_nll(stacked, 0)
+    text = ag.softmax_nll(stacked, [0], np.ones((1, len(scores)), dtype=bool))
     total, term_value = text, 0.0
     if enable_term:
         q_labels, p_labels = indicator_labels(q_ids, p_ids)

@@ -75,6 +75,12 @@ def assert_grads_match(build, arrays, tol=1e-5, eps=1e-6):
         assert err <= tol, f"operand {i}: max relative error {err:.3e} > {tol}"
 
 
+def one_row_nll(scores, target: int) -> Tensor:
+    """`softmax_nll` of one [1, C] row of candidates, every column kept."""
+    row = np.asarray(scores, dtype=np.float64).reshape(1, -1)
+    return ag.softmax_nll(Tensor(row), [target], np.ones(row.shape, dtype=bool))
+
+
 class TestForwardValues:
     def test_matmul_identity(self):
         out = ag.matmul(Tensor([[1.0, 0.0], [0.0, 1.0]]), Tensor([[3.0], [4.0]]))
@@ -87,6 +93,9 @@ class TestForwardValues:
     def test_matmul_shape_error_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
             ag.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2))))
+        # Batch dimensions must be equal; they do not broadcast.
+        with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(3, 4, 5\)"):
+            ag.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 5))))
         # 1-d operands are not promoted.
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(3,\)"):
             ag.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones(3)))
@@ -121,15 +130,15 @@ class TestForwardValues:
 
     def test_softmax_nll_uniform_equals_log_n(self):
         for n in (1, 2, 16):
-            loss = ag.softmax_nll(Tensor(np.zeros(n)), 0)
+            loss = one_row_nll(np.zeros(n), 0)
             assert loss.item() == pytest.approx(math.log(n), abs=1e-12)
 
     def test_softmax_nll_singleton_is_zero(self):
-        assert ag.softmax_nll(Tensor([3.7]), 0).item() == 0.0
+        assert one_row_nll([3.7], 0).item() == 0.0
 
     def test_softmax_nll_empty_raises(self):
         with pytest.raises(ValueError):
-            ag.softmax_nll(Tensor(np.zeros(0)), 0)
+            one_row_nll(np.zeros(0), 0)
 
     def test_bce_at_half_is_log_two(self):
         probs = Tensor(np.full(6, 0.5))
@@ -160,9 +169,7 @@ class TestRowwiseLosses:
         targets = [0, 3, 4]
         rows = ag.softmax_nll(Tensor(scores), targets, mask).item()
         alone = sum(
-            ag.softmax_nll(
-                Tensor(scores[r, mask[r]]), np.flatnonzero(mask[r]).tolist().index(t)
-            ).item()
+            one_row_nll(scores[r, mask[r]], np.flatnonzero(mask[r]).tolist().index(t)).item()
             for r, t in enumerate(targets)
         )
         assert rows == pytest.approx(alone, abs=1e-12)
@@ -175,7 +182,11 @@ class TestRowwiseLosses:
 
     def test_softmax_nll_needs_one_target_per_row(self):
         with pytest.raises(ShapeError):
-            ag.softmax_nll(Tensor(np.zeros((2, 3))), [1])
+            ag.softmax_nll(Tensor(np.zeros((2, 3))), [1], np.ones((2, 3), dtype=bool))
+
+    def test_softmax_nll_needs_2d_scores(self):
+        with pytest.raises(ShapeError, match=r"\[Q, C\].*\(3,\)"):
+            ag.softmax_nll(Tensor(np.zeros(3)), [0], np.ones(3, dtype=bool))
 
     def test_bce_rows_sum_their_own_means(self, rng):
         probs = rng.uniform(0.1, 0.9, (3, 4))
@@ -343,10 +354,9 @@ class TestGradientOracle:
 
     def test_scatter(self, rng):
         columns = np.array([[0, 2, -1, 2], [1, 1, 0, -1]])
-        for reduce in ("max", "sum"):
-            assert_grads_match(
-                lambda a: ag.scatter(a, columns, 3, reduce), [rng.uniform(-2, 2, (2, 4))]
-            )
+        assert_grads_match(
+            lambda a: ag.scatter(a, columns, 3), [rng.uniform(-2, 2, (2, 4))]
+        )
 
     def test_softmax(self, rng):
         assert_grads_match(ref.softmax, [rng.uniform(-2, 2, (3, 6))])
@@ -362,8 +372,9 @@ class TestGradientOracle:
         )
 
     def test_softmax_nll(self, rng):
+        keep = np.ones((1, 6), dtype=bool)
         assert_grads_match(
-            lambda s: ag.softmax_nll(s, 2), [rng.uniform(-2, 2, (6,))]
+            lambda s: ag.softmax_nll(s, [2], keep), [rng.uniform(-2, 2, (1, 6))]
         )
 
     def test_softmax_nll_masked_rows(self, rng):
@@ -596,13 +607,13 @@ class TestProperties:
     )
     @settings(max_examples=60, deadline=None)
     def test_softmax_nll_nonnegative(self, scores):
-        loss = ag.softmax_nll(Tensor(np.asarray(scores)), 0)
+        loss = one_row_nll(scores, 0)
         assert loss.item() >= -1e-12
 
     @given(st.integers(min_value=1, max_value=40), st.floats(-30, 30))
     @settings(max_examples=40, deadline=None)
     def test_softmax_nll_equal_scores_is_log_n(self, n, value):
-        loss = ag.softmax_nll(Tensor(np.full(n, value)), 0)
+        loss = one_row_nll(np.full(n, value), 0)
         assert loss.item() == pytest.approx(math.log(n), abs=1e-9)
 
     @given(st.integers(min_value=0, max_value=2**31))

@@ -25,10 +25,8 @@ CONFIG = EncoderConfig(
 )
 
 
-def make_model(aggregation="max", gate=True, seed=5):
-    model = FecTekModel(
-        VOCAB, CONFIG, use_feature_gate=gate, aggregation=aggregation, seed=seed
-    )
+def make_model(gate=True, seed=5):
+    model = FecTekModel(VOCAB, CONFIG, use_feature_gate=gate, seed=seed)
     # Lift the weight head off its kink so most terms carry weight.
     model.weight_b.data = np.asarray(0.3)
     return model
@@ -75,25 +73,16 @@ def sum_tensors(tensors):
 class TestInference:
     @given(
         st.lists(texts(CONFIG.max_passage_len), min_size=1, max_size=12),
-        st.sampled_from(["max", "sum"]),
         st.booleans(),
         st.randoms(use_true_random=False),
     )
     @settings(max_examples=40, deadline=None)
-    def test_weights_bit_equal_to_reference_in_any_chunk(self, id_lists, aggregation, gate, rnd):
-        model = make_model(aggregation, gate)
+    def test_weights_bit_equal_to_reference_in_any_chunk(self, id_lists, gate, rnd):
+        model = make_model(gate)
         with ag.no_grad():
             reference = [reference_weights(model, ids) for ids in id_lists]
             weights = model.weigh(id_lists)
-            if aggregation == "max":
-                assert weights == reference
-            else:
-                # The reference adds repeated terms in a BLAS matrix-vector
-                # product, the model in position order: equal up to rounding.
-                for got, want in zip(weights, reference):
-                    assert got.keys() == want.keys()
-                    for term, value in want.items():
-                        assert got[term] == pytest.approx(value, rel=1e-15, abs=0)
+            assert weights == reference
             # Another order and other chunk mates change no bit.
             order = list(range(len(id_lists)))
             rnd.shuffle(order)
@@ -148,14 +137,13 @@ class TestInference:
 class TestTraining:
     @given(
         st.lists(triples, min_size=1, max_size=4),
-        st.sampled_from(["max", "sum"]),
         st.booleans(),
         st.booleans(),
         st.randoms(use_true_random=False),
     )
     @settings(max_examples=30, deadline=None)
-    def test_padded_batch_agrees_with_reference(self, batch, aggregation, gate, enable_term, rnd):
-        model = make_model(aggregation, gate)
+    def test_padded_batch_agrees_with_reference(self, batch, gate, enable_term, rnd):
+        model = make_model(gate)
         queries = model.encoder.forward([t.query_ids for t in batch])
         padded = model.term_weights(queries)
         for row, t in enumerate(batch):
@@ -219,7 +207,7 @@ class TestScatter:
         # Values from {0..3} make ties common.
         values, columns = (np.asarray(x) for x in case)
         a = Tensor(values.astype(float), requires_grad=True)
-        out = ag.scatter(a, columns, 3, "max")
+        out = ag.scatter(a, columns, 3)
         ref.reduce_sum(out).backward()
         expected = np.zeros((len(values), 3))
         expected_grad = np.zeros(values.shape)
@@ -232,16 +220,9 @@ class TestScatter:
         np.testing.assert_array_equal(out.data, expected)
         np.testing.assert_array_equal(a.grad, expected_grad)
 
-    def test_sum_adds_every_position_and_skips_dropped_ones(self):
-        a = Tensor(np.array([[1.0, 2.0, 4.0, 8.0]]), requires_grad=True)
-        out = ag.scatter(a, np.array([[1, -1, 1, 0]]), 3, "sum")
-        np.testing.assert_array_equal(out.data, [[8.0, 5.0, 0.0]])
-        ref.reduce_sum(ag.mul(out, Tensor(np.array([[10.0, 20.0, 30.0]])))).backward()
-        np.testing.assert_array_equal(a.grad, [[20.0, 0.0, 20.0, 10.0]])
-
     def test_rows_stay_apart(self):
         a = Tensor(np.array([[5.0, 1.0], [2.0, 7.0]]))
-        out = ag.scatter(a, np.array([[0, 0], [0, 1]]), 2, "max")
+        out = ag.scatter(a, np.array([[0, 0], [0, 1]]), 2)
         np.testing.assert_array_equal(out.data, [[5.0, 0.0], [2.0, 7.0]])
 
     @pytest.mark.parametrize(
@@ -254,11 +235,7 @@ class TestScatter:
     )
     def test_bad_shapes_and_columns_rejected(self, values, columns, width):
         with pytest.raises(ShapeError):
-            ag.scatter(Tensor(values), columns, width, "max")
-
-    def test_unknown_reduction_rejected(self):
-        with pytest.raises(ValueError, match="mean"):
-            ag.scatter(Tensor(np.zeros((1, 1))), np.zeros((1, 1), dtype=int), 1, "mean")
+            ag.scatter(Tensor(values), columns, width)
 
 
 class TestGatherBackward:

@@ -207,9 +207,9 @@ class TestPipeline:
         ):
             assert header["config"][field] == getattr(saved, field), field
 
-    def test_init_checkpoint_keeps_stored_gate_and_aggregation(self, workspace, tmp_path):
-        # Without --no-fcm or --aggregation, a continued model keeps the
-        # values its checkpoint stores; a given flag still overrides them.
+    def test_init_checkpoint_keeps_stored_gate(self, workspace, tmp_path):
+        # Without --no-fcm, a continued model keeps the gate its checkpoint
+        # stores; the flag still turns a stored gate off.
         def train(out, *flags):
             code, _, err = run_cli(
                 "train",
@@ -224,15 +224,15 @@ class TestPipeline:
             header = json.loads((out / "metrics.jsonl").read_text().splitlines()[0])
             return model, header["config"]
 
-        first, _ = train(tmp_path / "a", *TINY_ENCODER, "--no-fcm", "--aggregation", "sum")
-        assert (first.use_feature_gate, first.aggregation) == (False, "sum")
+        first, _ = train(tmp_path / "a", *TINY_ENCODER, "--no-fcm")
+        assert first.use_feature_gate is False
         init = ("--init-checkpoint", str(tmp_path / "a" / "model.ftck"))
         kept, header = train(tmp_path / "b", *init)
-        assert (kept.use_feature_gate, kept.aggregation) == (False, "sum")
-        assert (header["feature_gate"], header["aggregation"]) == (False, "sum")
-        changed, header = train(tmp_path / "c", *init, "--aggregation", "max")
-        assert (changed.use_feature_gate, changed.aggregation) == (False, "max")
-        assert (header["feature_gate"], header["aggregation"]) == (False, "max")
+        assert kept.use_feature_gate is False and header["feature_gate"] is False
+        gated = ("--init-checkpoint", str(workspace["checkpoint"]))
+        changed, header = train(tmp_path / "c", *gated, "--no-fcm")
+        assert load_model(workspace["checkpoint"]).use_feature_gate is True
+        assert changed.use_feature_gate is False and header["feature_gate"] is False
 
     def test_weight_stream_shape(self, workspace):
         rows = [
@@ -327,15 +327,34 @@ class TestExitCodes:
         code, _, _ = run_cli("frobnicate")
         assert code == 2
 
-    def test_bad_choice_is_2(self, workspace):
-        code, _, _ = run_cli(
-            "train",
-            "--triples", str(workspace["triples"]),
+    def test_bad_choice_is_2(self, workspace, tmp_path):
+        # `--aggregation` was removed: repeated terms always collapse by max.
+        for argv in (
+            ("train", "--triples", str(workspace["triples"]), "--vocab", str(workspace["vocab"])),
+            ("ablation", "--data-dir", str(workspace["root"])),
+        ):
+            code, _, err = run_cli(
+                *argv, "--out-dir", str(tmp_path / argv[0]), "--aggregation", "max"
+            )
+            assert code == 2
+            assert "unrecognized arguments: --aggregation max" in err
+            assert not (tmp_path / argv[0]).exists()
+
+    def test_stored_sum_aggregation_is_4(self, workspace, tmp_path):
+        entries = load_tensors(workspace["checkpoint"])
+        entries["config.aggregation"] = np.float64(1.0)
+        old = tmp_path / "sum.ftck"
+        save_tensors(old, entries)
+        code, _, err = run_cli(
+            "encode",
+            "--checkpoint", str(old),
             "--vocab", str(workspace["vocab"]),
-            "--out-dir", str(workspace["root"] / "x"),
-            "--aggregation", "median",
+            "--corpus", str(workspace["corpus"]),
+            "--out", str(tmp_path / "w.jsonl"),
         )
-        assert code == 2
+        assert code == 4
+        assert "removed `sum` aggregation" in err
+        assert not (tmp_path / "w.jsonl").exists()
 
     def test_invalid_value_is_2(self, workspace, tmp_path):
         code, _, err = run_cli(
@@ -1037,7 +1056,6 @@ NON_DEFAULT_SETTINGS = {
     "seed": (["--seed", "7"], 7),
     "enable_term_loss": (["--no-tkgm"], False),
     "use_feature_gate": (["--no-fcm"], False),
-    "aggregation": (["--aggregation", "sum"], "sum"),
 }
 # The two settings whose header key is not their field name.
 HEADER_KEYS = {"enable_term_loss": "term_guidance", "use_feature_gate": "feature_gate"}
@@ -1050,11 +1068,11 @@ class TestFlagsMatchConfigs:
     def test_each_command_has_exactly_the_flags_of_its_configs(self):
         settings = field_names(EncoderConfig, TrainerConfig)
         assert flag_dests("train") == settings | {
-            "use_feature_gate", "aggregation",
+            "use_feature_gate",
             "triples", "vocab", "out_dir", "init_checkpoint",
         }
         assert flag_dests("ablation") == (settings - {"enable_term_loss"}) | {
-            "aggregation", "data_dir", "out_dir",
+            "data_dir", "out_dir",
         }
         assert flag_dests("synth") == field_names(SynthConfig) | {"out_dir"}
 
@@ -1071,8 +1089,9 @@ class TestFlagsMatchConfigs:
         defaults = {
             f.name: f.default for cls in (EncoderConfig, TrainerConfig) for f in fields(cls)
         }
-        for name in ("use_feature_gate", "aggregation"):
-            defaults[name] = inspect.signature(FecTekModel).parameters[name].default
+        defaults["use_feature_gate"] = (
+            inspect.signature(FecTekModel).parameters["use_feature_gate"].default
+        )
         argv = []
         for name, (flags, value) in NON_DEFAULT_SETTINGS.items():
             assert value != defaults[name], name
@@ -1090,6 +1109,6 @@ class TestFlagsMatchConfigs:
         for name, (_, value) in NON_DEFAULT_SETTINGS.items():
             assert header[HEADER_KEYS.get(name, name)] == value, name
         model = load_model(out / "model.ftck")
-        assert (model.use_feature_gate, model.aggregation) == (False, "sum")
+        assert model.use_feature_gate is False
         for f in fields(EncoderConfig):
             assert getattr(model.config, f.name) == NON_DEFAULT_SETTINGS[f.name][1], f.name

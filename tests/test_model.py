@@ -85,9 +85,9 @@ class TestIndicatorLabels:
                     assert labels.labels[pos] == float(term in shared)
 
 
-def one_text(ids, weights, aggregation):
+def one_text(ids, weights):
     """TermWeights of one text from hand-set position weights."""
-    return TermWeights.from_positions(np.array([ids]), weights, aggregation)
+    return TermWeights.from_positions(np.array([ids]), weights)
 
 
 class TestTermWeightVector:
@@ -96,59 +96,47 @@ class TestTermWeightVector:
     def test_max_aggregation_keeps_largest_occurrence(self):
         ids = [CLS_ID, 8, 9, 8, SEP_ID]
         weights = Tensor(np.array([[5.0, 1.0, 2.0, 3.0, 5.0]]), requires_grad=True)
-        vec = one_text(ids, weights, "max")
+        vec = one_text(ids, weights)
         assert vec.as_dict()[8] == 3.0
         assert vec.as_dict()[9] == 2.0
 
     def test_max_gradient_routes_to_argmax_only(self):
         ids = [CLS_ID, 8, 8, SEP_ID]
         weights = Tensor(np.array([[0.0, 1.0, 4.0, 0.0]]), requires_grad=True)
-        vec = one_text(ids, weights, "max")
+        vec = one_text(ids, weights)
         ref.reduce_sum(vec.weights).backward()
         assert weights.grad.tolist() == [[0.0, 0.0, 1.0, 0.0]]
 
     def test_max_tie_picks_first_position(self):
         ids = [CLS_ID, 8, 8, SEP_ID]
         weights = Tensor(np.array([[0.0, 2.0, 2.0, 0.0]]), requires_grad=True)
-        vec = one_text(ids, weights, "max")
+        vec = one_text(ids, weights)
         ref.reduce_sum(vec.weights).backward()
         assert weights.grad.tolist() == [[0.0, 1.0, 0.0, 0.0]]
 
-    def test_sum_aggregation_adds_occurrences(self):
-        ids = [CLS_ID, 8, 9, 8, SEP_ID]
-        weights = Tensor(np.array([[5.0, 1.0, 2.0, 3.0, 5.0]]), requires_grad=True)
-        vec = one_text(ids, weights, "sum")
-        assert vec.as_dict()[8] == 4.0
-        ref.reduce_sum(vec.weights).backward()
-        assert weights.grad.tolist() == [[0.0, 1.0, 1.0, 1.0, 0.0]]
-
     def test_specials_never_become_terms(self):
         ids = [CLS_ID, 8, SEP_ID, PAD_ID]
-        vec = one_text(ids, Tensor(np.ones((1, 4))), "max")
+        vec = one_text(ids, Tensor(np.ones((1, 4))))
         assert vec.terms.tolist() == [8]
 
     def test_empty_text_yields_empty_vector(self):
-        vec = one_text([CLS_ID, SEP_ID], Tensor(np.zeros((1, 2))), "max")
+        vec = one_text([CLS_ID, SEP_ID], Tensor(np.zeros((1, 2))))
         assert vec.terms.size == 0
         assert vec.as_dict() == {}
 
     def test_as_dict_drops_exact_zeros(self):
         ids = [CLS_ID, 8, 9, SEP_ID]
-        vec = one_text(ids, Tensor(np.array([[0.0, 0.0, 1.5, 0.0]])), "max")
+        vec = one_text(ids, Tensor(np.array([[0.0, 0.0, 1.5, 0.0]])))
         assert vec.as_dict() == {9: 1.5}
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ShapeError):
-            one_text([CLS_ID, 8, SEP_ID], Tensor(np.zeros((1, 2))), "max")
-
-    def test_unknown_aggregation_rejected(self):
-        with pytest.raises(ValueError):
-            one_text([CLS_ID, SEP_ID], Tensor(np.zeros((1, 2))), "mean")
+            one_text([CLS_ID, 8, SEP_ID], Tensor(np.zeros((1, 2))))
 
     def test_rows_of_a_batch_and_shared_columns(self):
         ids = np.array([[CLS_ID, 8, 9, SEP_ID], [CLS_ID, 9, 9, SEP_ID]])
         weights = Tensor(np.array([[0.0, 1.0, 2.0, 0.0], [0.0, 3.0, 0.5, 0.0]]))
-        vec = TermWeights.from_positions(ids, weights, "max", terms=np.array([5, 8, 9]))
+        vec = TermWeights.from_positions(ids, weights, terms=np.array([5, 8, 9]))
         assert vec.weights.data.tolist() == [[0.0, 1.0, 2.0], [0.0, 0.0, 3.0]]
         assert vec.rows() == [{8: 1.0, 9: 2.0}, {9: 3.0}]
 
@@ -500,14 +488,11 @@ class TestInitialisation:
 
 class TestPersistence:
     def test_round_trip_is_bit_exact(self, tiny_vocab, tiny_config, tmp_path):
-        model = FecTekModel(
-            len(tiny_vocab), tiny_config, aggregation="sum", seed=9
-        )
+        model = FecTekModel(len(tiny_vocab), tiny_config, seed=9)
         path = tmp_path / "model.ftck"
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.vocab_size == model.vocab_size
-        assert loaded.aggregation == "sum"
         assert loaded.use_feature_gate is True
         assert loaded.config == model.config
         for name, p in model.named_parameters().items():
@@ -560,6 +545,26 @@ class TestPersistence:
         entries[f"config.{name}"] = np.float64(value)
         save_tensors(path, entries)
         with pytest.raises(CorruptFileError, match=name):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [(1.0, "stores the removed `sum` aggregation; retrain it")]
+        + [
+            (value, r"'config.aggregation' = .* is not an integer in \[0, 1\]")
+            for value in (2.0, -1.0, 0.5, math.nan)
+        ],
+    )
+    def test_stored_aggregation_other_than_max_rejected(
+        self, tiny_vocab, tiny_config, tmp_path, value, message
+    ):
+        path = tmp_path / "model.ftck"
+        save_model(FecTekModel(len(tiny_vocab), tiny_config, seed=9), path)
+        entries = load_tensors(path)
+        assert entries["config.aggregation"] == 0.0  # max
+        entries["config.aggregation"] = np.float64(value)
+        save_tensors(path, entries)
+        with pytest.raises(CorruptFileError, match=message):
             load_model(path)
 
     def test_gate_flag_round_trips(self, tiny_vocab, tiny_config, tmp_path):
