@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation over numpy float64 arrays.
+"""Reverse-mode automatic differentiation over numpy float64 or float32 arrays.
 
 The engine is define-by-run: each operation on `Tensor` produces a new node
 holding its inputs and a backward closure, so every forward pass lays down a
@@ -7,7 +7,10 @@ replays it once in reverse, accumulating gradients into `.grad` buffers.
 
 Conventions that the rest of the package relies on:
 
-- every value is float64, end to end;
+- a tensor keeps a float32 or float64 array's dtype and makes anything else
+  float64, and the network ops compute in their inputs' dtype: training and
+  gradients run in float64, inference in float32 once its parameters are
+  cast;
 - ops take `Tensor` operands (wrap a constant in `Tensor` first); only
   indices, masks and labels are plain arrays;
 - relu'(0) is exactly 0;
@@ -45,12 +48,16 @@ def no_grad():
 
 
 class Tensor:
-    """Dense float64 array that can participate in gradient computation."""
+    """Dense float64 or float32 array that can participate in gradient computation."""
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = (
+            data
+            if type(data) is np.ndarray and data.dtype.char in "fd"
+            else np.asarray(data, dtype=np.float64)
+        )
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
@@ -284,7 +291,7 @@ def scatter(a, columns, width: int) -> Tensor:
     sources = np.flatnonzero(flat >= 0)
     cells = sources // n * width + flat[sources]
     values = a.data.reshape(-1)[sources]
-    data = np.full(rows * width, -np.inf)
+    data = np.full(rows * width, -np.inf, dtype=a.data.dtype)
     np.maximum.at(data, cells, values)
     empty = np.ones(data.size, dtype=bool)
     empty[cells] = False
@@ -391,7 +398,7 @@ def attention(q, k, v, mask_bias, heads: int, scale: float) -> Tensor:
     a large negative value drops it).  Returns the [B*n, d] context, heads
     side by side.  Only the softmax weights are kept for the backward pass.
     """
-    mask_bias = np.asarray(mask_bias, dtype=np.float64)
+    mask_bias = np.asarray(mask_bias, dtype=q.data.dtype)
     if mask_bias.ndim != 2:
         raise ShapeError(f"attention: mask_bias must be [B, n], got {mask_bias.shape}")
     b, n = mask_bias.shape
@@ -407,7 +414,7 @@ def attention(q, k, v, mask_bias, heads: int, scale: float) -> Tensor:
         return a.reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
 
     def merge(a: np.ndarray) -> np.ndarray:  # [B, heads, n, dh] -> a new [B*n, d]
-        out = np.empty((rows, d))
+        out = np.empty((rows, d), dtype=a.dtype)
         split(out)[...] = a
         return out
 

@@ -7,10 +7,14 @@ gradient check), 2 usage, 3 missing or unreadable input, 4 corrupt data.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import index as findex  # via the module, so a replaced index.search is used
 from .encoder import EncoderConfig
@@ -125,8 +129,24 @@ def _config(cls, args: argparse.Namespace):
 def _weigh(
     model: FecTekModel, vocab: Vocabulary, texts: list[str], max_len: int
 ) -> list[dict[int, float]]:
-    """Term weights of each text cut to `max_len` tokens, in input order."""
+    """Term weights of each text cut to `max_len` tokens, in input order.
+
+    Inference runs in float32: the first call casts the model's parameters
+    in place for good.  The index keeps 8-bit impacts, so float64's extra
+    precision would not survive into it.
+    """
+    for p in model.named_parameters().values():
+        p.data = p.data.astype(np.float32, copy=False)
     return model.weigh([vocab.encode(text, max_len) for text in texts])
+
+
+def _check_out_dir(path: str) -> None:
+    """Raise the error that writing `path` would, if its directory is
+    missing, before a command does its work; `path` itself stays unmade."""
+    parent = Path(path).parent
+    if not parent.is_dir():
+        code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+        raise OSError(code, os.strerror(code), path)
 
 
 def _rank(
@@ -195,6 +215,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
+    _check_out_dir(args.out)
     model = load_model(args.checkpoint)
     vocab = Vocabulary.load(args.vocab)
     _check_vocab_match(model, vocab, str(args.checkpoint))
@@ -211,6 +232,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 
 def cmd_index(args: argparse.Namespace) -> int:
+    _check_out_dir(args.out)
     vocab = Vocabulary.load(args.vocab)
     index = InvertedIndex.build(_iter_weight_stream(args.weights), len(vocab))
     index.save(args.out)
@@ -223,6 +245,7 @@ def cmd_index(args: argparse.Namespace) -> int:
 def cmd_search(args: argparse.Namespace) -> int:
     if args.k <= 0:
         raise ValueError(f"--k must be positive, got {args.k}")
+    _check_out_dir(args.out)
     index = InvertedIndex.load(args.index)
     model = load_model(args.checkpoint)
     vocab = Vocabulary.load(args.vocab)

@@ -161,7 +161,7 @@ class FeatureContextGate:
         # Mean over real positions as a constant [1, n] row times each
         # text's [n, d] states: pad rows contribute nothing.
         pool = real_mask[:, None, :] / n_real[:, None, None]
-        pooled = ag.matmul(Tensor(pool), hidden)
+        pooled = ag.matmul(Tensor(pool.astype(hidden.data.dtype, copy=False)), hidden)
         params = self.params
         squeezed = ag.linear(
             pooled, params["feature_gate.squeeze.weight"], params["feature_gate.squeeze.bias"], relu=True

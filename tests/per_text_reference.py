@@ -8,7 +8,8 @@ one triple's joint loss built from sparse match scores.  `linear` and
 They and the heads are built on ops the model no longer records: `softmax`,
 `reduce_sum`, `permute`, `transpose_last_two`, and the general `matmul`
 that promotes 1-d operands.  The reference path runs on them, so it stays
-independent of the kernels it checks.
+independent of the kernels it checks.  Like the model, it computes in its
+parameters' dtype, float64 or float32.
 """
 
 from __future__ import annotations
@@ -122,15 +123,15 @@ def linear(x, weight, bias, relu: bool = False) -> Tensor:
 def attention(q, k, v, mask_bias, heads: int, scale: float) -> Tensor:
     """`ag.attention` as the matmul / scale / mask / softmax / matmul chain."""
     b, n = mask_bias.shape
-    d = q.data.shape[-1]
+    d, dtype = q.data.shape[-1], q.data.dtype
 
     def split_heads(t):
         return permute(ag.reshape(t, (b, n, heads, d // heads)), (0, 2, 1, 3))
 
     q, k, v = split_heads(q), split_heads(k), split_heads(v)
     logits = ag.add(
-        ag.mul(matmul(q, transpose_last_two(k)), Tensor(scale)),
-        Tensor(mask_bias.reshape(b, 1, 1, n)),
+        ag.mul(matmul(q, transpose_last_two(k)), Tensor(np.asarray(scale, dtype))),
+        Tensor(mask_bias.reshape(b, 1, 1, n).astype(dtype)),
     )
     weights = softmax(logits, axis=-1)
     return ag.reshape(permute(matmul(weights, v), (0, 2, 1, 3)), (b * n, d))
@@ -170,7 +171,7 @@ def forward(encoder, token_ids) -> tuple[np.ndarray, Tensor, np.ndarray]:
 def gate(model, hidden: Tensor, real: np.ndarray) -> Tensor:
     """Feature-gated [n, d] states of one text."""
     params = model.feature_gate.params
-    pool = np.where(real, 1.0 / int(real.sum()), 0.0)
+    pool = np.where(real, 1.0 / int(real.sum()), 0.0).astype(hidden.data.dtype)
     pooled = matmul(Tensor(pool), hidden)
     squeezed = ag.relu(
         ag.add(

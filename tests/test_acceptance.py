@@ -4,11 +4,14 @@ Every test prints one `ACCEPTANCE <name>: PASS/FAIL (...)` summary line
 before asserting, so `pytest tests/test_acceptance.py -v -s` doubles as the
 acceptance report.  The synthetic retrieval pipeline (data generation,
 training, encoding, indexing, search) runs once and is shared by the
-end-to-end quality check and the index-exactness check.
+end-to-end quality check and the index-exactness check.  It encodes and
+searches in float32, as the commands do; the last test, which is not an
+acceptance check, compares that with the model's float64 training precision.
 """
 
 import math
 import time
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from io import StringIO
@@ -19,7 +22,7 @@ import pytest
 
 import fectek.autograd as ag
 from fectek.autograd import Tensor
-from fectek.cli import main
+from fectek.cli import _weigh, main
 from fectek.encoder import EncoderConfig
 from fectek.errors import FecTekError
 from fectek.evaluation import mrr_at_k
@@ -67,6 +70,8 @@ class Pipeline:
     index: InvertedIndex
     query_weights: dict[str, dict[int, float]]
     hits: dict[str, list[SearchHit]]
+    float64_index: InvertedIndex
+    float64_hits: dict[str, list[SearchHit]]
 
 
 @pytest.fixture(scope="module")
@@ -85,18 +90,26 @@ def pipeline(tmp_path_factory) -> Pipeline:
     )  # term-guidance loss on
     train(model, triples, vocab, trainer_config, tmp_path_factory.mktemp("synth-run"))
 
-    passages = model.weigh([vocab.encode(text, config.max_passage_len) for _, text in data.corpus])
-    stream = ((docid, w, w.values()) for (docid, _), w in zip(data.corpus, passages))
-    index = InvertedIndex.build(stream, len(vocab))
-    queries = model.weigh([vocab.encode(text, config.max_query_len) for _, text in data.queries])
-    query_weights = {qid: weights for (qid, _), weights in zip(data.queries, queries)}
-    hits = {qid: search(index, weights, 10) for qid, weights in query_weights.items()}
+    def serve(weigh):
+        passages = weigh([text for _, text in data.corpus], config.max_passage_len)
+        stream = ((docid, w, w.values()) for (docid, _), w in zip(data.corpus, passages))
+        index = InvertedIndex.build(stream, len(vocab))
+        queries = weigh([text for _, text in data.queries], config.max_query_len)
+        query_weights = {qid: weights for (qid, _), weights in zip(data.queries, queries)}
+        hits = {qid: search(index, weights, 10) for qid, weights in query_weights.items()}
+        return index, query_weights, hits
+
+    # float64 first: the commands' `_weigh` casts the model to float32 for good.
+    index64, _, hits64 = serve(
+        lambda texts, n: model.weigh([vocab.encode(text, n) for text in texts])
+    )
+    index, query_weights, hits = serve(lambda texts, n: _weigh(model, vocab, texts, n))
 
     run = {qid: [(h.docid, h.value) for h in hs] for qid, hs in hits.items()}
     qrels = {qid: {docid} for qid, docid in data.qrels}
     mrr = mrr_at_k(run, qrels, k=10)
     wall = time.perf_counter() - started
-    return Pipeline(mrr, PIPELINE_EPOCHS, wall, index, query_weights, hits)
+    return Pipeline(mrr, PIPELINE_EPOCHS, wall, index, query_weights, hits, index64, hits64)
 
 
 # -- 1. gradient oracle ---------------------------------------------------------
@@ -487,3 +500,27 @@ def test_ablation_grid_completes_and_tabulates(tmp_path):
     )
     assert completed, err
     assert table_ok
+
+
+# -- float32 inference against the training precision -------------------------------
+
+# Impacts of the float32 pipeline that differ from the float64 ones, measured.
+FLOAT32_MOVED_IMPACTS = 0
+
+
+def impacts(index: InvertedIndex) -> dict[tuple[int, int], int]:
+    """(ordinal, term) -> impact of every posting."""
+    terms = np.repeat(np.arange(index.vocab_size), np.diff(index.offsets))
+    return dict(zip(zip(index.ordinals.tolist(), terms.tolist()), index.impacts.tolist()))
+
+
+def test_float32_inference_moves_impacts_by_at_most_one(pipeline):
+    weights = [w for row in pipeline.query_weights.values() for w in row.values()]
+    assert all(float(np.float32(w)) == w for w in weights)  # float32 arithmetic
+    float32, float64 = impacts(pipeline.index), impacts(pipeline.float64_index)
+    assert float32.keys() == float64.keys()
+    moves = Counter(float32[key] - float64[key] for key in float64)
+    assert set(moves) <= {-1, 0, 1}, moves
+    assert len(float64) - moves[0] == FLOAT32_MOVED_IMPACTS
+    for qid, hits in pipeline.hits.items():
+        assert [h.docid for h in hits] == [h.docid for h in pipeline.float64_hits[qid]], qid

@@ -200,6 +200,24 @@ class TestRowwiseLosses:
         assert rows == pytest.approx(alone, abs=1e-12)
 
 
+class TestDtypes:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_float_arrays_keep_their_dtype(self, dtype):
+        for data in (np.arange(6, dtype=dtype).reshape(2, 3), np.array(1.5, dtype=dtype)):
+            assert Tensor(data).data is data
+
+    @pytest.mark.parametrize(
+        "value",
+        [3, True, 0.25, [1, 2], [[0.5], [1.5]], np.float32(1.5), np.float64(2.0),
+         np.int64(4), np.arange(3), np.ones(2, dtype=np.float16)],
+        ids=repr,
+    )
+    def test_everything_else_becomes_float64(self, value):
+        data = Tensor(value).data
+        assert type(data) is np.ndarray and data.dtype == np.float64
+        np.testing.assert_array_equal(data, np.asarray(value, dtype=np.float64))
+
+
 class TestBackwardStructure:
     def test_replay_frees_interior_nodes_and_leaves_keep_grads(self, rng):
         x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
@@ -470,6 +488,18 @@ class TestFusedOps:
         np.testing.assert_array_equal(fused, chain)
         for got, want in zip(fused_grads, chain_grads):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_float32_attention_gives_masked_columns_exactly_no_weight(self, rng):
+        q, k, v, mask_bias = masked_attention_inputs(rng, texts=3, n=5, d=8)
+        q, k, v = (a.astype(np.float32) for a in (q, k, v))
+        out = ag.attention(Tensor(q), Tensor(k), Tensor(v), mask_bias, 2, 0.6)
+        # Whatever a masked key column holds, no row's context changes.
+        for text, column in zip(*np.nonzero(mask_bias)):
+            row = text * 5 + column
+            k[row], v[row] = rng.uniform(-50, 50, (2, 8))
+        again = ag.attention(Tensor(q), Tensor(k), Tensor(v), mask_bias, 2, 0.6)
+        assert out.data.dtype == np.float32
+        np.testing.assert_array_equal(again.data, out.data)
 
     def test_linear_relu_at_zero_is_positive_zero_with_zero_gradient(self):
         x = Tensor([[-1.0, 1.0], [2.0, 1.0]], requires_grad=True)

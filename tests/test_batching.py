@@ -32,6 +32,25 @@ def make_model(gate=True, seed=5):
     return model
 
 
+def to_float32(model):
+    """Cast every parameter to float32, as the inference commands do."""
+    for p in model.named_parameters().values():
+        p.data = p.data.astype(np.float32)
+    return model
+
+
+def default_width_case():
+    """Default width and long texts with many repeats, as in a corpus."""
+    model = FecTekModel(40, EncoderConfig(), seed=3)
+    model.weight_b.data = np.asarray(0.3)
+    rng = np.random.default_rng(0)
+    id_lists = [
+        [CLS_ID, *rng.integers(4, 12, size=rng.integers(0, 120)).tolist(), SEP_ID]
+        for _ in range(60)
+    ]
+    return model, id_lists + id_lists[:20]
+
+
 # A text as the tokenizer makes it: [CLS], terms (a few repeated, an
 # occasional [UNK]), [SEP].
 terms = st.one_of(st.integers(4, VOCAB - 1), st.just(UNK_ID))
@@ -93,18 +112,37 @@ class TestInference:
             assert first == weights[0]
 
     def test_max_weights_bit_equal_at_default_width(self):
-        # Default width and long texts with many repeats, as in a corpus.
-        model = FecTekModel(40, EncoderConfig(), seed=3)
-        model.weight_b.data = np.asarray(0.3)
-        rng = np.random.default_rng(0)
-        id_lists = [
-            [CLS_ID, *rng.integers(4, 12, size=rng.integers(0, 120)).tolist(), SEP_ID]
-            for _ in range(60)
-        ]
-        id_lists += id_lists[:20]
+        model, id_lists = default_width_case()
         with ag.no_grad():
             expected = [reference_weights(model, ids) for ids in id_lists]
         assert model.weigh(id_lists) == expected
+
+    def test_max_weights_bit_equal_at_default_width_in_float32(self):
+        # The inference commands weigh with float32 parameters, and an encode
+        # of part of a corpus must reproduce its rows of the whole encoding.
+        model, id_lists = default_width_case()
+        to_float32(model)
+        with ag.no_grad():
+            expected = [reference_weights(model, ids) for ids in id_lists]
+        assert model.weigh(id_lists) == expected
+        assert expected != default_width_case()[0].weigh(id_lists)  # not float64
+
+    def test_float32_parameters_keep_every_op_in_float32(self, monkeypatch):
+        dtypes = set()
+        record = ag._record
+
+        def spy(data, parents, backward, op):
+            dtypes.add((op, np.asarray(data).dtype.name))
+            return record(data, parents, backward, op)
+
+        monkeypatch.setattr(ag, "_record", spy)
+        id_lists = [[CLS_ID, *[4 + i % 9] * (i % 7), SEP_ID] for i in range(20)]
+        for gate in (True, False):
+            model = to_float32(make_model(gate))
+            model.weigh(id_lists)
+            with ag.no_grad():  # a padded batch, as training runs it
+                model.term_weights(model.encoder.forward(id_lists))
+        assert {dtype for _, dtype in dtypes} == {"float32"}, sorted(dtypes)
 
     def test_more_equal_length_texts_than_one_chunk(self):
         model = make_model()

@@ -377,6 +377,42 @@ class TestExitCodes:
         assert code == 3
         assert "error:" in err
 
+    @pytest.mark.parametrize("command", ["encode", "index", "search"])
+    def test_missing_out_directory_is_3_before_any_work(
+        self, workspace, tmp_path, monkeypatch, command
+    ):
+        def work(*args, **kwargs):
+            raise AssertionError(f"{command} started work before checking --out")
+
+        monkeypatch.setattr(FecTekModel, "weigh", work)  # the forward passes
+        monkeypatch.setattr(InvertedIndex, "build", work)
+        monkeypatch.setattr(InvertedIndex, "load", work)
+        out = tmp_path / "missing" / "out"
+        inputs = {
+            "encode": ["--checkpoint", workspace["checkpoint"], "--corpus", workspace["corpus"]],
+            "index": ["--weights", workspace["weights"]],
+            "search": [
+                "--index", workspace["index"], "--checkpoint", workspace["checkpoint"],
+                "--queries", workspace["queries"],
+            ],
+        }[command]
+        code, _, err = run_cli(
+            command, *map(str, inputs), "--vocab", str(workspace["vocab"]), "--out", str(out)
+        )
+        assert code == 3
+        assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+        assert not out.parent.exists()
+
+    def test_out_directory_that_is_a_file_is_3(self, workspace, tmp_path):
+        out = tmp_path / "file" / "index.ftek"
+        out.parent.write_text("")
+        code, _, err = run_cli(
+            "index", "--weights", str(workspace["weights"]), "--vocab", str(workspace["vocab"]),
+            "--out", str(out),
+        )
+        assert code == 3
+        assert err == f"error: [Errno 20] Not a directory: '{out}'\n"
+
     def test_corrupt_checkpoint_is_4(self, workspace, tmp_path):
         broken = tmp_path / "broken.ftck"
         broken.write_bytes(workspace["checkpoint"].read_bytes()[:-9])
