@@ -44,6 +44,10 @@ def _read_tsv_pairs(path: str | Path, what: str) -> list[tuple[str, str]]:
             ident, text = line.split("\t", 1)
             if not ident:
                 raise DataFormatError(f"{path}:{lineno}: empty id in {what} file")
+            if ident.split() != [ident]:  # a run file splits its rows on whitespace
+                raise DataFormatError(
+                    f"{path}:{lineno}: id {ident!r} contains whitespace in {what} file"
+                )
             if ident in seen:
                 raise DataFormatError(
                     f"{path}:{lineno}: duplicate id {ident!r} in {what} file"
@@ -223,7 +227,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
     weights = _weigh(model, vocab, [text for _, text in rows], model.config.max_passage_len)
     lines = []
     for (docid, _), row in zip(rows, weights):
-        payload = {str(term): row[term] for term in sorted(row)}
+        payload = {str(term): weight for term, weight in row.items()}  # ascending ids
         lines.append(json.dumps({"docid": docid, "weights": payload}) + "\n")
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.writelines(lines)
@@ -245,6 +249,8 @@ def cmd_index(args: argparse.Namespace) -> int:
 def cmd_search(args: argparse.Namespace) -> int:
     if args.k <= 0:
         raise ValueError(f"--k must be positive, got {args.k}")
+    if args.tag.split() != [args.tag]:  # the run file's last whitespace-split field
+        raise ValueError(f"--tag must be one word without whitespace, got {args.tag!r}")
     _check_out_dir(args.out)
     index = InvertedIndex.load(args.index)
     model = load_model(args.checkpoint)

@@ -54,13 +54,21 @@ WeightStream = Iterable[tuple[str, Iterable[int], Iterable[float]]]
 def _encode_varints(values: np.ndarray) -> np.ndarray:
     """Unsigned LEB128 bytes (7 payload bits per byte) of non-negative int64s."""
     # Bytes per value: one, plus one per 7-bit boundary reached.
-    widths = 1 + np.searchsorted(1 << 7 * np.arange(1, 9), values, side="right")
+    widths = np.ones(len(values), dtype=np.int64)
+    for bound in range(7, 63, 7):
+        reached = values >= 1 << bound
+        if not reached.any():
+            break
+        widths += reached
     starts = np.cumsum(widths) - widths
     out = np.empty(int(widths.sum()), dtype=np.uint8)
-    for byte in range(int(widths.max(initial=0))):
-        live = widths > byte
-        payload = (values[live] >> (7 * byte)) & 0x7F
-        out[starts[live] + byte] = payload | ((widths[live] > byte + 1) << 7)
+    out[starts] = values & 0x7F | (widths > 1) << 7
+    # Later bytes only for the values that still have one to write.
+    live = np.flatnonzero(widths > 1)
+    for byte in range(1, int(widths.max(initial=0))):
+        more = widths[live] > byte + 1
+        out[starts[live] + byte] = values[live] >> 7 * byte & 0x7F | more << 7
+        live = live[more]
     return out
 
 
@@ -73,11 +81,12 @@ def _decode_varints(buf: np.ndarray, count: int) -> tuple[np.ndarray, int]:
     widths = np.diff(ends, prepend=-1)
     if (widths > 9).any():  # 9 bytes carry 63 bits, all an int64 holds
         raise CorruptFileError("varint longer than 64 bits")
-    starts = ends - widths + 1
-    values = np.zeros(len(ends), dtype=np.int64)
-    for byte in range(int(widths.max(initial=0))):
-        live = widths > byte
-        values[live] |= (buf[starts[live] + byte] & 0x7F).astype(np.int64) << (7 * byte)
+    # Horner's rule from each value's last byte back, on the values that
+    # have a byte left at that depth.
+    values = buf[ends].astype(np.int64)
+    for byte in range(1, int(widths.max(initial=0))):
+        more = np.flatnonzero(widths > byte)
+        values[more] = values[more] << 7 | buf[ends[more] - byte] & 0x7F
     return values, (int(ends[-1]) + 1 if len(ends) else 0)
 
 

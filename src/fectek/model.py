@@ -106,7 +106,8 @@ class TermWeights:
         return cls(terms, ag.scatter(position_weights, columns, len(terms)))
 
     def rows(self) -> list[dict[int, float]]:
-        """One plain float mapping per text; exact zeros are dropped."""
+        """One plain float mapping per text, in ascending term order; exact
+        zeros are dropped."""
         terms = self.terms.tolist()
         return [
             {t: w for t, w in zip(terms, row) if w != 0.0}

@@ -17,6 +17,7 @@ from fectek.autograd import Tensor
 from fectek.checkpoint import MAGIC, VERSION, load_tensors, save_tensors
 from fectek.cli import build_parser, main
 from fectek.encoder import EncoderConfig
+from fectek.evaluation import load_run
 from fectek.index import InvertedIndex
 from fectek.model import FecTekModel, load_model
 from fectek.synth import SynthConfig
@@ -245,6 +246,11 @@ class TestPipeline:
                 int(term)
                 assert weight >= 0.0
 
+    def test_weight_rows_ascend_by_term_id(self, workspace):
+        for line in workspace["weights"].read_text().splitlines():
+            terms = [int(term) for term in json.loads(line)["weights"]]
+            assert terms == sorted(terms)
+
     def test_encode_rerun_identical(self, workspace, tmp_path):
         out = tmp_path / "again.jsonl"
         code, _, _ = run_cli(
@@ -280,6 +286,26 @@ class TestPipeline:
         assert code == 0
         assert out.startswith("MRR@10=")
         assert "Recall@100=" in out
+
+    def test_tagged_run_reads_back(self, workspace, tmp_path):
+        out = tmp_path / "tagged.tsv"
+        code, _, _ = run_cli(
+            "search",
+            "--index", str(workspace["index"]),
+            "--checkpoint", str(workspace["checkpoint"]),
+            "--vocab", str(workspace["vocab"]),
+            "--queries", str(workspace["queries"]),
+            "--out", str(out),
+            "--k", "5",
+            "--tag", "my-run.v2",
+        )
+        assert code == 0
+        assert load_run(out) == load_run(workspace["run_file"])
+        tagged, default = (
+            run_cli("evaluate", "--run", str(run), "--qrels", str(workspace["qrels"]))
+            for run in (out, workspace["run_file"])
+        )
+        assert tagged == default and tagged[0] == 0
 
     def test_empty_passage_encodes_to_empty_weights(self, workspace, tmp_path):
         corpus = tmp_path / "corpus.tsv"
@@ -402,6 +428,47 @@ class TestExitCodes:
         assert code == 3
         assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
         assert not out.parent.exists()
+
+    @pytest.mark.parametrize("tag", ["my run", "", "a\tb", " fectek", "fectek\n"])
+    def test_tag_with_whitespace_is_2_before_any_work(
+        self, workspace, tmp_path, monkeypatch, tag
+    ):
+        def work(*args, **kwargs):
+            raise AssertionError("search started work before checking --tag")
+
+        monkeypatch.setattr(InvertedIndex, "load", work)
+        out = tmp_path / "run.tsv"
+        code, _, err = run_cli(
+            "search",
+            "--index", str(workspace["index"]),
+            "--checkpoint", str(workspace["checkpoint"]),
+            "--vocab", str(workspace["vocab"]),
+            "--queries", str(workspace["queries"]),
+            "--out", str(out),
+            "--tag", tag,
+        )
+        assert code == 2
+        assert err == f"error: --tag must be one word without whitespace, got {tag!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["encode", "search"])
+    def test_id_with_whitespace_is_4(self, workspace, tmp_path, command):
+        # Either id would end up in a run file, split on its whitespace.
+        rows = tmp_path / "rows.tsv"
+        rows.write_text("a1\tred apples\na 2\tiron bridge\n")
+        out = tmp_path / "out"
+        inputs = {
+            "encode": ["--corpus", rows],
+            "search": ["--index", workspace["index"], "--queries", rows],
+        }[command]
+        code, _, err = run_cli(
+            command, *map(str, inputs), "--checkpoint", str(workspace["checkpoint"]),
+            "--vocab", str(workspace["vocab"]), "--out", str(out),
+        )
+        what = {"encode": "corpus", "search": "queries"}[command]
+        assert code == 4
+        assert err == f"error: {rows}:2: id 'a 2' contains whitespace in {what} file\n"
+        assert not out.exists()
 
     def test_out_directory_that_is_a_file_is_3(self, workspace, tmp_path):
         out = tmp_path / "file" / "index.ftek"
@@ -638,6 +705,10 @@ class TestExitCodes:
             pytest.param("build-vocab", "d1 no tab\n", 1, id="tsv-no-tab"),
             pytest.param("build-vocab", "\tsome text\n", 1, id="tsv-empty-id"),
             pytest.param("build-vocab", "d1\ta\nd1\tb\n", 2, id="tsv-duplicate-id"),
+            pytest.param("build-vocab", "d 1\ta\n", 1, id="tsv-space-in-id"),
+            pytest.param("build-vocab", "d1\ta\n d2\tb\n", 2, id="tsv-leading-space-id"),
+            pytest.param("build-vocab", "d1\xa0\ta\n", 1, id="tsv-nbsp-in-id"),
+            pytest.param("build-vocab", " \ta\n", 1, id="tsv-blank-id"),
             pytest.param("build-vocab", "\n\n\n", None, id="tsv-only-blank-lines"),
             pytest.param("build-vocab", "\nd1 no tab\n", 2, id="tsv-blank-line-first"),
             pytest.param("index", '["a", {}]\n', 1, id="weights-array-row"),
