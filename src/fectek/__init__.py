@@ -16,6 +16,7 @@ from .model import (
     indicator_labels,
     load_model,
     match_score,
+    new_model,
     save_model,
 )
 from .tokenizer import Vocabulary, tokenize
@@ -40,6 +41,7 @@ __all__ = [
     "load_model",
     "match_score",
     "mrr_at_k",
+    "new_model",
     "no_grad",
     "recall_at_k",
     "save_model",

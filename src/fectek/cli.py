@@ -22,7 +22,7 @@ from .errors import CorruptFileError, DataFormatError, TrainingDivergedError, op
 from .evaluation import canonical_int, load_qrels, load_run, mrr_at_k, recall_at_k, write_run
 from .gradcheck import DEFAULT_EPS, DEFAULT_TOLERANCE, run_gradient_check
 from .index import InvertedIndex
-from .model import FecTekModel, load_model
+from .model import FecTekModel, load_model, new_model
 from .synth import SynthConfig, write_dataset
 from .tokenizer import Vocabulary, vocabulary_coverage
 from .trainer import TrainerConfig, load_triples, train
@@ -139,7 +139,7 @@ def _weigh(
     in place for good.  The index keeps 8-bit impacts, so float64's extra
     precision would not survive into it.
     """
-    for p in model.named_parameters().values():
+    for p in model.params.values():
         p.data = p.data.astype(np.float32, copy=False)
     return model.weigh([vocab.encode(text, max_len) for text in texts])
 
@@ -205,7 +205,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                     f"{args.init_checkpoint}, which stores {f.name} {stored}"
                 )
     else:
-        model = FecTekModel(len(vocab), config, seed=trainer_config.seed)
+        model = new_model(len(vocab), config, seed=trainer_config.seed)
     if args.use_feature_gate is not None:  # --no-fcm; otherwise a loaded model keeps its gate
         model.use_feature_gate = args.use_feature_gate
     inputs = {
@@ -341,7 +341,7 @@ def cmd_ablation(args: argparse.Namespace) -> int:
     rows = []
     for name, use_gate, use_guidance in _ABLATION_GRID:
         run_dir = out_root / name.replace("+", "with-")
-        model = FecTekModel(
+        model = new_model(
             len(vocab), config, use_feature_gate=use_gate, seed=trainer_config.seed
         )
         run_config = replace(trainer_config, enable_term_loss=use_guidance)

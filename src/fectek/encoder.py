@@ -18,9 +18,8 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .errors import ShapeError
-from .tokenizer import PAD_ID, SPECIAL_IDS
+from .tokenizer import PAD_ID
 
-INIT_STD = 0.02
 LAYER_NORM_EPS = 1e-5
 # Additive attention bias for padded columns; exp() underflows to exactly 0.
 MASK_BIAS = -1e30
@@ -85,52 +84,21 @@ class EncodedBatch:
         return len(self.token_ids)
 
 
-def normal(rng: np.random.Generator, shape: tuple[int, ...]) -> Tensor:
-    """A trainable parameter of N(0, INIT_STD^2) draws from `rng`."""
-    return Tensor(rng.normal(0.0, INIT_STD, size=shape), requires_grad=True)
-
-
-def constant(value: float, *shape: int) -> Tensor:
-    """A trainable parameter filled with `value`."""
-    return Tensor(np.full(shape, value), requires_grad=True)
-
-
 class ContextEncoder:
-    """Token + position embeddings followed by `layers` transformer blocks."""
+    """Token + position embeddings followed by `layers` transformer blocks,
+    read by checkpoint entry name from `params`."""
 
-    def __init__(self, vocab_size: int, config: EncoderConfig, rng: np.random.Generator):
-        if vocab_size < len(SPECIAL_IDS) + 1:
-            raise ValueError(f"vocab_size must cover the reserved ids, got {vocab_size}")
+    def __init__(self, config: EncoderConfig, params: dict[str, Tensor]):
         self.config = config
-        self.vocab_size = vocab_size
-        d = config.dim
-        hidden = d * config.ffn_multiplier
-        # Parameter creation order is fixed, so one seed pins every weight.
-        p = self.params = {
-            "embeddings.token": normal(rng, (vocab_size, d)),
-            "embeddings.position": normal(rng, (config.max_len, d)),
-            "embeddings.norm.gain": constant(1.0, d),
-            "embeddings.norm.bias": constant(0.0, d),
-        }
-        for i in range(config.layers):
-            for part in ("query", "key", "value", "output"):
-                p[f"layers.{i}.attn.{part}.weight"] = normal(rng, (d, d))
-                p[f"layers.{i}.attn.{part}.bias"] = constant(0.0, d)
-            p[f"layers.{i}.norm1.gain"] = constant(1.0, d)
-            p[f"layers.{i}.norm1.bias"] = constant(0.0, d)
-            p[f"layers.{i}.ffn.expand.weight"] = normal(rng, (d, hidden))
-            p[f"layers.{i}.ffn.expand.bias"] = constant(0.0, hidden)
-            p[f"layers.{i}.ffn.contract.weight"] = normal(rng, (hidden, d))
-            p[f"layers.{i}.ffn.contract.bias"] = constant(0.0, d)
-            p[f"layers.{i}.norm2.gain"] = constant(1.0, d)
-            p[f"layers.{i}.norm2.bias"] = constant(0.0, d)
+        self.params = params
+        self.vocab_size = len(params["embeddings.token"].data)
 
     def forward(self, batch: Sequence[Sequence[int]]) -> EncodedBatch:
         """Encode a batch of id sequences, each padded with [PAD] to the longest.
 
-        Linear layers run on all `B*n` rows at once; attention, pooling and
-        the heads stay per text.  A batch of equal-length texts is never
-        padded, so each text then comes out exactly as it would alone.
+        Linear layers run on all `B*n` rows at once; attention never mixes
+        texts.  A batch of equal-length texts is never padded, so each text
+        then comes out exactly as it would alone.
         """
         cfg = self.config
         lengths = [len(seq) for seq in batch]

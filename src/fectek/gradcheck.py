@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autograd as ag
 from .encoder import EncoderConfig
-from .model import EncodedTriple, FecTekModel, batch_loss
+from .model import EncodedTriple, FecTekModel, batch_loss, new_model
 from .tokenizer import Vocabulary
 
 _WORDS = [
@@ -81,8 +81,8 @@ def _toy_setup(seed: int) -> tuple[FecTekModel, list[EncodedTriple]]:
         max_query_len=12,
         max_passage_len=16,
     )
-    model = FecTekModel(len(vocab), config, seed=seed)
-    for name, p in model.named_parameters().items():
+    model = new_model(len(vocab), config, seed=seed)
+    for name, p in model.params.items():
         if name.endswith("ffn.expand.bias") or name in (
             "weight_head.bias",
             "feature_gate.squeeze.bias",
@@ -138,7 +138,7 @@ def run_gradient_check(
             f"max coords per group must be at least 1, got {max_coords_per_group}"
         )
     model, triples = _toy_setup(seed)
-    params = model.named_parameters()
+    params = model.params
 
     loss, _ = batch_loss(model, triples)
     loss.backward()

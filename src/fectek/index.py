@@ -101,17 +101,13 @@ def quantization_step(max_weight: float) -> float:
     return max_weight / (LEVELS - 1) or 1.0
 
 
-def quantize_value(weight: float | np.ndarray, step: float) -> int | np.ndarray:
-    """Round half away from zero to an impact in [0, 255], elementwise.
-
-    A scalar weight gives an int, an array of weights an int64 array.
-    """
+def quantize_value(weight: float | np.ndarray, step: float) -> np.ndarray:
+    """Round half away from zero to int64 impacts in [0, 255], elementwise."""
     weight = np.asarray(weight, dtype=np.float64)
     bad = ~(weight >= 0.0)  # NaN too
     if bad.any():
         raise ValueError(f"weights must be non-negative, got {weight[bad][0]}")
-    impact = np.minimum(np.floor(weight / step + 0.5), LEVELS - 1).astype(np.int64)
-    return impact if impact.ndim else int(impact)
+    return np.minimum(np.floor(weight / step + 0.5), LEVELS - 1).astype(np.int64)
 
 
 def quantize_weights(weights: dict[int, float], step: float) -> dict[int, int]:

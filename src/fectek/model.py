@@ -27,13 +27,14 @@ import numpy as np
 from . import autograd as ag
 from . import checkpoint as ckpt
 from .autograd import Tensor
-from .encoder import ContextEncoder, EncodedBatch, EncoderConfig, constant, normal
+from .encoder import ContextEncoder, EncodedBatch, EncoderConfig
 from .errors import CorruptFileError, ShapeError
 from .tokenizer import SPECIAL_IDS
 
 # Inference runs at most this many texts per forward pass; 16, 32 and 64
 # encoded the desk corpus at rates within host noise of each other.
 CHUNK_TEXTS = 32
+INIT_STD = 0.02
 
 
 def scorable_mask(token_ids: np.ndarray) -> np.ndarray:
@@ -131,6 +132,49 @@ def match_score(queries: TermWeights, passages: TermWeights) -> Tensor:
     return ag.matmul(queries.weights, ag.transpose(passages.weights))
 
 
+def parameter_shapes(vocab_size: int, config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's checkpoint entry name and shape, in creation order."""
+    d = config.dim
+    hidden, bottleneck = d * config.ffn_multiplier, max(1, d // 16)
+
+    def linear(name: str, *weight: int) -> dict[str, tuple[int, ...]]:
+        return {f"{name}.weight": weight, f"{name}.bias": weight[1:]}
+
+    def norm(name: str) -> dict[str, tuple[int, ...]]:
+        return {f"{name}.gain": (d,), f"{name}.bias": (d,)}
+
+    shapes = {
+        "embeddings.token": (vocab_size, d),
+        "embeddings.position": (config.max_len, d),
+        **norm("embeddings.norm"),
+    }
+    for i in range(config.layers):
+        for part in ("query", "key", "value", "output"):
+            shapes |= linear(f"layers.{i}.attn.{part}", d, d)
+        shapes |= norm(f"layers.{i}.norm1") | linear(f"layers.{i}.ffn.expand", d, hidden)
+        shapes |= linear(f"layers.{i}.ffn.contract", hidden, d) | norm(f"layers.{i}.norm2")
+    shapes |= linear("feature_gate.squeeze", d, bottleneck)
+    shapes |= linear("feature_gate.excite", bottleneck, d)
+    return shapes | linear("weight_head", d) | linear("prob_head", d)
+
+
+def init_parameters(
+    shapes: dict[str, tuple[int, ...]], rng: np.random.Generator
+) -> dict[str, Tensor]:
+    """Fresh trainable parameters: gains 1, biases 0, and every other entry
+    N(0, INIT_STD^2) draws from `rng` in table order, so one seed pins all."""
+    params = {}
+    for name, shape in shapes.items():
+        if name.endswith(".gain"):
+            data = np.ones(shape)
+        elif name.endswith(".bias"):
+            data = np.zeros(shape)
+        else:
+            data = rng.normal(0.0, INIT_STD, size=shape)
+        params[name] = Tensor(data, requires_grad=True)
+    return params
+
+
 class FeatureContextGate:
     """Squeeze-excitation over hidden channels, pooled across real positions.
 
@@ -139,15 +183,9 @@ class FeatureContextGate:
     of a text is rescaled by that text's gate vector.
     """
 
-    def __init__(self, dim: int, rng: np.random.Generator):
-        self.dim = dim
-        self.bottleneck = max(1, dim // 16)
-        self.params = {
-            "feature_gate.squeeze.weight": normal(rng, (dim, self.bottleneck)),
-            "feature_gate.squeeze.bias": constant(0.0, self.bottleneck),
-            "feature_gate.excite.weight": normal(rng, (self.bottleneck, dim)),
-            "feature_gate.excite.bias": constant(0.0, dim),
-        }
+    def __init__(self, params: dict[str, Tensor]):
+        self.params = params
+        self.bottleneck, self.dim = params["feature_gate.excite.weight"].data.shape
 
     def gate_vector(self, hidden: Tensor, real_mask: np.ndarray) -> Tensor:
         """[B, 1, d] gates for [B, n, d] hidden states."""
@@ -176,41 +214,21 @@ class FeatureContextGate:
 
 
 class FecTekModel:
-    """Encoder plus gate and heads; one instance scores queries and passages."""
+    """Encoder plus gate and heads; one instance scores queries and passages.
+    All of them read `params`, every parameter by checkpoint entry name."""
 
     def __init__(
-        self,
-        vocab_size: int,
-        config: EncoderConfig,
-        *,
-        use_feature_gate: bool = True,
-        seed: int = 42,
+        self, config: EncoderConfig, params: dict[str, Tensor], *, use_feature_gate: bool = True
     ):
         self.config = config
-        self.vocab_size = vocab_size
+        self.params = params
         self.use_feature_gate = use_feature_gate
-        rng = np.random.default_rng(seed)
-        self.encoder = ContextEncoder(vocab_size, self.config, rng=rng)
-        self.feature_gate = FeatureContextGate(self.config.dim, rng)
-        d = self.config.dim
-        self.weight_w = normal(rng, (d,))
-        self.weight_b = constant(0.0)
-        self.prob_w = normal(rng, (d,))
-        self.prob_b = constant(0.0)
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        """Every parameter by checkpoint entry name, in creation order."""
-        return {
-            **self.encoder.params,
-            **self.feature_gate.params,
-            "weight_head.weight": self.weight_w,
-            "weight_head.bias": self.weight_b,
-            "prob_head.weight": self.prob_w,
-            "prob_head.bias": self.prob_b,
-        }
+        self.encoder = ContextEncoder(config, params)
+        self.feature_gate = FeatureContextGate(params)
+        self.vocab_size = self.encoder.vocab_size
 
     def zero_grad(self) -> None:
-        for p in self.named_parameters().values():
+        for p in self.params.values():
             p.grad = None
 
     def encode_ids(self, token_ids: Sequence[int]) -> EncodedBatch:
@@ -226,7 +244,8 @@ class FecTekModel:
         )
         # [B, n, d] @ [d] is one matrix-vector product per text, the BLAS
         # call a text alone gets, so its weights keep the same bits.
-        raw = ag.linear(features, self.weight_w, self.weight_b)
+        head = self.params["weight_head.weight"], self.params["weight_head.bias"]
+        raw = ag.linear(features, *head)
         return TermWeights.from_positions(
             batch.token_ids, ag.log1p(ag.relu(raw)), terms
         )
@@ -234,7 +253,8 @@ class FecTekModel:
     def term_probabilities(self, batch: EncodedBatch) -> Tensor:
         """[B, n] probability that each position's term also occurs in the
         pair text.  Reads the raw hidden states, not the gated features."""
-        return ag.sigmoid(ag.linear(batch.hidden, self.prob_w, self.prob_b))
+        head = self.params["prob_head.weight"], self.params["prob_head.bias"]
+        return ag.sigmoid(ag.linear(batch.hidden, *head))
 
     def weigh(self, id_lists: Sequence[Sequence[int]]) -> list[dict[int, float]]:
         """Term weights of each text, in input order, recorded on no tape.
@@ -255,6 +275,16 @@ class FecTekModel:
                     for i, weights in zip(chunk, self.term_weights(batch).rows()):
                         out[i] = weights
         return out
+
+
+def new_model(
+    vocab_size: int, config: EncoderConfig, *, use_feature_gate: bool = True, seed: int = 42
+) -> FecTekModel:
+    """A freshly initialised model; one seed pins every weight."""
+    if vocab_size < len(SPECIAL_IDS) + 1:
+        raise ValueError(f"vocab_size must cover the reserved ids, got {vocab_size}")
+    params = init_parameters(parameter_shapes(vocab_size, config), np.random.default_rng(seed))
+    return FecTekModel(config, params, use_feature_gate=use_feature_gate)
 
 
 # -- losses ------------------------------------------------------------------
@@ -339,7 +369,7 @@ def save_model(model: FecTekModel, path: str | Path) -> None:
         "aggregation": 0.0,  # `max`; kept so the checkpoint layout is unchanged
     }
     entries = {f"config.{name}": np.float64(value) for name, value in config.items()}
-    for name, tensor in model.named_parameters().items():
+    for name, tensor in model.params.items():
         entries[name] = tensor.data
     ckpt.save_tensors(path, entries)
 
@@ -378,33 +408,24 @@ def load_model(path: str | Path) -> FecTekModel:
     except ValueError as exc:
         raise CorruptFileError(f"{path}: inconsistent stored config: {exc}") from exc
 
-    # The two embedding tables dominate the constructor's allocations, and
-    # their stored shapes are bounded by the file's actual size, so checking
-    # them against the config scalars first keeps a corrupted header from
-    # provoking a huge allocation before the ordinary shape checks run.
-    for name, expected in (
-        ("embeddings.token", (vocab_size, config.dim)),
-        ("embeddings.position", (config.max_len, config.dim)),
-    ):
+    # Every entry is checked against the stored config before anything is
+    # allocated, so a small file claiming a huge model fails cheaply.
+    shapes = parameter_shapes(vocab_size, config)
+    config_names = ("vocab_size", *stored, "use_feature_gate", "aggregation")
+    known = {f"config.{name}" for name in config_names} | shapes.keys()
+    for name in entries:
+        if name not in known:
+            raise CorruptFileError(f"{path}: unexpected checkpoint entry {name!r}")
+    params = {}
+    for name, shape in shapes.items():
         if name not in entries:
             raise CorruptFileError(f"{path}: missing parameter {name!r}")
-        if entries[name].shape != expected:
+        array = entries[name]
+        if array.shape != shape:
             raise CorruptFileError(
-                f"{path}: parameter {name!r} has shape {entries[name].shape}, "
-                f"expected {expected}"
+                f"{path}: parameter {name!r} has shape {array.shape}, expected {shape}"
             )
-
-    model = FecTekModel(vocab_size, config, use_feature_gate=use_feature_gate)
-    for name, tensor in model.named_parameters().items():
-        if name not in entries:
-            raise CorruptFileError(f"{path}: missing parameter {name!r}")
-        stored = entries[name]
-        if stored.shape != tensor.data.shape:
-            raise CorruptFileError(
-                f"{path}: parameter {name!r} has shape {stored.shape}, "
-                f"expected {tensor.data.shape}"
-            )
-        if not np.isfinite(stored).all():
+        if not np.isfinite(array).all():
             raise CorruptFileError(f"{path}: parameter {name!r} is not finite")
-        tensor.data = stored.astype(np.float64)
-    return model
+        params[name] = Tensor(array, requires_grad=True)
+    return FecTekModel(config, params, use_feature_gate=use_feature_gate)

@@ -243,7 +243,7 @@ def train(
     n = len(encoded)
     steps_per_epoch = math.ceil(n / config.batch_queries)
     total_steps = steps_per_epoch * config.epochs
-    optimizer = AdamW(model.named_parameters(), config.weight_decay)
+    optimizer = AdamW(model.params, config.weight_decay)
     rng = np.random.default_rng(config.seed)
     final_path = out / "model.ftck"
     metrics_path = out / "metrics.jsonl"

@@ -48,7 +48,7 @@ def corrupt_gradient(monkeypatch):
 
         def toy_setup(seed):
             model, triples = setup(seed)
-            params.update(model.named_parameters())
+            params.update(model.params)
             return model, triples
 
         def faulty_backward(self):

@@ -207,7 +207,8 @@ def term_weights(model, token_ids):
     """(ids, hidden, terms, weights) of one text."""
     ids, hidden, real = forward(model.encoder, token_ids)
     features = gate(model, hidden, real) if model.use_feature_gate else hidden
-    raw = ag.add(matmul(features, model.weight_w), model.weight_b)
+    head = model.params
+    raw = ag.add(matmul(features, head["weight_head.weight"]), head["weight_head.bias"])
     terms, weights = from_positions(ids, ag.log1p(ag.relu(raw)))
     return ids, hidden, terms, weights
 
@@ -244,7 +245,8 @@ def triple_loss(model, triple, enable_term: bool = True) -> tuple[Tensor, float,
         q_labels, p_labels = indicator_labels(q_ids, p_ids)
 
         def probs(hidden):
-            return ag.sigmoid(ag.add(matmul(hidden, model.prob_w), model.prob_b))
+            head = model.params
+            return ag.sigmoid(ag.add(matmul(hidden, head["prob_head.weight"]), head["prob_head.bias"]))
 
         term = ag.add(
             ag.binary_cross_entropy(probs(q_hidden), q_labels.labels, q_labels.mask),

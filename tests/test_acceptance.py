@@ -40,6 +40,7 @@ from fectek.model import (
     FecTekModel,
     batch_loss,
     load_model,
+    new_model,
     save_model,
 )
 from fectek.synth import SynthConfig, generate
@@ -84,7 +85,7 @@ def pipeline(tmp_path_factory) -> Pipeline:
         for t in data.triples
     ]
     config = EncoderConfig()
-    model = FecTekModel(len(vocab), config, seed=42)  # feature gate on
+    model = new_model(len(vocab), config, seed=42)  # feature gate on
     trainer_config = TrainerConfig(
         epochs=PIPELINE_EPOCHS, batch_queries=4, seed=42
     )  # term-guidance loss on
@@ -146,11 +147,11 @@ def test_text_loss_is_log16_with_zeroed_weight_head():
         dim=16, layers=1, heads=2, ffn_multiplier=2,
         max_query_len=8, max_passage_len=12,
     )
-    model = FecTekModel(len(vocab), config, seed=7)
+    model = new_model(len(vocab), config, seed=7)
     # A zeroed weight head maps every term weight through log1p(relu(0)) = 0,
     # so all 16 candidate scores are exactly 0 and the softmax is uniform.
-    model.weight_w.data[:] = 0.0
-    model.weight_b.data = np.zeros_like(model.weight_b.data)
+    model.params["weight_head.weight"].data[:] = 0.0
+    model.params["weight_head.bias"].data = np.zeros_like(model.params["weight_head.bias"].data)
 
     rng = np.random.default_rng(5)
 
@@ -338,7 +339,7 @@ def build_small_model() -> tuple[FecTekModel, Vocabulary, EncoderConfig]:
         dim=16, layers=1, heads=2, ffn_multiplier=2,
         max_query_len=8, max_passage_len=12,
     )
-    return FecTekModel(len(vocab), config, seed=11), vocab, config
+    return new_model(len(vocab), config, seed=11), vocab, config
 
 
 def build_small_index() -> InvertedIndex:

@@ -16,7 +16,7 @@ import per_text_reference as ref
 from fectek.autograd import Tensor
 from fectek.encoder import EncoderConfig
 from fectek.errors import ShapeError
-from fectek.model import CHUNK_TEXTS, EncodedTriple, FecTekModel, batch_loss
+from fectek.model import CHUNK_TEXTS, EncodedTriple, batch_loss, new_model
 from fectek.tokenizer import CLS_ID, SEP_ID, UNK_ID
 
 VOCAB = 24
@@ -26,23 +26,23 @@ CONFIG = EncoderConfig(
 
 
 def make_model(gate=True, seed=5):
-    model = FecTekModel(VOCAB, CONFIG, use_feature_gate=gate, seed=seed)
+    model = new_model(VOCAB, CONFIG, use_feature_gate=gate, seed=seed)
     # Lift the weight head off its kink so most terms carry weight.
-    model.weight_b.data = np.asarray(0.3)
+    model.params["weight_head.bias"].data = np.asarray(0.3)
     return model
 
 
 def to_float32(model):
     """Cast every parameter to float32, as the inference commands do."""
-    for p in model.named_parameters().values():
+    for p in model.params.values():
         p.data = p.data.astype(np.float32)
     return model
 
 
 def default_width_case():
     """Default width and long texts with many repeats, as in a corpus."""
-    model = FecTekModel(40, EncoderConfig(), seed=3)
-    model.weight_b.data = np.asarray(0.3)
+    model = new_model(40, EncoderConfig(), seed=3)
+    model.params["weight_head.bias"].data = np.asarray(0.3)
     rng = np.random.default_rng(0)
     id_lists = [
         [CLS_ID, *rng.integers(4, 12, size=rng.integers(0, 120)).tolist(), SEP_ID]
@@ -77,7 +77,7 @@ def reference_weights(model, ids):
 
 def loss_and_grads(model, loss):
     loss.backward()
-    grads = {name: p.grad for name, p in model.named_parameters().items()}
+    grads = {name: p.grad for name, p in model.params.items()}
     model.zero_grad()
     return loss.item(), grads
 

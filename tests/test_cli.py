@@ -791,13 +791,35 @@ class TestExitCodes:
         assert f"error: {other}: index vocabulary size {vocab_size + 1}" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("damage", ["missing", "wrong-shape"])
+    @pytest.mark.parametrize(
+        "damage",
+        ["missing", "wrong-shape", "fewer-layers-in-config", "extra-tensor", "unknown-config"],
+    )
     def test_damaged_checkpoint_parameter_is_4(self, workspace, tmp_path, damage):
         entries = load_tensors(workspace["checkpoint"])
+        message = {
+            "missing": "missing parameter 'prob_head.weight'",
+            "wrong-shape": "parameter 'prob_head.weight' has shape (15,), expected (16,)",
+            "fewer-layers-in-config": "unexpected checkpoint entry 'layers.1.attn.query.weight'",
+            "extra-tensor": "unexpected checkpoint entry 'junk'",
+            "unknown-config": "unexpected checkpoint entry 'config.temperature'",
+        }[damage]
         if damage == "missing":
             del entries["prob_head.weight"]
-        else:
+        elif damage == "wrong-shape":
             entries["prob_head.weight"] = entries["prob_head.weight"][:-1]
+        elif damage == "fewer-layers-in-config":
+            # The stored config names one layer; the file also holds a second.
+            assert entries["config.layers"] == 1.0
+            entries |= {
+                name.replace("layers.0.", "layers.1.", 1): value
+                for name, value in entries.items()
+                if name.startswith("layers.0.")
+            }
+        elif damage == "extra-tensor":
+            entries["junk"] = np.zeros(3)
+        else:
+            entries["config.temperature"] = np.float64(1.0)
         broken = tmp_path / "broken.ftck"
         save_tensors(broken, entries)
         out = tmp_path / "weights.jsonl"
@@ -809,8 +831,7 @@ class TestExitCodes:
             "--out", str(out),
         )
         assert code == 4
-        assert f"error: {broken}: " in err
-        assert "parameter 'prob_head.weight'" in err
+        assert f"error: {broken}: {message}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("dims", [(0, 2**63), (0,) * 65], ids=["huge-dim", "rank-65"])
@@ -937,9 +958,9 @@ class TestExitCodes:
         def inf_gradient_loss(model, triples, *, enable_term=True):
             # Finite loss metrics, and a backward that puts inf into one
             # gradient entry.
-            scale = np.zeros(model.weight_w.data.shape)
+            scale = np.zeros(model.params["weight_head.weight"].data.shape)
             scale[0] = np.inf
-            loss = ref.reduce_sum(ag.mul(model.weight_w, Tensor(scale)))
+            loss = ref.reduce_sum(ag.mul(model.params["weight_head.weight"], Tensor(scale)))
             return loss, {"total_loss": 0.0, "text_loss": 0.0, "term_loss": 0.0}
 
         monkeypatch.setattr(trainer, "batch_loss", inf_gradient_loss)

@@ -7,6 +7,7 @@ import fectek.autograd as ag
 import per_text_reference as ref
 from fectek.encoder import ContextEncoder, EncoderConfig
 from fectek.errors import ShapeError
+from fectek.model import init_parameters, parameter_shapes
 from fectek.tokenizer import PAD_ID
 
 
@@ -15,7 +16,9 @@ def encode_ids(vocab, text, max_len=16):
 
 
 def make_encoder(vocab, config, seed=42):
-    return ContextEncoder(len(vocab), config, np.random.default_rng(seed))
+    shapes = parameter_shapes(len(vocab), config)
+    encoder = {name: s for name, s in shapes.items() if name.startswith(("embeddings.", "layers."))}
+    return ContextEncoder(config, init_parameters(encoder, np.random.default_rng(seed)))
 
 
 class TestConfig:

@@ -29,7 +29,7 @@ def test_every_group_has_live_analytic_gradient():
     model, triples = _toy_setup(42)
     loss, _ = batch_loss(model, triples)
     loss.backward()
-    for name, p in model.named_parameters().items():
+    for name, p in model.params.items():
         assert p.grad is not None and np.any(p.grad != 0.0), name
 
 

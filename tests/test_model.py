@@ -1,6 +1,9 @@
 """Term weighting, feature gating, guidance labels, losses, persistence."""
 
 import math
+import re
+import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -11,17 +14,20 @@ import fectek.autograd as ag
 import per_text_reference as ref
 from fectek.autograd import Tensor
 from fectek.checkpoint import load_tensors, save_tensors
-from fectek.encoder import INIT_STD, EncoderConfig
+from fectek.encoder import EncoderConfig
 from fectek.errors import CorruptFileError, ShapeError
 from fectek.model import (
+    INIT_STD,
     EncodedTriple,
     FeatureContextGate,
-    FecTekModel,
     TermWeights,
     batch_loss,
     indicator_labels,
+    init_parameters,
     load_model,
     match_score,
+    new_model,
+    parameter_shapes,
     save_model,
     scorable_mask,
 )
@@ -35,7 +41,14 @@ ENCODER_FIELDS = (
 
 @pytest.fixture
 def tiny_model(tiny_vocab, tiny_config):
-    return FecTekModel(len(tiny_vocab), tiny_config, seed=5)
+    return new_model(len(tiny_vocab), tiny_config, seed=5)
+
+
+def make_gate(dim, rng):
+    """A gate of width `dim` whose parameters are the next draws of `rng`."""
+    shapes = parameter_shapes(5, EncoderConfig(dim=dim, heads=1))
+    gate = {name: s for name, s in shapes.items() if name.startswith("feature_gate.")}
+    return FeatureContextGate(init_parameters(gate, rng))
 
 
 def make_triple(vocab, config, query, positive, negatives):
@@ -187,14 +200,14 @@ class TestMatchScore:
 
 class TestFeatureGate:
     def test_gate_values_strictly_inside_unit_interval(self, rng):
-        gate = FeatureContextGate(16, rng)
+        gate = make_gate(16, rng)
         hidden = Tensor(rng.normal(size=(1, 5, 16)))
         mask = np.array([[True] * 4 + [False]])
         g = gate.gate_vector(hidden, mask)
         assert np.all(g.data > 0.0) and np.all(g.data < 1.0)
 
     def test_same_gate_for_every_position(self, rng):
-        gate = FeatureContextGate(16, rng)
+        gate = make_gate(16, rng)
         hidden = Tensor(rng.normal(size=(2, 6, 16)))
         mask = np.ones((2, 6), dtype=bool)
         g = gate.gate_vector(hidden, mask)
@@ -204,7 +217,7 @@ class TestFeatureGate:
         np.testing.assert_array_equal(gated.data, hidden.data * g.data)
 
     def test_pad_rows_do_not_influence_gate(self, rng):
-        gate = FeatureContextGate(16, rng)
+        gate = make_gate(16, rng)
         base = rng.normal(size=(1, 5, 16))
         mask = np.array([[True, True, True, False, False]])
         loud = base.copy()
@@ -214,7 +227,7 @@ class TestFeatureGate:
         np.testing.assert_array_equal(g_quiet.data, g_loud.data)
 
     def test_each_text_gets_its_own_gate(self, rng):
-        gate = FeatureContextGate(16, rng)
+        gate = make_gate(16, rng)
         hidden = rng.normal(size=(2, 4, 16))
         mask = np.array([[True] * 4, [True, True, False, False]])
         both = gate.gate_vector(Tensor(hidden), mask).data
@@ -223,25 +236,25 @@ class TestFeatureGate:
             np.testing.assert_array_equal(both[b], alone[0])
 
     def test_saturated_excite_bias_passes_hidden_through(self, rng):
-        gate = FeatureContextGate(16, rng)
+        gate = make_gate(16, rng)
         gate.params["feature_gate.excite.bias"].data[:] = 1e3
         hidden = Tensor(rng.normal(size=(1, 4, 16)))
         gated = gate(hidden, np.ones((1, 4), dtype=bool))
         np.testing.assert_allclose(gated.data, hidden.data, rtol=1e-12)
 
     def test_bottleneck_width(self, rng):
-        assert FeatureContextGate(16, rng).bottleneck == 1
-        assert FeatureContextGate(64, rng).bottleneck == 4
-        assert FeatureContextGate(15, rng).bottleneck == 1
+        assert make_gate(16, rng).bottleneck == 1
+        assert make_gate(64, rng).bottleneck == 4
+        assert make_gate(15, rng).bottleneck == 1
 
     def test_all_pad_rejected(self, rng):
-        gate = FeatureContextGate(16, rng)
+        gate = make_gate(16, rng)
         mask = np.array([[True, True, True], [False, False, False]])
         with pytest.raises(ShapeError):
             gate.gate_vector(Tensor(rng.normal(size=(2, 3, 16))), mask)
 
     def test_width_mismatch_rejected(self, rng):
-        gate = FeatureContextGate(16, rng)
+        gate = make_gate(16, rng)
         with pytest.raises(ShapeError):
             gate.gate_vector(Tensor(rng.normal(size=(1, 3, 8))), np.ones((1, 3), dtype=bool))
 
@@ -253,7 +266,7 @@ class TestTermWeights:
         assert np.all(vec.weights.data >= 0.0)
 
     def test_zero_head_gives_zero_weights(self, tiny_model, tiny_vocab):
-        tiny_model.weight_w.data[:] = 0.0
+        tiny_model.params["weight_head.weight"].data[:] = 0.0
         seq = tiny_model.encode_ids(tiny_vocab.encode("quick brown fox", 16))
         vec = tiny_model.term_weights(seq)
         assert np.all(vec.weights.data == 0.0)
@@ -261,20 +274,20 @@ class TestTermWeights:
     def test_bias_maps_through_log1p_relu(self, tiny_model, tiny_vocab):
         # With a zero weight vector the pre-activation is exactly the bias:
         # e-1 lands on weight ln(1+(e-1)) = 1, a negative bias lands on 0.
-        tiny_model.weight_w.data[:] = 0.0
+        tiny_model.params["weight_head.weight"].data[:] = 0.0
         seq = tiny_model.encode_ids(tiny_vocab.encode("quick brown fox", 16))
-        tiny_model.weight_b.data = np.asarray(math.e - 1.0)
+        tiny_model.params["weight_head.bias"].data = np.asarray(math.e - 1.0)
         vec = tiny_model.term_weights(seq)
         np.testing.assert_allclose(vec.weights.data, 1.0, rtol=1e-12)
-        tiny_model.weight_b.data = np.asarray(-0.5)
+        tiny_model.params["weight_head.bias"].data = np.asarray(-0.5)
         vec = tiny_model.term_weights(seq)
         assert np.all(vec.weights.data == 0.0)
 
     def test_unit_weights_make_score_count_shared_terms(
         self, tiny_model, tiny_vocab, tiny_config
     ):
-        tiny_model.weight_w.data[:] = 0.0
-        tiny_model.weight_b.data = np.asarray(math.e - 1.0)
+        tiny_model.params["weight_head.weight"].data[:] = 0.0
+        tiny_model.params["weight_head.bias"].data = np.asarray(math.e - 1.0)
         q_ids = tiny_vocab.encode("quick brown fox", 16)
         p_ids = tiny_vocab.encode("the quick dog jumps over the fox", 24)
         terms = np.unique([t for t in q_ids + p_ids if t not in (CLS_ID, SEP_ID)])
@@ -285,8 +298,8 @@ class TestTermWeights:
         assert score.data[0, 0] == pytest.approx(2.0, abs=1e-12)
 
     def test_gate_disabled_reads_raw_hidden(self, tiny_vocab, tiny_config):
-        gated = FecTekModel(len(tiny_vocab), tiny_config, seed=5)
-        plain = FecTekModel(
+        gated = new_model(len(tiny_vocab), tiny_config, seed=5)
+        plain = new_model(
             len(tiny_vocab), tiny_config, use_feature_gate=False, seed=5
         )
         ids = tiny_vocab.encode("pack my box with five dozen jugs", 24)
@@ -300,7 +313,7 @@ class TestTermWeights:
 
 class TestTermProbabilities:
     def test_zero_head_gives_exactly_half(self, tiny_model, tiny_vocab):
-        tiny_model.prob_w.data[:] = 0.0
+        tiny_model.params["prob_head.weight"].data[:] = 0.0
         seq = tiny_model.encode_ids(tiny_vocab.encode("quick brown fox", 16))
         probs = tiny_model.term_probabilities(seq)
         np.testing.assert_array_equal(probs.data, 0.5)
@@ -328,10 +341,10 @@ class TestTermProbabilities:
                 return term_loss().item()
 
         term_loss().backward()
-        grad = tiny_model.prob_w.grad.copy()
+        grad = tiny_model.params["prob_head.weight"].grad.copy()
 
         eps = 1e-5
-        flat = tiny_model.prob_w.data
+        flat = tiny_model.params["prob_head.weight"].data
         worst = 0.0
         for c in range(flat.size):
             original = flat[c]
@@ -351,7 +364,7 @@ class TestLosses:
     def test_zero_weights_give_uniform_text_loss(
         self, tiny_model, tiny_vocab, tiny_config
     ):
-        tiny_model.weight_w.data[:] = 0.0
+        tiny_model.params["weight_head.weight"].data[:] = 0.0
         triple = make_triple(
             tiny_vocab,
             tiny_config,
@@ -363,7 +376,7 @@ class TestLosses:
         assert metrics["text_loss"] == pytest.approx(math.log(4), abs=1e-9)
 
     def test_bce_at_half_per_masked_position(self, tiny_model, tiny_vocab, tiny_config):
-        tiny_model.prob_w.data[:] = 0.0
+        tiny_model.params["prob_head.weight"].data[:] = 0.0
         triple = make_triple(tiny_vocab, tiny_config, "quick fox", "lazy dog", [])
         _, metrics = batch_loss(tiny_model, [triple])
         # Both sides contribute ln 2 each at probability one half.
@@ -415,10 +428,10 @@ class TestLosses:
     def test_gradient_reaches_all_groups_through_joint_loss(
         self, tiny_vocab, tiny_config
     ):
-        model = FecTekModel(len(tiny_vocab), tiny_config, seed=5)
+        model = new_model(len(tiny_vocab), tiny_config, seed=5)
         # Generic operating point: lift the weight head bias so shared terms
         # carry nonzero weights and the match-score branch has gradient.
-        model.weight_b.data = np.asarray(0.2)
+        model.params["weight_head.bias"].data = np.asarray(0.2)
         triple = make_triple(
             tiny_vocab,
             tiny_config,
@@ -428,7 +441,7 @@ class TestLosses:
         )
         total, _ = batch_loss(model, [triple])
         total.backward()
-        for name, p in model.named_parameters().items():
+        for name, p in model.params.items():
             assert p.grad is not None and np.any(p.grad != 0.0), name
 
 
@@ -439,7 +452,7 @@ class TestInitialisation:
         config = EncoderConfig(
             dim=16, layers=2, heads=2, ffn_multiplier=2, max_query_len=8, max_passage_len=12
         )
-        model = FecTekModel(len(tiny_vocab), config, seed=7)
+        model = new_model(len(tiny_vocab), config, seed=7)
         rng = np.random.default_rng(7)
         d, hidden, bottleneck = 16, 32, 1
         zeros, ones = np.zeros, np.ones
@@ -474,7 +487,7 @@ class TestInitialisation:
         expected["prob_head.weight"] = draw(d)
         expected["prob_head.bias"] = zeros(())
 
-        params = model.named_parameters()
+        params = model.params
         assert list(params) == list(expected)
         for name, p in params.items():
             assert p.requires_grad, name
@@ -488,18 +501,18 @@ class TestInitialisation:
 
 class TestPersistence:
     def test_round_trip_is_bit_exact(self, tiny_vocab, tiny_config, tmp_path):
-        model = FecTekModel(len(tiny_vocab), tiny_config, seed=9)
+        model = new_model(len(tiny_vocab), tiny_config, seed=9)
         path = tmp_path / "model.ftck"
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.vocab_size == model.vocab_size
         assert loaded.use_feature_gate is True
         assert loaded.config == model.config
-        for name, p in model.named_parameters().items():
-            assert np.array_equal(loaded.named_parameters()[name].data, p.data), name
+        for name, p in model.params.items():
+            assert np.array_equal(loaded.params[name].data, p.data), name
 
     def test_double_save_identical_bytes(self, tiny_vocab, tiny_config, tmp_path):
-        model = FecTekModel(len(tiny_vocab), tiny_config, seed=9)
+        model = new_model(len(tiny_vocab), tiny_config, seed=9)
         a = tmp_path / "a.ftck"
         b = tmp_path / "b.ftck"
         save_model(model, a)
@@ -509,7 +522,7 @@ class TestPersistence:
     def test_config_entries_lead_in_format_order(self, tiny_vocab, tiny_config, tmp_path):
         # Format v1 pins this order; it follows the EncoderConfig field order.
         path = tmp_path / "model.ftck"
-        save_model(FecTekModel(len(tiny_vocab), tiny_config, seed=9), path)
+        save_model(new_model(len(tiny_vocab), tiny_config, seed=9), path)
         assert list(load_tensors(path))[:10] == [
             "config.vocab_size",
             "config.dim",
@@ -540,7 +553,7 @@ class TestPersistence:
         self, tiny_vocab, tiny_config, tmp_path, name, value
     ):
         path = tmp_path / "model.ftck"
-        save_model(FecTekModel(len(tiny_vocab), tiny_config, seed=9), path)
+        save_model(new_model(len(tiny_vocab), tiny_config, seed=9), path)
         entries = load_tensors(path)
         entries[f"config.{name}"] = np.float64(value)
         save_tensors(path, entries)
@@ -559,7 +572,7 @@ class TestPersistence:
         self, tiny_vocab, tiny_config, tmp_path, value, message
     ):
         path = tmp_path / "model.ftck"
-        save_model(FecTekModel(len(tiny_vocab), tiny_config, seed=9), path)
+        save_model(new_model(len(tiny_vocab), tiny_config, seed=9), path)
         entries = load_tensors(path)
         assert entries["config.aggregation"] == 0.0  # max
         entries["config.aggregation"] = np.float64(value)
@@ -568,7 +581,7 @@ class TestPersistence:
             load_model(path)
 
     def test_gate_flag_round_trips(self, tiny_vocab, tiny_config, tmp_path):
-        model = FecTekModel(
+        model = new_model(
             len(tiny_vocab), tiny_config, use_feature_gate=False, seed=9
         )
         path = tmp_path / "model.ftck"
@@ -579,15 +592,75 @@ class TestPersistence:
     def test_non_finite_parameter_rejected(
         self, tiny_vocab, tiny_config, tmp_path, value
     ):
-        model = FecTekModel(len(tiny_vocab), tiny_config, seed=9)
-        model.named_parameters()["embeddings.token"].data[5, 1] = value
+        model = new_model(len(tiny_vocab), tiny_config, seed=9)
+        model.params["embeddings.token"].data[5, 1] = value
         path = tmp_path / "model.ftck"
         save_model(model, path)
         with pytest.raises(CorruptFileError, match="'embeddings.token' is not finite"):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "damage, entry",
+        [
+            ("fewer-layers-in-config", "layers.1.attn.query.weight"),
+            ("extra-tensor", "junk"),
+            ("unknown-config", "config.temperature"),
+        ],
+    )
+    def test_entry_the_config_does_not_name_rejected(
+        self, tiny_vocab, tiny_config, tmp_path, damage, entry
+    ):
+        path = tmp_path / "model.ftck"
+        save_model(new_model(len(tiny_vocab), tiny_config, seed=9), path)
+        entries = load_tensors(path)
+        if damage == "fewer-layers-in-config":
+            assert entries["config.layers"] == 2.0
+            entries["config.layers"] = np.float64(1.0)
+        elif damage == "extra-tensor":
+            entries[entry] = np.zeros(3)
+        else:
+            entries[entry] = np.float64(1.0)
+        save_tensors(path, entries)
+        with pytest.raises(CorruptFileError, match=re.escape(f"unexpected checkpoint entry '{entry}'")):
+            load_model(path)
+
+    def test_small_file_claiming_a_large_model_allocates_nothing(self, tmp_path):
+        # Four layers of width 256 would come to about 25 MiB of weights; the
+        # file holds only the config and the two embedding tables, 26 KiB.
+        config = EncoderConfig(
+            dim=256, layers=4, heads=1, ffn_multiplier=4, max_query_len=4, max_passage_len=8
+        )
+        scalars = {"vocab_size": 5, **asdict(config), "use_feature_gate": 1, "aggregation": 0}
+        entries = {f"config.{name}": np.float64(value) for name, value in scalars.items()}
+        entries["embeddings.token"] = np.zeros((5, 256))
+        entries["embeddings.position"] = np.zeros((8, 256))
+        path = tmp_path / "model.ftck"
+        save_tensors(path, entries)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptFileError, match="missing parameter 'embeddings.norm.gain'"):
+                load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_load_draws_no_random_numbers(self, tiny_vocab, tiny_config, tmp_path, monkeypatch):
+        model = new_model(len(tiny_vocab), tiny_config, seed=9)
+        path = tmp_path / "model.ftck"
+        save_model(model, path)
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("load_model made a random generator")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.random, "default_rng", no_generator)
+            loaded = load_model(path)
+        for name, p in model.params.items():
+            assert loaded.params[name].data.tobytes() == p.data.tobytes(), name
+
     def test_truncated_file_rejected(self, tiny_vocab, tiny_config, tmp_path):
-        model = FecTekModel(len(tiny_vocab), tiny_config, seed=9)
+        model = new_model(len(tiny_vocab), tiny_config, seed=9)
         path = tmp_path / "model.ftck"
         save_model(model, path)
         clipped = tmp_path / "clipped.ftck"
@@ -596,7 +669,7 @@ class TestPersistence:
             load_model(clipped)
 
     def test_bad_magic_rejected(self, tiny_vocab, tiny_config, tmp_path):
-        model = FecTekModel(len(tiny_vocab), tiny_config, seed=9)
+        model = new_model(len(tiny_vocab), tiny_config, seed=9)
         path = tmp_path / "model.ftck"
         save_model(model, path)
         data = bytearray(path.read_bytes())

@@ -10,7 +10,7 @@ import pytest
 from fectek.autograd import Tensor
 from fectek.encoder import EncoderConfig
 from fectek.errors import DataFormatError, TrainingDivergedError
-from fectek.model import FecTekModel
+from fectek.model import new_model
 from fectek.tokenizer import Vocabulary
 from fectek.trainer import (
     AdamW,
@@ -43,7 +43,7 @@ def toy_vocab():
 
 @pytest.fixture
 def toy_model(toy_vocab, tiny_config):
-    return FecTekModel(len(toy_vocab), tiny_config, seed=3)
+    return new_model(len(toy_vocab), tiny_config, seed=3)
 
 
 class TestSchedule:
@@ -182,7 +182,7 @@ class TestLoadTriples:
 class TestTrainStep:
     def test_loss_drops_over_steps(self, toy_model, toy_vocab, tiny_config):
         encoded = encode_triples(TOY_TRIPLES, toy_vocab, 16, 24, 7)
-        opt = AdamW(toy_model.named_parameters(), weight_decay=0.0)
+        opt = AdamW(toy_model.params, weight_decay=0.0)
         first = train_step(toy_model, opt, encoded, 1e-3, TrainerConfig())
         last = None
         for _ in range(99):
@@ -191,15 +191,15 @@ class TestTrainStep:
 
     def test_zero_rate_freezes_model(self, toy_model, toy_vocab):
         encoded = encode_triples(TOY_TRIPLES, toy_vocab, 16, 24, 7)
-        opt = AdamW(toy_model.named_parameters(), weight_decay=0.01)
+        opt = AdamW(toy_model.params, weight_decay=0.01)
         a = train_step(toy_model, opt, encoded, 0.0, TrainerConfig())
         b = train_step(toy_model, opt, encoded, 0.0, TrainerConfig())
         assert a["total_loss"] == b["total_loss"]
 
     def test_divergence_names_component(self, toy_model, toy_vocab):
         encoded = encode_triples(TOY_TRIPLES, toy_vocab, 16, 24, 7)
-        toy_model.prob_w.data[:] = np.nan
-        opt = AdamW(toy_model.named_parameters(), weight_decay=0.01)
+        toy_model.params["prob_head.weight"].data[:] = np.nan
+        opt = AdamW(toy_model.params, weight_decay=0.01)
         with pytest.raises(TrainingDivergedError, match="term_loss"):
             train_step(toy_model, opt, encoded, 1e-3, TrainerConfig())
 
@@ -212,19 +212,19 @@ class TestTrainStep:
         encoded = encode_triples(TOY_TRIPLES, toy_vocab, 16, 24, 7)
         loss, metrics = trainer.batch_loss(toy_model, encoded)
         monkeypatch.setattr(trainer, "batch_loss", lambda *a, **k: (loss, metrics))
-        toy_model.weight_w.grad = np.full(toy_model.weight_w.data.shape, np.inf)
-        before = {n: p.data.copy() for n, p in toy_model.named_parameters().items()}
-        opt = AdamW(toy_model.named_parameters(), weight_decay=0.01)
+        toy_model.params["weight_head.weight"].grad = np.full(toy_model.params["weight_head.weight"].data.shape, np.inf)
+        before = {n: p.data.copy() for n, p in toy_model.params.items()}
+        opt = AdamW(toy_model.params, weight_decay=0.01)
         with pytest.raises(TrainingDivergedError, match="gradient norm"):
             train_step(toy_model, opt, encoded, 1e-3, TrainerConfig())
         assert opt.step_count == 0
-        for name, p in toy_model.named_parameters().items():
+        for name, p in toy_model.params.items():
             assert np.array_equal(p.data, before[name]), name
 
 
 class TestTrainLoop:
     def run(self, tmp_path, toy_vocab, tiny_config, tag, **overrides):
-        model = FecTekModel(len(toy_vocab), tiny_config, seed=3)
+        model = new_model(len(toy_vocab), tiny_config, seed=3)
         overrides.setdefault("seed", 42)
         config = TrainerConfig(epochs=2, batch_queries=2, **overrides)
         out = tmp_path / tag
