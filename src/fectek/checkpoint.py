@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptFileError
+from .errors import CorruptFileError, write_file
 
 MAGIC = b"FTCK"
 VERSION = 1
@@ -31,21 +32,20 @@ VERSION = 1
 
 def save_tensors(path: str | Path, entries: dict[str, np.ndarray]) -> None:
     """Write `entries` (insertion order preserved) to `path`."""
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<II", VERSION, len(entries))
-    for name, array in entries.items():
-        # asarray, not ascontiguousarray: the latter promotes rank 0 to rank 1,
-        # and tobytes() already serializes in C order.
-        arr = np.asarray(array, dtype="<f8")
-        encoded = name.encode("utf-8")
-        if len(encoded) > 0xFFFF:
-            raise ValueError(f"entry name too long: {name!r}")
-        out += struct.pack("<H", len(encoded))
-        out += encoded
-        out += struct.pack(f"<B{arr.ndim}Q", arr.ndim, *arr.shape)
-        out += arr.tobytes()
-    Path(path).write_bytes(bytes(out))
+
+    def chunks() -> Iterator[bytes | memoryview]:
+        yield MAGIC + struct.pack("<II", VERSION, len(entries))
+        for name, array in entries.items():
+            # asarray, not ascontiguousarray: the latter promotes rank 0 to rank 1.
+            arr = np.asarray(array, dtype="<f8")
+            encoded = name.encode("utf-8")
+            if len(encoded) > 0xFFFF:
+                raise ValueError(f"entry name too long: {name!r}")
+            yield struct.pack("<H", len(encoded)) + encoded
+            yield struct.pack(f"<B{arr.ndim}Q", arr.ndim, *arr.shape)
+            yield memoryview(np.ascontiguousarray(arr))  # no copy of C-ordered float64
+
+    write_file(path, chunks())
 
 
 def load_tensors(path: str | Path) -> dict[str, np.ndarray]:

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import index as findex  # via the module, so a replaced index.search is used
 from .encoder import EncoderConfig
-from .errors import CorruptFileError, DataFormatError, TrainingDivergedError, open_text
+from .errors import CorruptFileError, DataFormatError, TrainingDivergedError
+from .errors import json_rows, open_text, write_file
 from .evaluation import canonical_int, load_qrels, load_run, mrr_at_k, recall_at_k, write_run
 from .gradcheck import DEFAULT_EPS, DEFAULT_TOLERANCE, run_gradient_check
 from .index import InvertedIndex
@@ -77,50 +78,42 @@ def _iter_weight_stream(path: str | Path):
     names its first bad key or value, or turns its integer weights to floats.
     """
     terms_of = _TermIds()
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
-                raise DataFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if (
-                not isinstance(row, dict)
-                or not isinstance(row.get("docid"), str)
-                or not isinstance(row.get("weights"), dict)
-            ):
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected {{'docid': str, 'weights': {{...}}}}"
-                )
-            raw = row["weights"]
-            weights = raw.values()
-            try:
-                terms = list(map(terms_of.__getitem__, raw))
-            except ValueError:
-                terms = None
-            if terms is None or not set(map(type, weights)) <= {float}:
-                terms, weights = [], []
-                for key, value in raw.items():
-                    try:  # "07", " 7", "+7" and "0_7" would alias term 7
-                        term = canonical_int(key)
-                    except ValueError as exc:
-                        raise DataFormatError(
-                            f"{path}:{lineno}: term id {key!r} is not a canonical integer"
-                        ) from exc
-                    if not isinstance(value, (int, float)) or isinstance(value, bool):
-                        raise DataFormatError(
-                            f"{path}:{lineno}: weight for term {key} is not a number"
-                        )
-                    try:
-                        weights.append(float(value))
-                    except OverflowError as exc:
-                        raise DataFormatError(
-                            f"{path}:{lineno}: weight for term {key} is too large"
-                        ) from exc
-                    terms.append(term)
-            yield row["docid"], terms, weights
+    for lineno, row in json_rows(path):
+        if (
+            not isinstance(row, dict)
+            or not isinstance(row.get("docid"), str)
+            or not isinstance(row.get("weights"), dict)
+        ):
+            raise DataFormatError(
+                f"{path}:{lineno}: expected {{'docid': str, 'weights': {{...}}}}"
+            )
+        raw = row["weights"]
+        weights = raw.values()
+        try:
+            terms = list(map(terms_of.__getitem__, raw))
+        except ValueError:
+            terms = None
+        if terms is None or not set(map(type, weights)) <= {float}:
+            terms, weights = [], []
+            for key, value in raw.items():
+                try:  # "07", " 7", "+7" and "0_7" would alias term 7
+                    term = canonical_int(key)
+                except ValueError as exc:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: term id {key!r} is not a canonical integer"
+                    ) from exc
+                if not isinstance(value, (int, float)) or isinstance(value, bool):
+                    raise DataFormatError(
+                        f"{path}:{lineno}: weight for term {key} is not a number"
+                    )
+                try:
+                    weights.append(float(value))
+                except OverflowError as exc:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: weight for term {key} is too large"
+                    ) from exc
+                terms.append(term)
+        yield row["docid"], terms, weights
 
 
 def _config(cls, args: argparse.Namespace):
@@ -145,12 +138,14 @@ def _weigh(
 
 
 def _check_out_dir(path: str) -> None:
-    """Raise the error that writing `path` would, if its directory is
-    missing, before a command does its work; `path` itself stays unmade."""
+    """Raise the error that writing `path` would, if its directory is missing
+    or it is a directory, before a command does its work; `path` stays as is."""
     parent = Path(path).parent
     if not parent.is_dir():
         code = errno.ENOTDIR if parent.exists() else errno.ENOENT
         raise OSError(code, os.strerror(code), path)
+    if Path(path).is_dir():
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def _rank(
@@ -225,12 +220,9 @@ def cmd_encode(args: argparse.Namespace) -> int:
     _check_vocab_match(model, vocab, str(args.checkpoint))
     rows = _read_tsv_pairs(args.corpus, "corpus")
     weights = _weigh(model, vocab, [text for _, text in rows], model.config.max_passage_len)
-    lines = []
-    for (docid, _), row in zip(rows, weights):
-        payload = {str(term): weight for term, weight in row.items()}  # ascending ids
-        lines.append(json.dumps({"docid": docid, "weights": payload}) + "\n")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
+    # json.dumps writes the int term ids as decimal strings, in their ascending order.
+    lines = (json.dumps({"docid": d, "weights": w}) + "\n" for (d, _), w in zip(rows, weights))
+    write_file(args.out, lines)
     print(f"encoded {len(rows)} passages -> {args.out}")
     return 0
 
@@ -363,12 +355,8 @@ def cmd_ablation(args: argparse.Namespace) -> int:
         )
         print(line)
         table_lines.append(line)
-    (out_root / "ablation.json").write_text(
-        json.dumps(rows, indent=2) + "\n", encoding="utf-8"
-    )
-    (out_root / "ablation.txt").write_text(
-        "\n".join(table_lines) + "\n", encoding="utf-8"
-    )
+    write_file(out_root / "ablation.json", [json.dumps(rows, indent=2) + "\n"])
+    write_file(out_root / "ablation.txt", [line + "\n" for line in table_lines])
     print(f"table: {out_root / 'ablation.txt'}")
     return 0
 

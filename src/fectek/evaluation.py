@@ -13,7 +13,7 @@ import math
 from collections.abc import Mapping, Sequence
 from pathlib import Path
 
-from .errors import DataFormatError, open_text
+from .errors import DataFormatError, numbered_lines, write_file
 
 Run = dict[str, list[tuple[str, float]]]
 Qrels = dict[str, set[str]]
@@ -31,25 +31,21 @@ def canonical_int(text: str) -> int:
 def load_qrels(path: str | Path) -> Qrels:
     """Relevant docids per query; rows with relevance <= 0 are ignored."""
     qrels: Qrels = {}
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected 'qid 0 docid relevance', got {line!r}"
-                )
-            qid, _, docid, relevance = parts
-            try:
-                rel = canonical_int(relevance)
-            except ValueError as exc:
-                raise DataFormatError(
-                    f"{path}:{lineno}: relevance {relevance!r} is not a canonical integer"
-                ) from exc
-            if rel > 0:
-                qrels.setdefault(qid, set()).add(docid)
+    for lineno, line in numbered_lines(path):
+        parts = line.split()
+        if len(parts) != 4:
+            raise DataFormatError(
+                f"{path}:{lineno}: expected 'qid 0 docid relevance', got {line!r}"
+            )
+        qid, _, docid, relevance = parts
+        try:
+            rel = canonical_int(relevance)
+        except ValueError as exc:
+            raise DataFormatError(
+                f"{path}:{lineno}: relevance {relevance!r} is not a canonical integer"
+            ) from exc
+        if rel > 0:
+            qrels.setdefault(qid, set()).add(docid)
     if not qrels:
         raise DataFormatError(f"{path}: no positive qrels rows")
     return qrels
@@ -59,42 +55,37 @@ def write_run(
     run: Mapping[str, Sequence[tuple[str, float]]], tag: str, path: str | Path
 ) -> None:
     """Write `qid Q0 docid rank score tag` rows, ranks starting at 1."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for qid, hits in run.items():
-            for rank, (docid, score) in enumerate(hits, start=1):
-                fh.write(f"{qid} Q0 {docid} {rank} {float(score)!r} {tag}\n")
+    lines = (
+        f"{qid} Q0 {docid} {rank} {float(score)!r} {tag}\n"
+        for qid, hits in run.items()
+        for rank, (docid, score) in enumerate(hits, start=1)
+    )
+    write_file(path, lines)
 
 
 def load_run(path: str | Path) -> Run:
     """Parse a run file back into ranked (docid, score) lists per query."""
     rows: dict[str, list[tuple[int, str, float]]] = {}
     seen: set[tuple[str, str]] = set()
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected 'qid Q0 docid rank score tag', "
-                    f"got {line!r}"
-                )
-            qid, _, docid, rank, score, _ = parts
-            try:
-                position, value = canonical_int(rank), float(score)
-            except ValueError as exc:
-                raise DataFormatError(
-                    f"{path}:{lineno}: bad rank or score in {line!r}"
-                ) from exc
-            if not math.isfinite(value):
-                raise DataFormatError(f"{path}:{lineno}: score {score!r} is not finite")
-            if (qid, docid) in seen:
-                raise DataFormatError(
-                    f"{path}:{lineno}: docid {docid!r} appears twice for query {qid!r}"
-                )
-            seen.add((qid, docid))
-            rows.setdefault(qid, []).append((position, docid, value))
+    for lineno, line in numbered_lines(path):
+        parts = line.split()
+        if len(parts) != 6:
+            raise DataFormatError(
+                f"{path}:{lineno}: expected 'qid Q0 docid rank score tag', got {line!r}"
+            )
+        qid, _, docid, rank, score, _ = parts
+        try:
+            position, value = canonical_int(rank), float(score)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: bad rank or score in {line!r}") from exc
+        if not math.isfinite(value):
+            raise DataFormatError(f"{path}:{lineno}: score {score!r} is not finite")
+        if (qid, docid) in seen:
+            raise DataFormatError(
+                f"{path}:{lineno}: docid {docid!r} appears twice for query {qid!r}"
+            )
+        seen.add((qid, docid))
+        rows.setdefault(qid, []).append((position, docid, value))
     run: Run = {}
     for qid, entries in rows.items():
         entries.sort(key=lambda e: e[0])

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptFileError, DataFormatError
+from .errors import CorruptFileError, DataFormatError, write_file
 
 MAGIC = b"FTEK"
 VERSION = 2
@@ -231,7 +231,7 @@ class InvertedIndex:
             _encode_varints(np.fromiter(map(len, docids), np.int64, len(docids))),
             *docids,
         ]
-        Path(path).write_bytes(b"".join(parts))
+        write_file(path, parts)
 
     @classmethod
     def load(cls, path: str | Path) -> "InvertedIndex":

@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import write_file
+
 _CONSONANTS = "bcdfghjklmnprstvz"
 _VOWELS = "aeiou"
 # Every pseudo-word is two consonant-vowel syllables.
@@ -135,16 +137,9 @@ def write_dataset(out_dir: str | Path, config: SynthConfig = SynthConfig()) -> d
         "qrels": out / "qrels.tsv",
         "triples": out / "triples.jsonl",
     }
-    with open(paths["corpus"], "w", encoding="utf-8") as fh:
-        for docid, text in data.corpus:
-            fh.write(f"{docid}\t{text}\n")
-    with open(paths["queries"], "w", encoding="utf-8") as fh:
-        for qid, text in data.queries:
-            fh.write(f"{qid}\t{text}\n")
-    with open(paths["qrels"], "w", encoding="utf-8") as fh:
-        for qid, docid in data.qrels:
-            fh.write(f"{qid}\t0\t{docid}\t1\n")
-    with open(paths["triples"], "w", encoding="utf-8") as fh:
-        for row in data.triples:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    write_file(paths["corpus"], (f"{docid}\t{text}\n" for docid, text in data.corpus))
+    write_file(paths["queries"], (f"{qid}\t{text}\n" for qid, text in data.queries))
+    write_file(paths["qrels"], (f"{qid}\t0\t{docid}\t1\n" for qid, docid in data.qrels))
+    rows = (json.dumps(row, sort_keys=True) + "\n" for row in data.triples)
+    write_file(paths["triples"], rows)
     return paths

@@ -13,7 +13,7 @@ from collections import Counter
 from collections.abc import Iterable
 from pathlib import Path
 
-from .errors import DataFormatError, open_text
+from .errors import DataFormatError, open_text, write_file
 
 PAD_ID = 0
 UNK_ID = 1
@@ -87,7 +87,7 @@ class Vocabulary:
     def save(self, path: str | Path) -> None:
         lines = [f"#fectek-vocab v1 min_freq={self.min_freq}"]
         lines.extend(self._id_to_token[len(RESERVED_TOKENS) :])
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_file(path, ["\n".join(lines) + "\n"])
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":

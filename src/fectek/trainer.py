@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .autograd import Tensor
-from .errors import DataFormatError, TrainingDivergedError, open_text
+from .errors import DataFormatError, TrainingDivergedError, json_rows
 from .model import EncodedTriple, FecTekModel, batch_loss, save_model
 from .tokenizer import Vocabulary
 
@@ -35,34 +35,26 @@ class TrainingTriple:
 def load_triples(path: str | Path) -> list[TrainingTriple]:
     """Parse a JSONL triples file, reporting the offending line on errors."""
     triples: list[TrainingTriple] = []
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
-                raise DataFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(row, dict):
-                raise DataFormatError(f"{path}:{lineno}: expected an object")
-            try:
-                query = row["query"]
-                positive = row["positive"]
-                negatives = row.get("negatives", [])
-            except KeyError as exc:
-                raise DataFormatError(f"{path}:{lineno}: missing key {exc}") from exc
-            if (
-                not isinstance(query, str)
-                or not isinstance(positive, str)
-                or not isinstance(negatives, list)
-                or not all(isinstance(n, str) for n in negatives)
-            ):
-                raise DataFormatError(
-                    f"{path}:{lineno}: query/positive must be strings, "
-                    "negatives a list of strings"
-                )
-            triples.append(TrainingTriple(query, positive, list(negatives)))
+    for lineno, row in json_rows(path):
+        if not isinstance(row, dict):
+            raise DataFormatError(f"{path}:{lineno}: expected an object")
+        try:
+            query = row["query"]
+            positive = row["positive"]
+            negatives = row.get("negatives", [])
+        except KeyError as exc:
+            raise DataFormatError(f"{path}:{lineno}: missing key {exc}") from exc
+        if (
+            not isinstance(query, str)
+            or not isinstance(positive, str)
+            or not isinstance(negatives, list)
+            or not all(isinstance(n, str) for n in negatives)
+        ):
+            raise DataFormatError(
+                f"{path}:{lineno}: query/positive must be strings, "
+                "negatives a list of strings"
+            )
+        triples.append(TrainingTriple(query, positive, list(negatives)))
     if not triples:
         raise DataFormatError(f"{path}: no training triples found")
     return triples

@@ -422,12 +422,17 @@ class TestExitCodes:
                 "--queries", workspace["queries"],
             ],
         }[command]
-        code, _, err = run_cli(
-            command, *map(str, inputs), "--vocab", str(workspace["vocab"]), "--out", str(out)
-        )
+        argv = [command, *map(str, inputs), "--vocab", str(workspace["vocab"]), "--out"]
+        code, _, err = run_cli(*argv, str(out))
         assert code == 3
         assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
         assert not out.parent.exists()
+        # An --out that is a directory fails the same way, and stays as it was.
+        out.mkdir(parents=True)
+        code, _, err = run_cli(*argv, str(out))
+        assert code == 3
+        assert err == f"error: [Errno 21] Is a directory: '{out}'\n"
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("tag", ["my run", "", "a\tb", " fectek", "fectek\n"])
     def test_tag_with_whitespace_is_2_before_any_work(

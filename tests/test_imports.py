@@ -108,3 +108,81 @@ def test_dead_code_checker_flags_unnamed_definitions_only():
         "class Spare: pass\n"
     )
     assert unreferenced_definitions([source]) == ["Box.unused", "Spare", "orphan"]
+
+
+# Writes outside `errors.write_file`, by module: each with its reason.
+DIRECT_WRITES_OK = {
+    ("trainer.py", "open(metrics_path, 'w', encoding='utf-8')"): (
+        "metrics.jsonl is a log streamed during training; ROADMAP item 2(a) "
+        "(resume) settles how it is written"
+    ),
+}
+
+
+def direct_writes(source: str) -> list[str]:
+    """Calls in `source` that write a file without `write_file`: `open` or
+    `io.open` with a mode that can write (or one that is not a literal),
+    `<path>.open` likewise, and any `.write_text` / `.write_bytes`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
+            found.append(f".{func.attr}(")
+            continue
+        if isinstance(func, ast.Name) and func.id == "open":
+            position = 1
+        elif isinstance(func, ast.Attribute) and func.attr == "open":
+            is_io = isinstance(func.value, ast.Name) and func.value.id == "io"
+            position = 1 if is_io else 0
+        else:
+            continue
+        modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
+        modes += node.args[position : position + 1]
+        for mode in modes:
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+                found.append(ast.unparse(node))
+            elif set(mode.value) & set("wax+"):
+                found.append(ast.unparse(node))
+    return found
+
+
+def test_only_write_file_writes_files():
+    writes = {
+        (path.name, call)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "errors.py"
+        for call in direct_writes(path.read_text(encoding="utf-8"))
+    }
+    assert writes == set(DIRECT_WRITES_OK)
+
+
+def test_write_checker_flags_every_write_idiom():
+    source = (
+        "import io\n"
+        "from pathlib import Path\n"
+        "open(p)\n"
+        "open(p, 'rb')\n"
+        "open(p, encoding='utf-8')\n"
+        "Path(p).open()\n"
+        "Path(p).read_text()\n"
+        "Path(p).write_text('x')\n"
+        "Path(p).write_bytes(b'x')\n"
+        "open(p, 'w', encoding='utf-8')\n"
+        "open(p, mode='ab')\n"
+        "open(p, 'r+b')\n"
+        "io.open(p, 'x')\n"
+        "Path(p).open('w')\n"
+        "open(p, m)\n"
+    )
+    assert direct_writes(source) == [
+        ".write_text(",
+        ".write_bytes(",
+        "open(p, 'w', encoding='utf-8')",
+        "open(p, mode='ab')",
+        "open(p, 'r+b')",
+        "io.open(p, 'x')",
+        "Path(p).open('w')",
+        "open(p, m)",
+    ]

@@ -645,6 +645,24 @@ class TestPersistence:
             tracemalloc.stop()
         assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
+    def test_save_allocates_no_whole_file_buffer(self, tmp_path):
+        """At BERT's vocabulary size a save allocates at most its largest
+        entry plus 1 MiB above the parameters: no buffer of the whole file."""
+        config = EncoderConfig(dim=64, layers=1, heads=2, ffn_multiplier=2)
+        model = new_model(30_522, config, seed=1)
+        largest = max(p.data.nbytes for p in model.params.values())
+        path = tmp_path / "model.ftck"
+        tracemalloc.start()
+        try:
+            save_model(model, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > largest
+        assert peak <= largest + 2**20, f"peak {peak / 2**20:.1f} MiB"
+        # Float64 payloads are written from the arrays themselves.
+        assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
+
     def test_load_draws_no_random_numbers(self, tiny_vocab, tiny_config, tmp_path, monkeypatch):
         model = new_model(len(tiny_vocab), tiny_config, seed=9)
         path = tmp_path / "model.ftck"
