@@ -8,9 +8,10 @@ replays it once in reverse, accumulating gradients into `.grad` buffers.
 Conventions that the rest of the package relies on:
 
 - a tensor keeps a float32 or float64 array's dtype and makes anything else
-  float64, and the network ops compute in their inputs' dtype: training and
-  gradients run in float64, inference in float32 once its parameters are
-  cast;
+  float64, and the network ops and their gradients compute in their inputs'
+  dtype: training and inference run in float32 once the model's parameters
+  are cast, while a float64 model (the gradient check's) stays float64; only
+  the loss scalars are float64 either way;
 - ops take `Tensor` operands (wrap a constant in `Tensor` first); only
   indices, masks and labels are plain arrays;
 - relu'(0) is exactly 0;
@@ -137,15 +138,16 @@ def _record(data, parents: tuple[Tensor, ...], backward, op: str) -> Tensor:
 def _accumulate(t: Tensor, grad: np.ndarray, fresh: bool = False) -> None:
     """Add `grad` into `t.grad`.
 
-    `fresh` hands over a C-contiguous float64 array the op built for `t`
-    alone, which becomes `t.grad` as it is.  Any other first gradient is
-    copied, since it may be shared with another operand or be a view; C
-    order keeps later summations independent of the layout it arrived in.
+    `fresh` hands over a C-contiguous array in `t`'s dtype that the op built
+    for `t` alone, which becomes `t.grad` as it is.  Any other first gradient
+    is copied in `t`'s dtype, since it may be shared with another operand or
+    be a view; C order keeps later summations independent of the layout it
+    arrived in.
     """
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = grad if fresh else np.array(grad, dtype=np.float64, order="C")
+        t.grad = grad if fresh else np.array(grad, dtype=t.data.dtype, order="C")
     else:
         t.grad += grad
 
@@ -303,7 +305,7 @@ def scatter(a, columns, width: int) -> Tensor:
         winner = np.full(data.size, a.data.size)
         np.minimum.at(winner, cells[at_max], sources[at_max])
         dst = np.flatnonzero(winner < a.data.size)
-        grad = np.zeros(a.data.size)
+        grad = np.zeros(a.data.size, dtype=a.data.dtype)
         grad[winner[dst]] = g.reshape(-1)[dst]
         _accumulate(a, grad.reshape(a.data.shape))
 
@@ -516,10 +518,10 @@ def softmax_nll(scores, target, mask) -> Tensor:
     total = z.sum(axis=1, keepdims=True)
     loss = (np.log(total[:, 0]) + m[:, 0] - s[rows, t]).sum()
 
-    def backward(g):
+    def backward(g):  # `g` is float64, like the loss
         p = z / total
         p[rows, t] -= 1.0
-        _accumulate(scores, p * g)
+        _accumulate(scores, (p * g).astype(s.dtype, copy=False), fresh=True)
 
     return _record(np.float64(loss), (scores,), backward, "softmax_nll")
 
@@ -550,7 +552,7 @@ def binary_cross_entropy(probs, labels, mask) -> Tensor:
     def backward(g):
         # Clamped positions are flat: no gradient leaks through the clip.
         in_range = (probs.data > PROB_CLAMP) & (probs.data < 1.0 - PROB_CLAMP)
-        dp = np.where(m & in_range, (p - y) / (p * (1.0 - p)), 0.0) / counts
-        _accumulate(probs, dp * g)
+        dp = np.where(m & in_range, (p - y) / (p * (1.0 - p)), 0.0) / counts  # float64, as `y`
+        _accumulate(probs, (dp * g).astype(probs.data.dtype, copy=False), fresh=True)
 
     return _record(np.float64(loss), (probs,), backward, "bce")

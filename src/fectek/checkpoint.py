@@ -28,6 +28,10 @@ from .errors import CorruptFileError, write_file
 
 MAGIC = b"FTCK"
 VERSION = 1
+# A payload is written this many values at a time, so upcasting a float32
+# entry holds at most two 256 KiB float64 blocks (the one being written and
+# the next), never a float64 copy of the entry.
+SAVE_BLOCK = 1 << 15
 
 
 def save_tensors(path: str | Path, entries: dict[str, np.ndarray]) -> None:
@@ -36,14 +40,16 @@ def save_tensors(path: str | Path, entries: dict[str, np.ndarray]) -> None:
     def chunks() -> Iterator[bytes | memoryview]:
         yield MAGIC + struct.pack("<II", VERSION, len(entries))
         for name, array in entries.items():
-            # asarray, not ascontiguousarray: the latter promotes rank 0 to rank 1.
-            arr = np.asarray(array, dtype="<f8")
+            arr = np.asarray(array)
             encoded = name.encode("utf-8")
             if len(encoded) > 0xFFFF:
                 raise ValueError(f"entry name too long: {name!r}")
             yield struct.pack("<H", len(encoded)) + encoded
             yield struct.pack(f"<B{arr.ndim}Q", arr.ndim, *arr.shape)
-            yield memoryview(np.ascontiguousarray(arr))  # no copy of C-ordered float64
+            flat = arr.reshape(-1)  # row-major; a view of a C-ordered entry
+            for start in range(0, flat.size, SAVE_BLOCK):
+                block = flat[start : start + SAVE_BLOCK]
+                yield memoryview(np.ascontiguousarray(block, dtype="<f8"))  # no copy of float64
 
     write_file(path, chunks())
 

@@ -14,8 +14,6 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import index as findex  # via the module, so a replaced index.search is used
 from .encoder import EncoderConfig
 from .errors import CorruptFileError, DataFormatError, TrainingDivergedError
@@ -132,8 +130,7 @@ def _weigh(
     in place for good.  The index keeps 8-bit impacts, so float64's extra
     precision would not survive into it.
     """
-    for p in model.params.values():
-        p.data = p.data.astype(np.float32, copy=False)
+    model.to_float32()
     return model.weigh([vocab.encode(text, max_len) for text in texts])
 
 

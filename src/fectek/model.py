@@ -231,6 +231,12 @@ class FecTekModel:
         for p in self.params.values():
             p.grad = None
 
+    def to_float32(self) -> None:
+        """Cast every parameter to float32 in place, for good; training and
+        inference both run in float32 (a float32 model is left as it is)."""
+        for p in self.params.values():
+            p.data = p.data.astype(np.float32, copy=False)
+
     def encode_ids(self, token_ids: Sequence[int]) -> EncodedBatch:
         """One text as a batch of one."""
         return self.encoder.forward([token_ids])

@@ -3,8 +3,12 @@
 Dataset rows are JSON lines {"query", "positive", "negatives"}; each step
 consumes a batch of queries, builds the contrastive and term-level losses,
 clips the global gradient norm, and applies one decoupled-weight-decay Adam
-update.  Everything downstream of the seed is deterministic: two runs with
-the same seed produce bit-identical checkpoints.
+update.  Training runs in float32: `train` casts the model's parameters
+once, before it builds the optimizer, so gradients and both Adam moments
+are float32 too; the loss values it logs are Python floats, and a
+checkpoint stores the float32 values exactly as float64.  Everything
+downstream of the seed is deterministic: two runs with the same seed
+produce bit-identical checkpoints.
 """
 
 from __future__ import annotations
@@ -219,9 +223,9 @@ def train(
 ) -> Path:
     """Run the full loop; returns the final checkpoint path.
 
-    Writes `metrics.jsonl` (a header line with every setting of the run plus
-    the caller's `inputs`, then one line per step) and a checkpoint per epoch
-    next to the final one.
+    Casts `model` to float32 in place first.  Writes `metrics.jsonl` (a
+    header line with every setting of the run plus the caller's `inputs`,
+    then one line per step) and a checkpoint per epoch next to the final one.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -235,6 +239,7 @@ def train(
     n = len(encoded)
     steps_per_epoch = math.ceil(n / config.batch_queries)
     total_steps = steps_per_epoch * config.epochs
+    model.to_float32()
     optimizer = AdamW(model.params, config.weight_decay)
     rng = np.random.default_rng(config.seed)
     final_path = out / "model.ftck"

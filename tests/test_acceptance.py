@@ -4,9 +4,9 @@ Every test prints one `ACCEPTANCE <name>: PASS/FAIL (...)` summary line
 before asserting, so `pytest tests/test_acceptance.py -v -s` doubles as the
 acceptance report.  The synthetic retrieval pipeline (data generation,
 training, encoding, indexing, search) runs once and is shared by the
-end-to-end quality check and the index-exactness check.  It encodes and
-searches in float32, as the commands do; the last test, which is not an
-acceptance check, compares that with the model's float64 training precision.
+end-to-end quality check and the index-exactness check.  It trains, encodes
+and searches in float32, as the commands do; the last test, which is not an
+acceptance check, compares that with float64 inference of the same weights.
 """
 
 import math
@@ -89,7 +89,7 @@ def pipeline(tmp_path_factory) -> Pipeline:
     trainer_config = TrainerConfig(
         epochs=PIPELINE_EPOCHS, batch_queries=4, seed=42
     )  # term-guidance loss on
-    train(model, triples, vocab, trainer_config, tmp_path_factory.mktemp("synth-run"))
+    final = train(model, triples, vocab, trainer_config, tmp_path_factory.mktemp("synth-run"))
 
     def serve(weigh):
         passages = weigh([text for _, text in data.corpus], config.max_passage_len)
@@ -100,9 +100,12 @@ def pipeline(tmp_path_factory) -> Pipeline:
         hits = {qid: search(index, weights, 10) for qid, weights in query_weights.items()}
         return index, query_weights, hits
 
-    # float64 first: the commands' `_weigh` casts the model to float32 for good.
+    # `train` left the model in float32; its checkpoint holds the same
+    # weights exactly as float64, so the reference pass weighs a loaded copy.
+    model64 = load_model(final)
+    assert {p.data.dtype for p in model64.params.values()} == {np.dtype(np.float64)}
     index64, _, hits64 = serve(
-        lambda texts, n: model.weigh([vocab.encode(text, n) for text in texts])
+        lambda texts, n: model64.weigh([vocab.encode(text, n) for text in texts])
     )
     index, query_weights, hits = serve(lambda texts, n: _weigh(model, vocab, texts, n))
 
@@ -503,7 +506,7 @@ def test_ablation_grid_completes_and_tabulates(tmp_path):
     assert table_ok
 
 
-# -- float32 inference against the training precision -------------------------------
+# -- float32 inference against float64 inference of the same weights -----------------
 
 # Impacts of the float32 pipeline that differ from the float64 ones, measured.
 FLOAT32_MOVED_IMPACTS = 0

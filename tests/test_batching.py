@@ -33,9 +33,8 @@ def make_model(gate=True, seed=5):
 
 
 def to_float32(model):
-    """Cast every parameter to float32, as the inference commands do."""
-    for p in model.params.values():
-        p.data = p.data.astype(np.float32)
+    """Cast every parameter to float32, as training and inference do."""
+    model.to_float32()
     return model
 
 

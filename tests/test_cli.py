@@ -62,6 +62,12 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def assert_float32_values(checkpoint):
+    """Training runs in float32: every stored parameter is a float32 value."""
+    for name, p in load_model(checkpoint).params.items():
+        assert np.array_equal(p.data.astype(np.float32), p.data), (checkpoint, name)
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """Full pipeline run: vocab -> train -> encode -> index -> search."""
@@ -207,6 +213,30 @@ class TestPipeline:
             "dim", "layers", "heads", "ffn_multiplier", "max_query_len", "max_passage_len"
         ):
             assert header["config"][field] == getattr(saved, field), field
+
+    def test_trained_checkpoints_hold_float32_values(self, workspace):
+        assert_float32_values(workspace["checkpoint"])
+        assert_float32_values(workspace["run_dir"] / "model.epoch001.ftck")
+
+    def test_init_checkpoint_continues_in_float32_byte_identically(
+        self, workspace, tmp_path
+    ):
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for out in runs:
+            code, _, err = run_cli(
+                "train",
+                "--triples", str(workspace["triples"]),
+                "--vocab", str(workspace["vocab"]),
+                "--out-dir", str(out),
+                "--init-checkpoint", str(workspace["checkpoint"]),
+                "--epochs", "2",  # one step per epoch; the last runs at rate 0
+                "--seed", "5",
+            )
+            assert code == 0, err
+        assert_float32_values(runs[0] / "model.ftck")
+        for name in ("model.ftck", "metrics.jsonl"):
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+        assert (runs[0] / "model.ftck").read_bytes() != workspace["checkpoint"].read_bytes()
 
     def test_init_checkpoint_keeps_stored_gate(self, workspace, tmp_path):
         # Without --no-fcm, a continued model keeps the gate its checkpoint
@@ -1134,6 +1164,7 @@ class TestAblationCommand:
         ]
         for row in report:
             assert 0.0 <= row["mrr@10"] <= 1.0
+            assert_float32_values(out_dir / row["config"].replace("+", "with-") / "model.ftck")
 
     @pytest.mark.parametrize("flag", ["--no-fcm", "--no-tkgm"])
     def test_module_switch_is_2(self, tmp_path, flag):

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+import fectek.autograd as ag
+from fectek import gradcheck
 from fectek.gradcheck import GradCheckReport, GroupResult, _toy_setup, run_gradient_check
 from fectek.model import batch_loss
 
@@ -10,6 +12,34 @@ def test_subsampled_run_passes_default_seed():
     report = run_gradient_check(seed=42, max_coords_per_group=3)
     assert report.passed
     assert report.worst <= report.tolerance
+
+
+def test_runs_in_float64(monkeypatch):
+    # Training casts its model to float32; the gradient check builds its own
+    # model and must keep every op and every gradient in float64.
+    setup, record, accumulate = gradcheck._toy_setup, ag._record, ag._accumulate
+    models, dtypes = [], set()
+
+    def toy_setup(seed):
+        model, triples = setup(seed)
+        models.append(model)
+        return model, triples
+
+    def record_spy(data, parents, backward, op):
+        dtypes.add(np.asarray(data).dtype)
+        return record(data, parents, backward, op)
+
+    def accumulate_spy(t, grad, fresh=False):
+        dtypes.add(grad.dtype)
+        accumulate(t, grad, fresh)
+
+    monkeypatch.setattr(gradcheck, "_toy_setup", toy_setup)
+    monkeypatch.setattr(ag, "_record", record_spy)
+    monkeypatch.setattr(ag, "_accumulate", accumulate_spy)
+    assert run_gradient_check(seed=42, max_coords_per_group=1).passed
+    (model,) = models
+    assert dtypes == {np.dtype(np.float64)}
+    assert {p.data.dtype for p in model.params.values()} == {np.dtype(np.float64)}
 
 
 def test_every_parameter_group_listed_exactly_once():

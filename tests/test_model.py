@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import fectek.autograd as ag
 import per_text_reference as ref
 from fectek.autograd import Tensor
-from fectek.checkpoint import load_tensors, save_tensors
+from fectek.checkpoint import SAVE_BLOCK, load_tensors, save_tensors
 from fectek.encoder import EncoderConfig
 from fectek.errors import CorruptFileError, ShapeError
 from fectek.model import (
@@ -662,6 +662,27 @@ class TestPersistence:
         assert peak <= largest + 2**20, f"peak {peak / 2**20:.1f} MiB"
         # Float64 payloads are written from the arrays themselves.
         assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_float32_save_allocates_no_float64_copy(self, tmp_path):
+        """A float32 model (as training leaves it) is upcast in bounded
+        blocks: no float64 copy of an entry, and the bytes of its float64
+        twin."""
+        config = EncoderConfig(dim=64, layers=1, heads=2, ffn_multiplier=2)
+        model = new_model(30_522, config, seed=1)
+        model.to_float32()
+        path = tmp_path / "model.ftck"
+        tracemalloc.start()
+        try:
+            save_model(model, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * SAVE_BLOCK * 8 + 2**16, f"peak {peak / 2**20:.2f} MiB"
+        twin = tmp_path / "float64.ftck"
+        save_model(load_model(path), twin)
+        assert twin.read_bytes() == path.read_bytes()
+        token = model.params["embeddings.token"].data
+        assert np.array_equal(load_tensors(path)["embeddings.token"], token)
 
     def test_load_draws_no_random_numbers(self, tiny_vocab, tiny_config, tmp_path, monkeypatch):
         model = new_model(len(tiny_vocab), tiny_config, seed=9)

@@ -7,10 +7,12 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import fectek.autograd as ag
+import fectek.trainer as trainer
 from fectek.autograd import Tensor
 from fectek.encoder import EncoderConfig
 from fectek.errors import DataFormatError, TrainingDivergedError
-from fectek.model import new_model
+from fectek.model import load_model, new_model, save_model
 from fectek.tokenizer import Vocabulary
 from fectek.trainer import (
     AdamW,
@@ -207,8 +209,6 @@ class TestTrainStep:
     def test_non_finite_gradient_norm_stops_before_the_update(
         self, toy_model, toy_vocab, monkeypatch
     ):
-        import fectek.trainer as trainer
-
         encoded = encode_triples(TOY_TRIPLES, toy_vocab, 16, 24, 7)
         loss, metrics = trainer.batch_loss(toy_model, encoded)
         monkeypatch.setattr(trainer, "batch_loss", lambda *a, **k: (loss, metrics))
@@ -276,6 +276,62 @@ class TestTrainLoop:
         _, final_a = self.run(tmp_path, toy_vocab, tiny_config, "a")
         _, final_b = self.run(tmp_path, toy_vocab, tiny_config, "b", seed=7)
         assert final_a.read_bytes() != final_b.read_bytes()
+
+    def test_trains_in_float32(self, tmp_path, toy_vocab, tiny_config, monkeypatch):
+        # Every op and every gradient of a step is float32; only the loss
+        # scalars (0-d, holding no parameter) are float64.
+        record, accumulate = ag._record, ag._accumulate
+        ops, grads, optimizers = set(), set(), []
+
+        def record_spy(data, parents, backward, op):
+            ops.add((op, np.asarray(data).dtype.name, np.ndim(data)))
+            return record(data, parents, backward, op)
+
+        def accumulate_spy(t, grad, fresh=False):
+            grads.add((t.data.dtype.name, grad.dtype.name, t.data.ndim))
+            accumulate(t, grad, fresh)
+
+        class RecordedAdamW(AdamW):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                optimizers.append(self)
+
+        monkeypatch.setattr(ag, "_record", record_spy)
+        monkeypatch.setattr(ag, "_accumulate", accumulate_spy)
+        monkeypatch.setattr(trainer, "AdamW", RecordedAdamW)
+        model = new_model(len(toy_vocab), tiny_config, seed=3)
+        train(model, TOY_TRIPLES, toy_vocab, TrainerConfig(epochs=1, batch_queries=2), tmp_path)
+        loss_ops = {"softmax_nll", "bce", "add", "mul"}
+        assert {(op, ndim) for op, dtype, ndim in ops if dtype != "float32"} <= {
+            (op, 0) for op in loss_ops
+        }, sorted(ops)
+        assert {op for op, dtype, _ in ops if dtype == "float32"} >= {
+            "linear", "attention", "layer_norm", "gather", "scatter", "matmul"
+        }
+        assert {(data, grad) for data, grad, _ in grads} == {
+            ("float32", "float32"), ("float64", "float64")
+        }
+        assert {ndim for data, _, ndim in grads if data == "float64"} == {0}
+        (optimizer,) = optimizers
+        for name, p in model.params.items():
+            dtypes = {p.data.dtype, optimizer._m[name].dtype, optimizer._v[name].dtype}
+            assert dtypes == {np.dtype(np.float32)}, name
+
+    def test_float32_checkpoint_round_trips_to_identical_bytes(
+        self, tmp_path, toy_vocab, tiny_config
+    ):
+        # The checkpoint stores float32 values exactly as float64: loading
+        # gives a float64 model that saves the same bytes, as does casting
+        # it back to float32.
+        _, final = self.run(tmp_path, toy_vocab, tiny_config, "a")
+        model = load_model(final)
+        for p in model.params.values():
+            assert np.array_equal(p.data.astype(np.float32), p.data)
+        save_model(model, tmp_path / "float64.ftck")
+        model.to_float32()
+        save_model(model, tmp_path / "float32.ftck")
+        assert (tmp_path / "float64.ftck").read_bytes() == final.read_bytes()
+        assert (tmp_path / "float32.ftck").read_bytes() == final.read_bytes()
 
     def test_lr_follows_schedule(self, tmp_path, toy_vocab, tiny_config):
         out, _ = self.run(tmp_path, toy_vocab, tiny_config, "a", warmup_ratio=0.25)
