@@ -35,6 +35,9 @@ _grad_enabled: bool = True
 # taking logs, so a saturated sigmoid cannot produce an infinite loss.
 PROB_CLAMP = 1e-7
 
+# Added to each row's variance before layer_norm takes its square root.
+LAYER_NORM_EPS = 1e-5
+
 
 @contextlib.contextmanager
 def no_grad():
@@ -254,10 +257,8 @@ def gather(a, indices) -> Tensor:
     data = a.data[idx]
 
     def backward(g):
-        if not a.requires_grad:
-            return
         flat = idx.reshape(-1)
-        buf = np.zeros_like(a.data)
+        buf = np.zeros(a.data.shape, a.data.dtype)
         if flat.size:
             # Sort the picks by row (stably, so each run keeps position
             # order), then sum each row's run in one call.
@@ -266,7 +267,7 @@ def gather(a, indices) -> Tensor:
             starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
             pieces = g.reshape(flat.size, *a.data.shape[1:])[order]
             buf[rows[starts]] = np.add.reduceat(pieces, starts, axis=0)
-        _accumulate(a, buf)
+        _accumulate(a, buf, fresh=True)
 
     return _record(data, (a,), backward, "gather")
 
@@ -305,9 +306,9 @@ def scatter(a, columns, width: int) -> Tensor:
         winner = np.full(data.size, a.data.size)
         np.minimum.at(winner, cells[at_max], sources[at_max])
         dst = np.flatnonzero(winner < a.data.size)
-        grad = np.zeros(a.data.size, dtype=a.data.dtype)
-        grad[winner[dst]] = g.reshape(-1)[dst]
-        _accumulate(a, grad.reshape(a.data.shape))
+        grad = np.zeros(a.data.shape, dtype=a.data.dtype)
+        grad.reshape(-1)[winner[dst]] = g.reshape(-1)[dst]
+        _accumulate(a, grad, fresh=True)
 
     return _record(data.reshape(rows, width), (a,), backward, "scatter")
 
@@ -451,7 +452,7 @@ def attention(q, k, v, mask_bias, heads: int, scale: float) -> Tensor:
     return _record(data, (q, k, v), backward, "attention")
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+def layer_norm(x, gain, bias) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
     n = x.data.shape[-1]
     if gain.data.shape != (n,) or bias.data.shape != (n,):
@@ -462,7 +463,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     mu = x.data.sum(axis=-1, keepdims=True) / n
     xhat = x.data - mu  # centered, then scaled to unit variance in place
     var = (xhat * xhat).sum(axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat *= inv
     data = xhat * gain.data
     data += bias.data

@@ -19,7 +19,7 @@ from .encoder import EncoderConfig
 from .errors import CorruptFileError, DataFormatError, TrainingDivergedError
 from .errors import json_rows, open_text, write_file
 from .evaluation import canonical_int, load_qrels, load_run, mrr_at_k, recall_at_k, write_run
-from .gradcheck import DEFAULT_EPS, DEFAULT_TOLERANCE, run_gradient_check
+from .gradcheck import TOLERANCE, run_gradient_check
 from .index import InvertedIndex
 from .model import FecTekModel, load_model, new_model
 from .synth import SynthConfig, write_dataset
@@ -266,24 +266,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    report = run_gradient_check(
-        seed=args.seed,
-        eps=args.eps,
-        tolerance=args.tolerance,
-        max_coords_per_group=args.max_coords,
-    )
+    report = run_gradient_check(args.max_coords)
     for group in report.groups:
         print(
             f"{group.name:40s} max_rel_err={group.max_error:.3e} "
             f"({group.checked} coords)"
         )
     if report.passed:
-        print(f"gradcheck passed: worst {report.worst:.3e} <= {report.tolerance:g}")
+        print(f"gradcheck passed: worst {report.worst:.3e} <= {TOLERANCE:g}")
         return 0
     offender = max(report.groups, key=lambda g: g.max_error)
     print(
         f"gradcheck FAILED: {offender.name} max_rel_err={offender.max_error:.3e} "
-        f"> {report.tolerance:g}",
+        f"> {TOLERANCE:g}",
         file=sys.stderr,
     )
     return 1
@@ -448,9 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("gradcheck", help="verify gradients by finite differences")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--eps", type=float, default=DEFAULT_EPS)
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--max-coords", type=int, default=None)
     p.set_defaults(func=cmd_gradcheck)
 

@@ -20,7 +20,6 @@ from .autograd import Tensor
 from .errors import ShapeError
 from .tokenizer import PAD_ID
 
-LAYER_NORM_EPS = 1e-5
 # Additive attention bias for padded columns; exp() underflows to exactly 0.
 MASK_BIAS = -1e30
 
@@ -124,7 +123,7 @@ class ContextEncoder:
             return ag.linear(t, p[f"{name}.weight"], p[f"{name}.bias"], relu)
 
         def norm(t: Tensor, name: str) -> Tensor:
-            return ag.layer_norm(t, p[f"{name}.gain"], p[f"{name}.bias"], LAYER_NORM_EPS)
+            return ag.layer_norm(t, p[f"{name}.gain"], p[f"{name}.bias"])
 
         # Rows are `B*n` positions, text by text.
         x = ag.add(

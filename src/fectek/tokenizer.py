@@ -31,7 +31,8 @@ SPECIAL_IDS = frozenset((PAD_ID, UNK_ID, CLS_ID, SEP_ID))
 # Alphanumeric runs, underscore excluded (it separates like punctuation).
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
-_HEADER_RE = re.compile(r"^#fectek-vocab v1 min_freq=(\d+)$")
+# ASCII digits only: `\d` would also take other scripts' digits.
+_HEADER_RE = re.compile(r"^#fectek-vocab v1 min_freq=([0-9]+)$")
 
 
 def tokenize(text: str) -> list[str]:
@@ -100,8 +101,10 @@ class Vocabulary:
             raise DataFormatError(f"{path}: empty vocabulary file")
         header = header.rstrip("\n")
         m = _HEADER_RE.match(header)
-        if m is None:
-            raise DataFormatError(f"{path}: bad vocabulary header {header!r}")
+        try:  # no match, or more digits than Python's int limit
+            min_freq = int(m.group(1))
+        except (AttributeError, ValueError):
+            raise DataFormatError(f"{path}: bad vocabulary header {header!r}") from None
         # Whole-list checks; lowercasing the joined text changes it exactly
         # when it changes some token.
         text = "".join(tokens)
@@ -111,7 +114,7 @@ class Vocabulary:
             or len(set(tokens)) < len(tokens)
         ):
             _raise_first_bad_line(path, tokens)
-        return cls(tokens, min_freq=int(m.group(1)))
+        return cls(tokens, min_freq=min_freq)
 
 
 def _raise_first_bad_line(path: str | Path, tokens: list[str]) -> None:

@@ -46,8 +46,8 @@ def corrupt_gradient(monkeypatch):
         setup, backward = gradcheck._toy_setup, Tensor.backward
         params = {}
 
-        def toy_setup(seed):
-            model, triples = setup(seed)
+        def toy_setup():
+            model, triples = setup()
             params.update(model.params)
             return model, triples
 

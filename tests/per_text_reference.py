@@ -21,7 +21,7 @@ import numpy as np
 
 import fectek.autograd as ag
 from fectek.autograd import Tensor
-from fectek.encoder import LAYER_NORM_EPS, MASK_BIAS
+from fectek.encoder import MASK_BIAS
 from fectek.errors import ShapeError
 from fectek.model import indicator_labels, scorable_mask
 from fectek.tokenizer import PAD_ID
@@ -150,7 +150,7 @@ def forward(encoder, token_ids) -> tuple[np.ndarray, Tensor, np.ndarray]:
         return linear(t, p[f"{name}.weight"], p[f"{name}.bias"], relu)
 
     def norm(t, name):
-        return ag.layer_norm(t, p[f"{name}.gain"], p[f"{name}.bias"], LAYER_NORM_EPS)
+        return ag.layer_norm(t, p[f"{name}.gain"], p[f"{name}.bias"])
 
     x = ag.add(
         ag.gather(p["embeddings.token"], ids),

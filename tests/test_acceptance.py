@@ -26,7 +26,7 @@ from fectek.cli import _weigh, main
 from fectek.encoder import EncoderConfig
 from fectek.errors import FecTekError
 from fectek.evaluation import mrr_at_k
-from fectek.gradcheck import run_gradient_check
+from fectek.gradcheck import EPS, SEED, TOLERANCE, run_gradient_check
 from fectek.index import (
     InvertedIndex,
     SearchHit,
@@ -120,8 +120,11 @@ def pipeline(tmp_path_factory) -> Pipeline:
 
 
 def test_gradient_oracle_every_parameter():
+    assert EPS == 1e-3
+    assert TOLERANCE == 1e-4
+    assert SEED == 42
     started = time.perf_counter()
-    result = run_gradient_check(seed=42, eps=1e-3, tolerance=1e-4)
+    result = run_gradient_check()
     elapsed = time.perf_counter() - started
     live = all(group.checked > 0 for group in result.groups)
     ok = result.passed and live and elapsed < 60.0
@@ -131,7 +134,7 @@ def test_gradient_oracle_every_parameter():
         f"{len(result.groups)} parameter groups, worst rel err "
         f"{result.worst:.3e} vs 1e-4, {elapsed:.1f}s of 60s",
     )
-    failing = [g.name for g in result.groups if g.max_error > result.tolerance]
+    failing = [g.name for g in result.groups if g.max_error > TOLERANCE]
     assert result.passed, f"groups over tolerance: {failing}"
     assert live, "some parameter group was never probed"
     assert elapsed < 60.0, f"gradient check took {elapsed:.1f}s"

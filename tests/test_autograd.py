@@ -7,6 +7,7 @@ through fan-out, broadcasting) get direct constructions.
 
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -251,6 +252,36 @@ class TestBackwardStructure:
         for t in leaves:
             assert t.grad.shape == t.data.shape
             assert t.grad.flags.c_contiguous and t.grad.flags.owndata
+
+    def test_gather_hands_over_one_c_ordered_table_gradient(self, rng):
+        # At BERT's vocabulary size the backward allocates the table's
+        # gradient once, whatever the table's layout, and copies it no more.
+        data = np.asfortranarray(rng.normal(size=(30_522, 64)).astype(np.float32))
+        table = Tensor(data, requires_grad=True)
+        loss = ref.reduce_sum(ag.gather(table, rng.integers(0, 30_522, size=(4, 16))))
+        tracemalloc.start()
+        try:
+            loss.backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= data.nbytes + 2**20, f"peak {peak / 2**20:.1f} MiB"
+        assert table.grad.dtype == np.float32
+        assert table.grad.flags.c_contiguous and table.grad.flags.owndata
+
+    def test_scatter_hands_over_its_gradient(self, rng):
+        a = Tensor(rng.normal(size=(64, 8192)).astype(np.float32), requires_grad=True)
+        loss = ref.reduce_sum(ag.scatter(a, rng.integers(-1, 16, size=a.data.shape), 16))
+        tracemalloc.start()
+        try:
+            loss.backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The gradient, plus its search's temporaries, but no copy of it.
+        assert peak <= 1.5 * a.data.nbytes, f"peak {peak / 2**20:.1f} MiB"
+        assert a.grad.dtype == np.float32
+        assert a.grad.flags.c_contiguous and a.grad.flags.owndata
 
     def test_sum_gradient_is_ones(self, rng):
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)

@@ -9,9 +9,9 @@ from fectek.model import batch_loss
 
 
 def test_subsampled_run_passes_default_seed():
-    report = run_gradient_check(seed=42, max_coords_per_group=3)
+    report = run_gradient_check(max_coords_per_group=3)
     assert report.passed
-    assert report.worst <= report.tolerance
+    assert report.worst <= gradcheck.TOLERANCE
 
 
 def test_runs_in_float64(monkeypatch):
@@ -20,8 +20,8 @@ def test_runs_in_float64(monkeypatch):
     setup, record, accumulate = gradcheck._toy_setup, ag._record, ag._accumulate
     models, dtypes = [], set()
 
-    def toy_setup(seed):
-        model, triples = setup(seed)
+    def toy_setup():
+        model, triples = setup()
         models.append(model)
         return model, triples
 
@@ -36,14 +36,14 @@ def test_runs_in_float64(monkeypatch):
     monkeypatch.setattr(gradcheck, "_toy_setup", toy_setup)
     monkeypatch.setattr(ag, "_record", record_spy)
     monkeypatch.setattr(ag, "_accumulate", accumulate_spy)
-    assert run_gradient_check(seed=42, max_coords_per_group=1).passed
+    assert run_gradient_check(max_coords_per_group=1).passed
     (model,) = models
     assert dtypes == {np.dtype(np.float64)}
     assert {p.data.dtype for p in model.params.values()} == {np.dtype(np.float64)}
 
 
 def test_every_parameter_group_listed_exactly_once():
-    report = run_gradient_check(seed=42, max_coords_per_group=1)
+    report = run_gradient_check(max_coords_per_group=1)
     names = [g.name for g in report.groups]
     assert len(names) == len(set(names))
     assert "embeddings.token" in names
@@ -56,7 +56,7 @@ def test_every_parameter_group_listed_exactly_once():
 def test_every_group_has_live_analytic_gradient():
     # A probe batch where some group's gradient is identically zero would
     # make that group's comparison vacuous (0 == 0).
-    model, triples = _toy_setup(42)
+    model, triples = _toy_setup()
     loss, _ = batch_loss(model, triples)
     loss.backward()
     for name, p in model.params.items():
@@ -65,19 +65,15 @@ def test_every_group_has_live_analytic_gradient():
 
 def test_corrupted_group_fails_and_is_worst(corrupt_gradient):
     corrupt_gradient("prob_head.weight")
-    report = run_gradient_check(seed=42, max_coords_per_group=3)
+    report = run_gradient_check(max_coords_per_group=3)
     assert not report.passed
     worst = max(report.groups, key=lambda g: g.max_error)
     assert worst.name == "prob_head.weight"
-    assert worst.max_error > report.tolerance
+    assert worst.max_error > gradcheck.TOLERANCE
 
 
 def test_report_properties():
-    report = GradCheckReport(
-        eps=1e-3,
-        tolerance=1e-4,
-        groups=[GroupResult("a", 2e-5, 4), GroupResult("b", 9e-5, 2)],
-    )
+    report = GradCheckReport([GroupResult("a", 2e-5, 4), GroupResult("b", 9e-5, 2)])
     assert report.worst == 9e-5
     assert report.passed
     report.groups.append(GroupResult("c", 2e-4, 1))

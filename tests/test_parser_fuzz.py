@@ -65,7 +65,14 @@ documents = st.one_of(
     st.binary(max_size=200),
     st.builds(
         lambda header, rows, newline, tail: (header + newline.join(rows)).encode() + tail,
-        st.sampled_from(["", "#fectek-vocab v1 min_freq=1\n"]),
+        st.sampled_from(
+            [
+                "",
+                "#fectek-vocab v1 min_freq=1\n",
+                "#fectek-vocab v1 min_freq=\u0663\n",
+                f"#fectek-vocab v1 min_freq={'9' * 5000}\n",
+            ]
+        ),
         st.lists(lines, max_size=6),
         st.sampled_from(["\n", "\r\n", "\r"]),
         st.just(b"") | st.binary(max_size=3),

@@ -1,5 +1,7 @@
 """Tokenizer and vocabulary behavior, including the on-disk format."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -133,6 +135,19 @@ class TestPersistence:
         path = tmp_path / "vocab.txt"
         path.write_text("#fectek-vocab v2 min_freq=1\nalpha\n")
         with pytest.raises(DataFormatError):
+            Vocabulary.load(path)
+
+    @pytest.mark.parametrize(
+        "min_freq",
+        [
+            pytest.param("\u0663", id="arabic-indic-three"),
+            pytest.param("9" * 5000, id="past-int-digit-limit"),
+        ],
+    )
+    def test_unparsable_min_freq_rejected(self, tmp_path, min_freq):
+        path = tmp_path / "vocab.txt"
+        path.write_text(f"#fectek-vocab v1 min_freq={min_freq}\nalpha\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}: bad vocabulary header")):
             Vocabulary.load(path)
 
     def test_blank_line_rejected(self, tmp_path):
