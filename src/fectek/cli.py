@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import errno
 import json
+import math
 import os
 import sys
 from dataclasses import fields, replace
@@ -227,10 +228,24 @@ def cmd_encode(args: argparse.Namespace) -> int:
 def cmd_index(args: argparse.Namespace) -> int:
     _check_out_dir(args.out)
     vocab = Vocabulary.load(args.vocab)
-    index = InvertedIndex.build(_iter_weight_stream(args.weights), len(vocab))
+    weights = 0
+
+    def rows():  # counts the stream's weights a row at a time
+        nonlocal weights
+        for row in _iter_weight_stream(args.weights):
+            weights += len(row[2])
+            yield row
+
+    index = InvertedIndex.build(rows(), len(vocab))
     index.save(args.out)
+    kept = len(index.impacts)
+    saturated = int((index.impacts == findex.LEVELS - 1).sum())
+    per_posting = os.path.getsize(args.out) / kept if kept else math.inf
     print(
-        f"index: {index.doc_count} docs, scale {index.scale:.6g} -> {args.out}"
+        f"index: {index.doc_count} docs, {kept} postings kept, "
+        f"{weights - kept} weights dropped at impact 0, "
+        f"{saturated} impacts saturated at {findex.LEVELS - 1}, "
+        f"{per_posting:.3f} B/posting, scale {index.scale:.6g} -> {args.out}"
     )
     return 0
 

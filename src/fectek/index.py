@@ -16,14 +16,18 @@ ascending ordinal.
 On-disk layout (little-endian throughout), magic "FTEK":
 
     magic 4s | version u32 | vocab_size u64 | doc_count u64 | scale f64
-    offsets (vocab_size + 1) x u64      the CSR posting offsets
+    counts                               per term: its posting count, a varint
     gaps, then impacts                   per posting: a varint; then a u8 each
     docid lengths, then docids           per doc: a varint; then UTF-8 bytes
 
-A term's first posting stores its ordinal in place of a gap.  A varint ends
-at its first byte below 0x80, so `load` finds every end at once.  Files of
-other versions (version 1 put each impact after its gap) are rejected:
-rebuild them with `fectek index`.
+`load` rebuilds the CSR offsets as the running sum of the counts.  A term's
+first posting stores its ordinal in place of a gap.  A varint ends at its
+first byte below 0x80, so `load` finds every end of a region at once, in a
+slice no longer than the region can be: 9 bytes a value at most, and never
+the bytes that the later regions need (a byte per impact and per docid
+length at least).  Files of other versions (version 1 put each impact after
+its gap, version 2 stored a u64 offset per term) are rejected: rebuild them
+with `fectek index`.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import numpy as np
 from .errors import CorruptFileError, DataFormatError, write_file
 
 MAGIC = b"FTEK"
-VERSION = 2
+VERSION = 3
 LEVELS = 256
 _HEADER = struct.Struct("<4sIQQd")
 
@@ -77,14 +81,19 @@ def _decode_varints(buf: np.ndarray, count: int) -> tuple[np.ndarray, int]:
 
     Fewer than `count` values come back when `buf` ends first.
     """
-    ends = np.flatnonzero(buf < 0x80)[:count]
+    # Most values take one byte: look for their ends in the first 2 * count
+    # bytes before scanning all of `buf`.
+    ends = np.flatnonzero(buf[: 2 * count] < 0x80)[:count]
+    if len(ends) < count:
+        ends = np.flatnonzero(buf < 0x80)[:count]
     widths = np.diff(ends, prepend=-1)
-    if (widths > 9).any():  # 9 bytes carry 63 bits, all an int64 holds
+    longest = int(widths.max(initial=0))
+    if longest > 9:  # 9 bytes carry 63 bits, all an int64 holds
         raise CorruptFileError("varint longer than 64 bits")
     # Horner's rule from each value's last byte back, on the values that
     # have a byte left at that depth.
     values = buf[ends].astype(np.int64)
-    for byte in range(1, int(widths.max(initial=0))):
+    for byte in range(1, longest):
         more = np.flatnonzero(widths > byte)
         values[more] = values[more] << 7 | buf[ends[more] - byte] & 0x7F
     return values, (int(ends[-1]) + 1 if len(ends) else 0)
@@ -225,7 +234,7 @@ class InvertedIndex:
         docids = [docid.encode("utf-8") for docid in self.docids]
         parts = [
             _HEADER.pack(MAGIC, VERSION, self.vocab_size, self.doc_count, self.scale),
-            self.offsets.astype("<u8"),
+            _encode_varints(np.diff(self.offsets)),
             _encode_varints(gaps),
             self.impacts.astype(np.uint8),
             _encode_varints(np.fromiter(map(len, docids), np.int64, len(docids))),
@@ -251,28 +260,33 @@ class InvertedIndex:
             raise CorruptFileError(f"unsupported version {version}: rebuild with fectek index")
         if not math.isfinite(scale) or scale <= 0.0:
             raise CorruptFileError(f"invalid scale {scale}")
-        pos = _HEADER.size + (vocab_size + 1) * 8
-        if pos > len(blob):
-            raise CorruptFileError("truncated offset table")
-        offsets = np.frombuffer(blob, "<u8", vocab_size + 1, _HEADER.size).astype(np.int64)
-        if offsets[0] != 0:
-            raise CorruptFileError("offset table must start at 0")
-        diffs = np.diff(offsets)
-        if (diffs < 0).any():
-            raise CorruptFileError(f"non-monotone offset at term {np.argmax(diffs < 0)}")
+        data = np.frombuffer(blob, dtype=np.uint8)
+        pos = _HEADER.size
+        end = len(blob) - doc_count  # each docid takes a length byte at least
+        if end < pos:
+            raise CorruptFileError(f"doc count {doc_count} runs past the end of the file")
+        counts, used = _decode_varints(data[pos : min(pos + 9 * vocab_size, end)], vocab_size)
+        if len(counts) < vocab_size:
+            raise CorruptFileError("truncated count table")
+        pos += used
+        # Clipping at the file size keeps the running sum from overflowing.
+        offsets = np.append(0, np.cumsum(np.minimum(counts, len(blob))))
+        count = int(offsets[-1])
+        if 2 * count > end - pos:  # each posting takes a gap byte and an impact byte
+            term = int(np.searchsorted(offsets, (end - pos) // 2, side="right")) - 1
+            raise CorruptFileError(f"posting counts run past the end of the file at term {term}")
 
         def term_of(posting: int) -> int:
             return int(np.searchsorted(offsets, posting, side="right")) - 1
 
-        data = np.frombuffer(blob, dtype=np.uint8)
-        count = int(offsets[-1])
-        gaps, used = _decode_varints(data[pos:], count)
-        impacts = data[pos + used : pos + used + count].astype(np.int64)
-        cut = len(gaps) if len(gaps) < count else len(impacts)  # first missing posting
-        if cut < count:
-            raise CorruptFileError(f"postings region truncated inside term {term_of(cut)}")
-        pos += used + count
-        lengths, used = _decode_varints(data[pos:], doc_count)
+        # Gaps that fit their slice leave room for every impact byte.
+        gaps, used = _decode_varints(data[pos : min(pos + 9 * count, end - count)], count)
+        if len(gaps) < count:
+            raise CorruptFileError(f"postings region truncated inside term {term_of(len(gaps))}")
+        pos += used
+        impacts = data[pos : pos + count].astype(np.int64)
+        pos += count
+        lengths, used = _decode_varints(data[pos : pos + 9 * doc_count], doc_count)
         # Clipping at the file size keeps the running sum from overflowing.
         bounds = pos + used + np.append(0, np.cumsum(np.minimum(lengths, len(blob))))
         # The first entry that runs past the end of the file or lacks its length.
@@ -284,15 +298,17 @@ class InvertedIndex:
             trailing = len(blob) - bounds[-1]
             raise CorruptFileError(f"{trailing} trailing bytes after docid table")
 
-        first = _first_postings(offsets)
-        bad = np.flatnonzero(~first & (gaps == 0))
+        # A zero may only open a term's list (an ordinal 0, not a gap), so it
+        # must sit at an offset.
+        zero = np.flatnonzero(gaps == 0)
+        bad = zero[offsets[np.searchsorted(offsets, zero)] != zero]
         if bad.size:
             raise CorruptFileError(f"term {term_of(bad[0])} postings not strictly increasing")
         # doc_count is below the file size now, so the clipped sums cannot
         # overflow, and a clipped posting still lands at or past doc_count.
         clipped = np.minimum(gaps, doc_count)
         sums = np.append(0, np.cumsum(clipped))
-        ordinals = sums[1:] - np.repeat(sums[offsets[:-1]], diffs)
+        ordinals = sums[1:] - np.repeat(sums[offsets[:-1]], counts)
         bad = np.flatnonzero(ordinals >= doc_count)
         if bad.size:
             ordinal = int(ordinals[bad[0]] - clipped[bad[0]]) + int(gaps[bad[0]])
@@ -304,13 +320,12 @@ class InvertedIndex:
         if bad.size:
             raise CorruptFileError(f"term {term_of(bad[0])} stores a zero impact")
 
-        def text(entry: int) -> str:
-            try:
-                return blob[bounds[entry] : bounds[entry + 1]].decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CorruptFileError(f"docid table entry {entry} is not UTF-8") from exc
-
-        docids = [text(entry) for entry in range(doc_count)]
+        docids: list[str] = []
+        try:
+            for start, stop in zip(bounds, bounds[1:]):
+                docids.append(blob[start:stop].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise CorruptFileError(f"docid table entry {len(docids)} is not UTF-8") from exc
         if len(set(docids)) != len(docids):
             raise CorruptFileError("duplicate docid in table")
         return cls(float(scale), docids, offsets, ordinals, impacts)

@@ -307,6 +307,26 @@ class TestPipeline:
         assert code == 0
         assert out.read_bytes() == workspace["run_file"].read_bytes()
 
+    def test_index_reports_what_quantization_kept(self, workspace, tmp_path):
+        # Scale 2/255: 2.0 is impact 255, 1.0 rounds to 128, and 0.001 (an
+        # impact of 0.13) and 0.0 are dropped.
+        weights = tmp_path / "weights.jsonl"
+        weights.write_text(
+            '{"docid": "a", "weights": {"5": 2.0, "6": 0.001, "7": 0.0}}\n'
+            '{"docid": "b", "weights": {"5": 1.0}}\n'
+        )
+        out = tmp_path / "index.ftek"
+        code, printed, _ = run_cli(
+            "index", "--weights", str(weights), "--vocab", str(workspace["vocab"]),
+            "--out", str(out),
+        )
+        assert code == 0
+        per_posting = out.stat().st_size / 2
+        assert printed.startswith(
+            "index: 2 docs, 2 postings kept, 2 weights dropped at impact 0, "
+            f"1 impacts saturated at 255, {per_posting:.3f} B/posting, scale "
+        )
+
     def test_evaluate_prints_metrics(self, workspace):
         code, out, _ = run_cli(
             "evaluate",

@@ -76,12 +76,19 @@ def stored_gaps(index):
     return gaps
 
 
+def posting_counts(index):
+    """Each term's posting count, as the count table stores it."""
+    offsets = index.offsets.tolist()
+    return [b - a for a, b in zip(offsets, offsets[1:])]
+
+
 def reference_file(index):
-    """The v2 file written one value at a time with `write_varint`."""
+    """The v3 file written one value at a time with `write_varint`."""
     out = bytearray(
         HEADER.pack(MAGIC, VERSION, index.vocab_size, index.doc_count, index.scale)
     )
-    out += struct.pack(f"<{index.vocab_size + 1}Q", *index.offsets.tolist())
+    for count in posting_counts(index):
+        write_varint(out, count)
     for gap in stored_gaps(index):
         write_varint(out, gap)
     out += bytes(index.impacts.tolist())
@@ -92,7 +99,7 @@ def reference_file(index):
 
 
 def reference_load(blob):
-    """Plain-Python v2 reader that walks the file one byte at a time.
+    """Plain-Python v3 reader that walks the file one byte at a time.
 
     Returns (scale, offsets, ordinals, impacts, docids) as lists, or raises
     CorruptFileError: an oracle for the vectorized `InvertedIndex.load`.
@@ -118,9 +125,9 @@ def reference_load(blob):
     magic, version, vocab_size, doc_count, scale = HEADER.unpack(take(HEADER.size))
     if magic != MAGIC or version != VERSION or not 0.0 < scale < math.inf:
         raise CorruptFileError("bad header")
-    offsets = list(struct.unpack(f"<{vocab_size + 1}Q", take(8 * (vocab_size + 1))))
-    if offsets[0] != 0 or any(b < a for a, b in zip(offsets, offsets[1:])):
-        raise CorruptFileError("bad offsets")
+    offsets = [0]
+    for _ in range(vocab_size):
+        offsets.append(offsets[-1] + varint())
     gaps = [varint() for _ in range(offsets[-1])]
     impacts = list(take(offsets[-1]))
     ordinals = []
@@ -160,13 +167,13 @@ def reference_outcome(blob):
 
 
 def region_bounds(index):
-    """Start of each region of the saved file (header, offsets, gaps, impacts,
-    docid lengths, docids), then the file size."""
+    """Start of each region of the saved file (header, posting counts, gaps,
+    impacts, docid lengths, docids), then the file size."""
     gaps = stored_gaps(index)
     lengths = [len(docid.encode("utf-8")) for docid in index.docids]
     sizes = [
         HEADER.size,
-        8 * (index.vocab_size + 1),
+        sum(map(varint_width, posting_counts(index))),
         sum(map(varint_width, gaps)),
         len(gaps),
         sum(map(varint_width, lengths)),
@@ -276,7 +283,8 @@ class TestVarint:
         # The decoder returns what it could finish; `load` names the truncation.
         decoded, used = _decode_varints(np.frombuffer(b"\x05\x80", np.uint8), 2)
         assert decoded.tolist() == [5] and used == 1
-        blob = HEADER.pack(MAGIC, VERSION, 1, 1, 1.0) + struct.pack("<2Q", 0, 1) + b"\x80"
+        # One term with one posting, whose gap never ends.
+        blob = HEADER.pack(MAGIC, VERSION, 1, 1, 1.0) + b"\x01" + b"\x80" * 3
         path = tmp_path / "idx.ftek"
         path.write_bytes(blob)
         with pytest.raises(CorruptFileError, match="truncated inside term 0"):
@@ -364,17 +372,19 @@ class TestPersistence:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_format_v2_multi_byte_gaps(self, tmp_path):
-        # Term 1 holds ordinals 127, 255 and 16639 (stored as 127, then gaps
-        # 128 and 16384) with impacts 1, 128 and 255; term 2 holds ordinal 0
-        # with impact 2.  Every other document is empty.
+        # The gap and impact regions that version 2 introduced, after the
+        # version 3 count table.  Term 1 holds ordinals 127, 255 and 16639
+        # (stored as 127, then gaps 128 and 16384) with impacts 1, 128 and
+        # 255; term 2 holds ordinal 0 with impact 2.  Every other document
+        # is empty.
         weights = {0: {2: 2.0}, 127: {1: 1.0}, 255: {1: 128.0}, 16639: {1: 255.0}}
         index = build_from([(f"d{o}", weights.get(o, {})) for o in range(16640)], 3)
         path = tmp_path / "idx.ftek"
         index.save(path)
         blob = path.read_bytes()
         assert HEADER.unpack_from(blob) == (MAGIC, VERSION, 3, 16640, 1.0)
-        assert struct.unpack_from("<4Q", blob, HEADER.size) == (0, 0, 3, 4)
-        region_start = HEADER.size + 4 * 8
+        assert blob[HEADER.size : HEADER.size + 3] == bytes([0, 3, 1])  # posting counts
+        region_start = HEADER.size + 3
         assert blob[region_start : region_start + 11] == bytes.fromhex(
             "7f" "8001" "808001" "00" "0180ff02"
         )
@@ -452,21 +462,39 @@ class TestPersistence:
         )
     )
     @settings(max_examples=60, deadline=None)
-    def test_file_size_equals_version_1_size(self, tmp_path_factory, docs):
-        # Version 2 moves the version 1 bytes into separate regions, so every
-        # index keeps the size that version 1 gave it.
+    def test_file_size_is_the_v3_formula(self, tmp_path_factory, docs):
+        # The header, a varint count per term, a varint gap and an impact
+        # byte per posting, and each docid after its varint length.
         index = build_from(docs, 6)
         path = tmp_path_factory.mktemp("size") / "idx.ftek"
         index.save(path)
         lengths = [len(docid.encode("utf-8")) for docid, _ in docs]
-        size_v1 = (
+        size_v3 = (
             HEADER.size
-            + 8 * (index.vocab_size + 1)
+            + sum(map(varint_width, posting_counts(index)))
             + sum(varint_width(gap) + 1 for gap in stored_gaps(index))
             + sum(varint_width(n) + n for n in lengths)
         )
-        assert path.stat().st_size == size_v1
-        assert region_bounds(index)[-1] == size_v1
+        assert path.stat().st_size == size_v3
+        assert region_bounds(index)[-1] == size_v3
+
+    def test_one_posting_over_65536_ids_is_small_and_resaves_identically(self, tmp_path):
+        # Version 2 spent 8 bytes an id on offsets: 524 KB for this index.
+        index = build_from([("only", {65535: 1.0})], 65536)
+        first, second = tmp_path / "a.ftek", tmp_path / "b.ftek"
+        index.save(first)
+        assert first.stat().st_size < 70_000
+        InvertedIndex.load(first).save(second)
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_lone_empty_docid_round_trips(self, tmp_path):
+        # One docid, and it is empty: the docid table is a single length
+        # byte, so the gaps fill their slice exactly.
+        index = build_from([("", {0: 1.0, 3: 2.0})], 4)
+        path = tmp_path / "idx.ftek"
+        index.save(path)
+        loaded = InvertedIndex.load(path)
+        assert loaded.docids == [""] and loaded.ordinals.tolist() == [0, 0]
 
     def test_version_1_rejected(self, tmp_path):
         path = tmp_path / "idx.ftek"
@@ -476,6 +504,16 @@ class TestPersistence:
         path.write_bytes(bytes(blob))
         with pytest.raises(
             CorruptFileError, match="unsupported version 1: rebuild with fectek index"
+        ):
+            InvertedIndex.load(path)
+
+    def test_version_2_rejected(self, tmp_path):
+        # A version 2 file as that version wrote it: u64 offsets, not counts.
+        path = tmp_path / "idx.ftek"
+        blob = HEADER.pack(MAGIC, 2, 2, 1, 1.0) + struct.pack("<3Q", 0, 1, 1)
+        path.write_bytes(blob + b"\x00" b"\x05" b"\x01" b"a")
+        with pytest.raises(
+            CorruptFileError, match="unsupported version 2: rebuild with fectek index"
         ):
             InvertedIndex.load(path)
 
@@ -523,36 +561,56 @@ class TestFaultInjection:
         with pytest.raises(CorruptFileError, match="scale"):
             self.reload(tmp_path, blob)
 
-    def test_nonzero_first_offset(self, tmp_path, saved):
-        _, blob = saved
-        blob[32:40] = struct.pack("<Q", 3)
-        with pytest.raises(CorruptFileError, match="start at 0"):
+    def test_counts_past_the_file_name_term(self, tmp_path, saved):
+        # Term 2's count grows by 128 (a second varint byte), more postings
+        # than the file has bytes.
+        path, blob = saved
+        counts = np.diff(InvertedIndex.load(path).offsets).tolist()
+        assert all(count < 0x80 for count in counts)
+        blob[32 + 2] |= 0x80
+        blob.insert(32 + 3, 0x01)
+        with pytest.raises(CorruptFileError, match="past the end of the file at term 2"):
             self.reload(tmp_path, blob)
 
-    def test_non_monotone_offsets_name_term(self, tmp_path, saved):
-        _, blob = saved
-        big = struct.unpack_from("<Q", blob, 32 + 5 * 8)[0]
-        blob[32 + 8 : 32 + 16] = struct.pack("<Q", big)
-        blob[32 + 16 : 32 + 24] = struct.pack("<Q", 0)
-        with pytest.raises(CorruptFileError, match="non-monotone offset at term"):
+    def test_counts_cannot_wrap_the_running_sum(self, tmp_path):
+        # Counts 2**63 - 1, 2**63 - 1 and 3 sum to 1 modulo 2**64: an int64
+        # running sum would ask for the one posting that follows.
+        table = bytearray()
+        for count in (2**63 - 1, 2**63 - 1, 3):
+            write_varint(table, count)
+        blob = HEADER.pack(MAGIC, VERSION, 3, 1, 1.0) + table + b"\x00" b"\x05" b"\x01" b"a"
+        with pytest.raises(CorruptFileError, match="past the end of the file at term 0"):
             self.reload(tmp_path, blob)
 
     def test_truncated_postings_names_term(self, tmp_path, saved):
         path, blob = saved
         index = InvertedIndex.load(path)
-        region_start = 32 + (index.vocab_size + 1) * 8
-        with pytest.raises(CorruptFileError, match="truncated inside term"):
-            self.reload(tmp_path, blob[: region_start + 1])
+        region_start = region_bounds(index)[2]
+        # Cut inside the first gap of the first term with postings, and leave
+        # enough bytes after it for every impact and docid length.
+        blob[region_start] |= 0x80
+        blob[region_start + 1 :] = b"\x80" * (len(blob) - region_start - 1)
+        term = int(np.flatnonzero(np.diff(index.offsets))[0])
+        with pytest.raises(CorruptFileError, match=f"truncated inside term {term}"):
+            self.reload(tmp_path, blob)
 
     def test_truncated_header(self, tmp_path, saved):
         _, blob = saved
         with pytest.raises(CorruptFileError, match="header"):
             self.reload(tmp_path, blob[:10])
 
-    def test_truncated_offset_table(self, tmp_path, saved):
+    def test_doc_count_past_the_file(self, tmp_path, saved):
+        # A length byte per docid would not fit after the header.
         _, blob = saved
-        with pytest.raises(CorruptFileError, match="offset table"):
-            self.reload(tmp_path, blob[:40])
+        blob[16:24] = struct.pack("<Q", len(blob) - 31)
+        with pytest.raises(CorruptFileError, match="doc count .* past the end of the file"):
+            self.reload(tmp_path, blob)
+
+    def test_truncated_count_table(self, tmp_path, saved):
+        # Three of the five counts, then a byte for each of the six docids.
+        _, blob = saved
+        with pytest.raises(CorruptFileError, match="truncated count table"):
+            self.reload(tmp_path, blob[: 32 + 3 + 6])
 
     def test_truncated_docid_table(self, tmp_path, saved):
         _, blob = saved
@@ -565,37 +623,38 @@ class TestFaultInjection:
             self.reload(tmp_path, blob + b"\x00\x00")
 
     @staticmethod
-    def assemble(doc_count, offsets, body):
-        """A hand-built file: header, posting offsets, then every later region."""
-        header = HEADER.pack(MAGIC, VERSION, len(offsets) - 1, doc_count, 1.0)
-        return header + struct.pack(f"<{len(offsets)}Q", *offsets) + body
+    def assemble(doc_count, counts, body):
+        """A hand-built file: header, posting counts, then every later region."""
+        header = HEADER.pack(MAGIC, VERSION, len(counts), doc_count, 1.0)
+        return header + bytes(counts) + body
 
     def test_zero_impact_rejected(self, tmp_path):
         # One term, one posting: ordinal 0 with impact 0.
-        blob = self.assemble(1, (0, 1), b"\x00" b"\x00" b"\x01" b"a")
+        blob = self.assemble(1, (1,), b"\x00" b"\x00" b"\x01" b"a")
         with pytest.raises(CorruptFileError, match="zero impact"):
             self.reload(tmp_path, blob)
 
     def test_zero_gap_rejected(self, tmp_path):
         # Two postings on the same ordinal (gap 0 after the first).
-        blob = self.assemble(2, (0, 2), b"\x00\x00" b"\x05\x04" b"\x01\x01" b"ab")
+        blob = self.assemble(2, (2,), b"\x00\x00" b"\x05\x04" b"\x01\x01" b"ab")
         with pytest.raises(CorruptFileError, match="strictly increasing"):
             self.reload(tmp_path, blob)
 
     def test_ordinal_beyond_doc_count_rejected(self, tmp_path):
         # Ordinal 2 with only 1 doc.
-        blob = self.assemble(1, (0, 1), b"\x02" b"\x05" b"\x01" b"a")
+        blob = self.assemble(1, (1,), b"\x02" b"\x05" b"\x01" b"a")
         with pytest.raises(CorruptFileError, match="ordinal 2 beyond doc count 1"):
             self.reload(tmp_path, blob)
 
     def test_missing_impact_byte_rejected(self, tmp_path):
-        # Two terms with a posting each; the file ends after the first impact.
-        blob = self.assemble(1, (0, 1, 2), b"\x00\x00" b"\x05")
-        with pytest.raises(CorruptFileError, match="truncated inside term 1"):
+        # Two terms with a posting each; the file ends after the first impact,
+        # so term 1's posting (and the docid table) cannot fit.
+        blob = self.assemble(1, (1, 1), b"\x00\x00" b"\x05")
+        with pytest.raises(CorruptFileError, match="past the end of the file at term 1"):
             self.reload(tmp_path, blob)
 
     def test_duplicate_docid_rejected(self, tmp_path):
-        blob = self.assemble(2, (0, 0), b"\x01\x01" b"aa")
+        blob = self.assemble(2, (0,), b"\x01\x01" b"aa")
         with pytest.raises(CorruptFileError, match="duplicate docid"):
             self.reload(tmp_path, blob)
 
@@ -604,7 +663,7 @@ class TestFaultInjection:
         # ordinals 1, -2**63, -1, 2, all below the doc count of 3.
         widest = b"\xff" * 8 + b"\x7f"
         gaps = b"\x01" + widest + widest + b"\x03"
-        blob = self.assemble(3, (0, 4), gaps + b"\x05" * 4 + b"\x01\x01\x01" b"abc")
+        blob = self.assemble(3, (4,), gaps + b"\x05" * 4 + b"\x01\x01\x01" b"abc")
         with pytest.raises(CorruptFileError, match=f"term 0 references ordinal {2**63} "):
             self.reload(tmp_path, blob)
 
@@ -614,12 +673,12 @@ class TestFaultInjection:
         table = bytearray()
         for length in (2**63 - 1, 2**63 - 1, 5):
             write_varint(table, length)
-        blob = self.assemble(3, (0, 0), bytes(table) + b"abc")
+        blob = self.assemble(3, (0,), bytes(table) + b"abc")
         with pytest.raises(CorruptFileError, match="docid table entry 0 truncated"):
             self.reload(tmp_path, blob)
 
     def test_non_utf8_docid_names_entry(self, tmp_path):
-        blob = self.assemble(2, (0, 0), b"\x01\x01" b"a\xff")
+        blob = self.assemble(2, (0,), b"\x01\x01" b"a\xff")
         with pytest.raises(CorruptFileError, match="entry 1 is not UTF-8"):
             self.reload(tmp_path, blob)
 
@@ -643,8 +702,10 @@ class TestFaultInjection:
             ),
         ),
     )
-    # Two postings of term 1 (ordinals 0 and 1), docids "é0" and "d1": a zero
-    # impact, a zero gap, and a docid length one short (leaving a trailing byte).
+    # Two postings of term 1 (ordinals 0 and 1), docids "é0" and "d1": term
+    # 1's count raised to 127, a zero impact, a zero gap, and a docid length
+    # one short (leaving a trailing byte).
+    @example(doc_count=2, weights={0: {1: 1.0}, 1: {1: 2.0}}, mutation=("set", 1, 1, 0x7F))
     @example(doc_count=2, weights={0: {1: 1.0}, 1: {1: 2.0}}, mutation=("set", 3, 0, 0))
     @example(doc_count=2, weights={0: {1: 1.0}, 1: {1: 2.0}}, mutation=("set", 2, 1, 0))
     @example(doc_count=2, weights={0: {1: 1.0}, 1: {1: 2.0}}, mutation=("set", 4, 1, 1))

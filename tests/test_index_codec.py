@@ -95,20 +95,21 @@ def save_load_events(index, path):
 
 
 def test_no_python_work_per_posting(tmp_path):
-    """Two indexes over the same 51 terms and 200 documents, with 1,002 or
-    10,002 postings.  Every stored gap, ordinal and docid length is one
-    byte, except term 50's second gap (199, two bytes) in both, so the codec
-    runs the same byte rounds; the call counts differ only if some call runs
-    per posting."""
-    docs, vocab_size = 200, 51
+    """Two indexes over the same 52 terms and 200 documents, with 1,202 or
+    10,202 postings.  Every stored gap, ordinal and docid length is one
+    byte, except term 50's second gap (199) in both, and term 51, in every
+    document, has a two-byte posting count in both, so the codec runs the
+    same byte rounds; the call counts differ only if some call runs per
+    posting."""
+    docs, vocab_size = 200, 52
     sparse = {0: [50], docs - 1: [50]}
-    narrow = [[(5 * i + j) % 50 for j in range(5)] + sparse.get(i, []) for i in range(docs)]
-    wide = [list(range(50)) + sparse.get(i, []) for i in range(docs)]
+    narrow = [[(5 * i + j) % 50 for j in range(5)] + sparse.get(i, []) + [51] for i in range(docs)]
+    wide = [list(range(50)) + sparse.get(i, []) + [51] for i in range(docs)]
     counts = []
     for name, rows in (("narrow", narrow), ("wide", wide)):
         stream = ((f"d{i:03d}", terms, [1 + t / 64 for t in terms]) for i, terms in enumerate(rows))
         index = InvertedIndex.build(stream, vocab_size)
         counts.append((len(index.ordinals), save_load_events(index, tmp_path / f"{name}.ftek")))
     (few_postings, few), (many_postings, many) = counts
-    assert (few_postings, many_postings) == (1_002, 10_002)
+    assert (few_postings, many_postings) == (1_202, 10_202)
     assert abs(many - few) <= 10, (few, many)

@@ -4,7 +4,8 @@ Each line of the walkthrough's `sh` blocks runs in a fresh directory: a
 `fectek ...` line through `cli.main` (with `\\` continuations joined), a
 `mkdir -p` line through `Path.mkdir`.  A `# ...` line is the output the
 command before it must print.  Any other line fails the test, so a step
-that needs a shell cannot creep into the walkthrough.
+that needs a shell cannot creep into the walkthrough.  The file-format
+section must state the version each binary format is written in.
 """
 
 import io
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from fectek import checkpoint, index
 from fectek.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -53,3 +55,10 @@ def test_walkthrough_runs_as_written(tmp_path, monkeypatch):
             else:
                 pytest.fail(f"walkthrough line is neither `fectek` nor `mkdir -p`: {line!r}")
     assert expected == ["MRR@10=1.000000 Recall@100=1.000000"]
+
+
+def test_file_formats_state_the_current_versions():
+    section = README.read_text(encoding="utf-8").split("## File formats", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    assert f"**Index** (`.idx`, version {index.VERSION})" in section
+    assert f"**Checkpoint** (`.ftck`, version {checkpoint.VERSION})" in section
