@@ -67,6 +67,11 @@ class EncoderConfig:
         return self.dim // self.heads
 
 
+def dense(params: dict[str, Tensor], name: str, x: Tensor, relu: bool = False) -> Tensor:
+    """Linear layer `name` of `params`: `x @ name.weight + name.bias`, relu if asked."""
+    return ag.linear(x, params[f"{name}.weight"], params[f"{name}.bias"], relu)
+
+
 @dataclass
 class EncodedBatch:
     """Output of one encoder forward pass over `B` texts padded to length `n`.
@@ -119,9 +124,6 @@ class ContextEncoder:
         p = self.params
         scale = 1.0 / math.sqrt(cfg.head_dim)
 
-        def linear(t: Tensor, name: str, relu: bool = False) -> Tensor:
-            return ag.linear(t, p[f"{name}.weight"], p[f"{name}.bias"], relu)
-
         def norm(t: Tensor, name: str) -> Tensor:
             return ag.layer_norm(t, p[f"{name}.gain"], p[f"{name}.bias"])
 
@@ -138,10 +140,10 @@ class ContextEncoder:
 
         for i in range(cfg.layers):
             layer = f"layers.{i}"
-            q, k, v = (linear(x, f"{layer}.attn.{part}") for part in ("query", "key", "value"))
+            q, k, v = (dense(p, f"{layer}.attn.{part}", x) for part in ("query", "key", "value"))
             ctx = ag.attention(q, k, v, mask_bias, cfg.heads, scale)
-            x = norm(ag.add(x, linear(ctx, f"{layer}.attn.output")), f"{layer}.norm1")
-            expanded = linear(x, f"{layer}.ffn.expand", relu=True)
-            x = norm(ag.add(x, linear(expanded, f"{layer}.ffn.contract")), f"{layer}.norm2")
+            x = norm(ag.add(x, dense(p, f"{layer}.attn.output", ctx)), f"{layer}.norm1")
+            expanded = dense(p, f"{layer}.ffn.expand", x, relu=True)
+            x = norm(ag.add(x, dense(p, f"{layer}.ffn.contract", expanded)), f"{layer}.norm2")
 
         return EncodedBatch(ids, ag.reshape(x, (b, n, cfg.dim)), real)

@@ -27,7 +27,7 @@ import numpy as np
 from . import autograd as ag
 from . import checkpoint as ckpt
 from .autograd import Tensor
-from .encoder import ContextEncoder, EncodedBatch, EncoderConfig
+from .encoder import ContextEncoder, EncodedBatch, EncoderConfig, dense
 from .errors import CorruptFileError, ShapeError
 from .tokenizer import SPECIAL_IDS
 
@@ -35,6 +35,7 @@ from .tokenizer import SPECIAL_IDS
 # encoded the desk corpus at rates within host noise of each other.
 CHUNK_TEXTS = 32
 INIT_STD = 0.02
+FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 def scorable_mask(token_ids: np.ndarray) -> np.ndarray:
@@ -175,42 +176,27 @@ def init_parameters(
     return params
 
 
-class FeatureContextGate:
-    """Squeeze-excitation over hidden channels, pooled across real positions.
+def feature_gates(params: dict[str, Tensor], hidden: Tensor, real_mask: np.ndarray) -> Tensor:
+    """[B, 1, d] feature-context gates for [B, n, d] hidden states.
 
-    The pooled vector passes through a bottleneck (d -> max(1, d//16) -> d)
-    ending in a sigmoid, producing one gate per channel in (0, 1); every row
-    of a text is rescaled by that text's gate vector.
+    Squeeze-excitation over hidden channels: each text's mean over its real
+    positions passes a bottleneck (d -> max(1, d//16) -> d) ending in a
+    sigmoid, one gate per channel in (0, 1) for every row of that text.
     """
-
-    def __init__(self, params: dict[str, Tensor]):
-        self.params = params
-        self.bottleneck, self.dim = params["feature_gate.excite.weight"].data.shape
-
-    def gate_vector(self, hidden: Tensor, real_mask: np.ndarray) -> Tensor:
-        """[B, 1, d] gates for [B, n, d] hidden states."""
-        n_real = real_mask.sum(axis=1)
-        if not n_real.all():
-            raise ShapeError("feature gate needs at least one real position per text")
-        if hidden.data.ndim != 3 or hidden.data.shape[2] != self.dim:
-            raise ShapeError(
-                f"feature gate built for width {self.dim}, got hidden shape "
-                f"{hidden.data.shape}"
-            )
-        # Mean over real positions as a constant [1, n] row times each
-        # text's [n, d] states: pad rows contribute nothing.
-        pool = real_mask[:, None, :] / n_real[:, None, None]
-        pooled = ag.matmul(Tensor(pool.astype(hidden.data.dtype, copy=False)), hidden)
-        params = self.params
-        squeezed = ag.linear(
-            pooled, params["feature_gate.squeeze.weight"], params["feature_gate.squeeze.bias"], relu=True
+    n_real = real_mask.sum(axis=1)
+    if not n_real.all():
+        raise ShapeError("feature gate needs at least one real position per text")
+    dim = len(params["feature_gate.excite.bias"].data)
+    if hidden.data.ndim != 3 or hidden.data.shape[2] != dim:
+        raise ShapeError(
+            f"feature gate built for width {dim}, got hidden shape {hidden.data.shape}"
         )
-        return ag.sigmoid(
-            ag.linear(squeezed, params["feature_gate.excite.weight"], params["feature_gate.excite.bias"])
-        )
-
-    def __call__(self, hidden: Tensor, real_mask: np.ndarray) -> Tensor:
-        return ag.mul(hidden, self.gate_vector(hidden, real_mask))
+    # Mean over real positions as a constant [1, n] row times each
+    # text's [n, d] states: pad rows contribute nothing.
+    pool = real_mask[:, None, :] / n_real[:, None, None]
+    pooled = ag.matmul(Tensor(pool.astype(hidden.data.dtype, copy=False)), hidden)
+    squeezed = dense(params, "feature_gate.squeeze", pooled, relu=True)
+    return ag.sigmoid(dense(params, "feature_gate.excite", squeezed))
 
 
 class FecTekModel:
@@ -224,7 +210,6 @@ class FecTekModel:
         self.params = params
         self.use_feature_gate = use_feature_gate
         self.encoder = ContextEncoder(config, params)
-        self.feature_gate = FeatureContextGate(params)
         self.vocab_size = self.encoder.vocab_size
 
     def zero_grad(self) -> None:
@@ -243,15 +228,12 @@ class FecTekModel:
 
     def term_weights(self, batch: EncodedBatch, terms: np.ndarray | None = None) -> TermWeights:
         """Weights of every text of the batch, over `terms` if given."""
-        features = (
-            self.feature_gate(batch.hidden, batch.real_mask)
-            if self.use_feature_gate
-            else batch.hidden
-        )
+        features = batch.hidden
+        if self.use_feature_gate:
+            features = ag.mul(features, feature_gates(self.params, features, batch.real_mask))
         # [B, n, d] @ [d] is one matrix-vector product per text, the BLAS
         # call a text alone gets, so its weights keep the same bits.
-        head = self.params["weight_head.weight"], self.params["weight_head.bias"]
-        raw = ag.linear(features, *head)
+        raw = dense(self.params, "weight_head", features)
         return TermWeights.from_positions(
             batch.token_ids, ag.log1p(ag.relu(raw)), terms
         )
@@ -259,8 +241,7 @@ class FecTekModel:
     def term_probabilities(self, batch: EncodedBatch) -> Tensor:
         """[B, n] probability that each position's term also occurs in the
         pair text.  Reads the raw hidden states, not the gated features."""
-        head = self.params["prob_head.weight"], self.params["prob_head.bias"]
-        return ag.sigmoid(ag.linear(batch.hidden, *head))
+        return ag.sigmoid(dense(self.params, "prob_head", batch.hidden))
 
     def weigh(self, id_lists: Sequence[Sequence[int]]) -> list[dict[int, float]]:
         """Term weights of each text, in input order, recorded on no tape.
@@ -431,7 +412,14 @@ def load_model(path: str | Path) -> FecTekModel:
             raise CorruptFileError(
                 f"{path}: parameter {name!r} has shape {array.shape}, expected {shape}"
             )
-        if not np.isfinite(array).all():
+        low, high = float(array.min()), float(array.max())  # no copy of the entry
+        if not (math.isfinite(low) and math.isfinite(high)):
             raise CorruptFileError(f"{path}: parameter {name!r} is not finite")
+        # Every command runs the model in float32, where a larger value is inf.
+        peak = max(high, -low)
+        if peak > FLOAT32_MAX:
+            raise CorruptFileError(
+                f"{path}: parameter {name!r} has magnitude {peak:g}, beyond the float32 range"
+            )
         params[name] = Tensor(array, requires_grad=True)
     return FecTekModel(config, params, use_feature_gate=use_feature_gate)

@@ -170,7 +170,7 @@ def forward(encoder, token_ids) -> tuple[np.ndarray, Tensor, np.ndarray]:
 
 def gate(model, hidden: Tensor, real: np.ndarray) -> Tensor:
     """Feature-gated [n, d] states of one text."""
-    params = model.feature_gate.params
+    params = model.params
     pool = np.where(real, 1.0 / int(real.sum()), 0.0).astype(hidden.data.dtype)
     pooled = matmul(Tensor(pool), hidden)
     squeezed = ag.relu(

@@ -1016,6 +1016,36 @@ class TestExitCodes:
         assert "weight_head.bias" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [1e300, -1e39])
+    @pytest.mark.parametrize("command", ["encode", "search", "train"])
+    def test_checkpoint_value_past_float32_is_4(self, workspace, tmp_path, command, value):
+        # Finite in the float64 file but inf once cast to float32, which
+        # every command that loads a checkpoint runs in.
+        entries = load_tensors(workspace["checkpoint"])
+        entries["layers.0.ffn.expand.weight"].flat[3] = value
+        broken = tmp_path / "broken.ftck"
+        save_tensors(broken, entries)
+        out = tmp_path / "out"
+        args = {
+            "encode": ("--corpus", str(workspace["corpus"]), "--out", str(out)),
+            "search": (
+                "--index", str(workspace["index"]),
+                "--queries", str(workspace["queries"]),
+                "--out", str(out),
+            ),
+            "train": (
+                "--triples", str(workspace["triples"]),
+                "--init-checkpoint", str(broken),
+                "--out-dir", str(out),
+            ),
+        }[command]
+        if command != "train":
+            args += ("--checkpoint", str(broken))
+        code, _, err = run_cli(command, "--vocab", str(workspace["vocab"]), *args)
+        assert code == 4, err
+        assert "'layers.0.ffn.expand.weight'" in err and "float32" in err
+        assert not out.exists()
+
     def test_non_finite_gradient_norm_is_1_and_writes_no_model(
         self, workspace, tmp_path, monkeypatch
     ):

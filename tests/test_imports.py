@@ -1,11 +1,12 @@
-"""Every module of the package reads each name it imports, and every
-function and class the package defines is named somewhere in it.
+"""Every module of the package reads each name it imports, imports only the
+standard library and numpy, and names every function and class it defines.
 
 AST walks, so the checks need no linter: a name bound by an import must be
 read somewhere in its module, or be re-exported through `__all__`.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,40 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_reads_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Absolute imports of `source` that are neither the standard library,
+    `numpy` nor the package itself: the runtime stays numpy-only."""
+    allowed = sys.stdlib_module_names | {"numpy", "fectek"}
+    modules = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.append(node.module)
+    return [name for name in modules if name.split(".")[0] not in allowed]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_only_stdlib_and_numpy(path):
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_import_checker_flags_every_third_party_form():
+    source = (
+        "import os.path, json\n"
+        "import numpy as np\n"
+        "from numpy.linalg import norm\n"
+        "from fectek.errors import ShapeError\n"
+        "from . import autograd\n"
+        "from .model import new_model\n"
+        "import scipy.sparse\n"
+        "from pytest_benchmark import plugin\n"
+        "def f():\n"
+        "    import torch\n"
+    )
+    assert foreign_imports(source) == ["scipy.sparse", "pytest_benchmark", "torch"]
 
 
 def test_checker_flags_unused_and_keeps_read_or_exported_names():

@@ -14,14 +14,15 @@ import fectek.autograd as ag
 import per_text_reference as ref
 from fectek.autograd import Tensor
 from fectek.checkpoint import SAVE_BLOCK, load_tensors, save_tensors
-from fectek.encoder import EncoderConfig
+from fectek.encoder import EncoderConfig, dense
 from fectek.errors import CorruptFileError, ShapeError
 from fectek.model import (
+    FLOAT32_MAX,
     INIT_STD,
     EncodedTriple,
-    FeatureContextGate,
     TermWeights,
     batch_loss,
+    feature_gates,
     indicator_labels,
     init_parameters,
     load_model,
@@ -44,11 +45,11 @@ def tiny_model(tiny_vocab, tiny_config):
     return new_model(len(tiny_vocab), tiny_config, seed=5)
 
 
-def make_gate(dim, rng):
-    """A gate of width `dim` whose parameters are the next draws of `rng`."""
+def gate_params(dim, rng):
+    """The gate entries of a width-`dim` model, drawn next from `rng`."""
     shapes = parameter_shapes(5, EncoderConfig(dim=dim, heads=1))
     gate = {name: s for name, s in shapes.items() if name.startswith("feature_gate.")}
-    return FeatureContextGate(init_parameters(gate, rng))
+    return init_parameters(gate, rng)
 
 
 def make_triple(vocab, config, query, positive, negatives):
@@ -200,63 +201,70 @@ class TestMatchScore:
 
 class TestFeatureGate:
     def test_gate_values_strictly_inside_unit_interval(self, rng):
-        gate = make_gate(16, rng)
+        params = gate_params(16, rng)
         hidden = Tensor(rng.normal(size=(1, 5, 16)))
         mask = np.array([[True] * 4 + [False]])
-        g = gate.gate_vector(hidden, mask)
+        g = feature_gates(params, hidden, mask)
         assert np.all(g.data > 0.0) and np.all(g.data < 1.0)
 
-    def test_same_gate_for_every_position(self, rng):
-        gate = make_gate(16, rng)
-        hidden = Tensor(rng.normal(size=(2, 6, 16)))
-        mask = np.ones((2, 6), dtype=bool)
-        g = gate.gate_vector(hidden, mask)
-        gated = gate(hidden, mask)
-        # One gate vector per text, broadcast over its rows.
-        assert g.data.shape == (2, 1, 16)
-        np.testing.assert_array_equal(gated.data, hidden.data * g.data)
+    def test_same_gate_for_every_position(self, tiny_model, tiny_vocab, tiny_config):
+        # One gate vector per text, broadcast over its rows before the head.
+        model = tiny_model
+        batch = model.encoder.forward(
+            [tiny_vocab.encode(text, 16) for text in ("quick brown fox", "lazy dog")]
+        )
+        g = feature_gates(model.params, batch.hidden, batch.real_mask)
+        assert g.data.shape == (2, 1, tiny_config.dim)
+        raw = dense(model.params, "weight_head", Tensor(batch.hidden.data * g.data))
+        expected = TermWeights.from_positions(batch.token_ids, ag.log1p(ag.relu(raw)))
+        got = model.term_weights(batch)
+        np.testing.assert_array_equal(got.weights.data, expected.weights.data)
 
     def test_pad_rows_do_not_influence_gate(self, rng):
-        gate = make_gate(16, rng)
+        params = gate_params(16, rng)
         base = rng.normal(size=(1, 5, 16))
         mask = np.array([[True, True, True, False, False]])
         loud = base.copy()
         loud[0, 3:] = 1e6
-        g_quiet = gate.gate_vector(Tensor(base), mask)
-        g_loud = gate.gate_vector(Tensor(loud), mask)
+        g_quiet = feature_gates(params, Tensor(base), mask)
+        g_loud = feature_gates(params, Tensor(loud), mask)
         np.testing.assert_array_equal(g_quiet.data, g_loud.data)
 
     def test_each_text_gets_its_own_gate(self, rng):
-        gate = make_gate(16, rng)
+        params = gate_params(16, rng)
         hidden = rng.normal(size=(2, 4, 16))
         mask = np.array([[True] * 4, [True, True, False, False]])
-        both = gate.gate_vector(Tensor(hidden), mask).data
+        both = feature_gates(params, Tensor(hidden), mask).data
         for b in range(2):
-            alone = gate.gate_vector(Tensor(hidden[b : b + 1]), mask[b : b + 1]).data
+            alone = feature_gates(params, Tensor(hidden[b : b + 1]), mask[b : b + 1]).data
             np.testing.assert_array_equal(both[b], alone[0])
 
     def test_saturated_excite_bias_passes_hidden_through(self, rng):
-        gate = make_gate(16, rng)
-        gate.params["feature_gate.excite.bias"].data[:] = 1e3
+        params = gate_params(16, rng)
+        params["feature_gate.excite.bias"].data[:] = 1e3
         hidden = Tensor(rng.normal(size=(1, 4, 16)))
-        gated = gate(hidden, np.ones((1, 4), dtype=bool))
+        gated = ag.mul(hidden, feature_gates(params, hidden, np.ones((1, 4), dtype=bool)))
         np.testing.assert_allclose(gated.data, hidden.data, rtol=1e-12)
 
     def test_bottleneck_width(self, rng):
-        assert make_gate(16, rng).bottleneck == 1
-        assert make_gate(64, rng).bottleneck == 4
-        assert make_gate(15, rng).bottleneck == 1
+        for dim, bottleneck in ((16, 1), (64, 4), (15, 1)):
+            params = gate_params(dim, rng)
+            assert params["feature_gate.squeeze.weight"].data.shape == (dim, bottleneck)
+            assert params["feature_gate.excite.weight"].data.shape == (bottleneck, dim)
+            hidden = Tensor(rng.normal(size=(2, 3, dim)))
+            gates = feature_gates(params, hidden, np.ones((2, 3), dtype=bool))
+            assert gates.data.shape == (2, 1, dim)
 
     def test_all_pad_rejected(self, rng):
-        gate = make_gate(16, rng)
+        params = gate_params(16, rng)
         mask = np.array([[True, True, True], [False, False, False]])
         with pytest.raises(ShapeError):
-            gate.gate_vector(Tensor(rng.normal(size=(2, 3, 16))), mask)
+            feature_gates(params, Tensor(rng.normal(size=(2, 3, 16))), mask)
 
     def test_width_mismatch_rejected(self, rng):
-        gate = make_gate(16, rng)
+        params = gate_params(16, rng)
         with pytest.raises(ShapeError):
-            gate.gate_vector(Tensor(rng.normal(size=(1, 3, 8))), np.ones((1, 3), dtype=bool))
+            feature_gates(params, Tensor(rng.normal(size=(1, 3, 8))), np.ones((1, 3), dtype=bool))
 
 
 class TestTermWeights:
@@ -597,6 +605,20 @@ class TestPersistence:
         path = tmp_path / "model.ftck"
         save_model(model, path)
         with pytest.raises(CorruptFileError, match="'embeddings.token' is not finite"):
+            load_model(path)
+
+    def test_value_past_float32_range_rejected(self, tiny_vocab, tiny_config, tmp_path):
+        # Every command runs the model in float32: the largest float32 loads,
+        # the next float64 past it is corruption.
+        model = new_model(len(tiny_vocab), tiny_config, seed=9)
+        path = tmp_path / "model.ftck"
+        model.params["embeddings.token"].data[5, 1] = FLOAT32_MAX
+        save_model(model, path)
+        assert load_model(path).params["embeddings.token"].data[5, 1] == FLOAT32_MAX
+        model.params["embeddings.token"].data[5, 1] = -np.nextafter(FLOAT32_MAX, np.inf)
+        save_model(model, path)
+        message = "'embeddings.token' has magnitude 3.40282e\\+38, beyond the float32 range"
+        with pytest.raises(CorruptFileError, match=message):
             load_model(path)
 
     @pytest.mark.parametrize(
