@@ -9,9 +9,9 @@ Conventions that the rest of the package relies on:
 
 - a tensor keeps a float32 or float64 array's dtype and makes anything else
   float64, and the network ops and their gradients compute in their inputs'
-  dtype: training and inference run in float32 once the model's parameters
-  are cast, while a float64 model (the gradient check's) stays float64; only
-  the loss scalars are float64 either way;
+  dtype: training and inference run in float32, the dtype of every model
+  `new_model` or `load_model` makes, while a float64 model (the gradient
+  check's) stays float64; only the loss scalars are float64 either way;
 - ops take `Tensor` operands (wrap a constant in `Tensor` first); only
   indices, masks and labels are plain arrays;
 - relu'(0) is exactly 0;

@@ -1,7 +1,8 @@
 """Command-line surface: vocabulary, training, encoding, index, search, eval.
 
 Exit codes: 0 success, 1 runtime failure (diverged training, failed
-gradient check), 2 usage, 3 missing or unreadable input, 4 corrupt data.
+gradient check), 2 usage, 3 missing or unreadable input, 4 corrupt data
+(including a checkpoint whose values overflow float32 in a forward pass).
 """
 
 from __future__ import annotations
@@ -127,11 +128,10 @@ def _weigh(
 ) -> list[dict[int, float]]:
     """Term weights of each text cut to `max_len` tokens, in input order.
 
-    Inference runs in float32: the first call casts the model's parameters
-    in place for good.  The index keeps 8-bit impacts, so float64's extra
-    precision would not survive into it.
+    Inference runs in the parameters' dtype: float32 for every model a
+    command loads or makes.  The index keeps 8-bit impacts, so float64's
+    extra precision would not survive into it.
     """
-    model.to_float32()
     return model.weigh([vocab.encode(text, max_len) for text in texts])
 
 
@@ -493,6 +493,11 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except FloatingPointError as exc:  # a forward pass float32 cannot carry
+        # `train` lets one out only before its first update: the loaded model is at fault.
+        source = getattr(args, "checkpoint", None) or getattr(args, "init_checkpoint", None)
+        print(f"error: {source or 'model'}: {exc}; values beyond float32", file=sys.stderr)
+        return 4 if source else 1
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

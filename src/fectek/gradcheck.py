@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autograd as ag
 from .encoder import EncoderConfig
-from .model import EncodedTriple, FecTekModel, batch_loss, new_model
+from .model import EncodedTriple, FecTekModel, batch_loss, init_parameters, parameter_shapes
 from .tokenizer import Vocabulary
 
 _WORDS = [
@@ -84,7 +84,9 @@ def _toy_setup() -> tuple[FecTekModel, list[EncodedTriple]]:
         max_query_len=12,
         max_passage_len=16,
     )
-    model = new_model(len(vocab), config, seed=SEED)
+    # Float64, unlike the float32 model `new_model` makes: the probe needs its precision.
+    params = init_parameters(parameter_shapes(len(vocab), config), np.random.default_rng(SEED))
+    model = FecTekModel(config, params)
     for name, p in model.params.items():
         if name.endswith("ffn.expand.bias") or name in (
             "weight_head.bias",

@@ -35,7 +35,6 @@ from .tokenizer import SPECIAL_IDS
 # encoded the desk corpus at rates within host noise of each other.
 CHUNK_TEXTS = 32
 INIT_STD = 0.02
-FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 def scorable_mask(token_ids: np.ndarray) -> np.ndarray:
@@ -216,12 +215,6 @@ class FecTekModel:
         for p in self.params.values():
             p.grad = None
 
-    def to_float32(self) -> None:
-        """Cast every parameter to float32 in place, for good; training and
-        inference both run in float32 (a float32 model is left as it is)."""
-        for p in self.params.values():
-            p.data = p.data.astype(np.float32, copy=False)
-
     def encode_ids(self, token_ids: Sequence[int]) -> EncodedBatch:
         """One text as a batch of one."""
         return self.encoder.forward([token_ids])
@@ -243,12 +236,14 @@ class FecTekModel:
         pair text.  Reads the raw hidden states, not the gated features."""
         return ag.sigmoid(dense(self.params, "prob_head", batch.hidden))
 
+    @np.errstate(over="raise", invalid="raise")  # not under: masked attention underflows to 0
     def weigh(self, id_lists: Sequence[Sequence[int]]) -> list[dict[int, float]]:
         """Term weights of each text, in input order, recorded on no tape.
 
         Texts run in chunks of at most `CHUNK_TEXTS` of exactly equal length,
         so no forward pass pads and each text's weights are bit-identical to
-        weighing it alone, whatever else is in the list.
+        weighing it alone, whatever else is in the list.  A value the
+        parameters' dtype cannot carry raises FloatingPointError.
         """
         out: list[dict[int, float]] = [{} for _ in id_lists]
         by_length: dict[int, list[int]] = {}
@@ -267,10 +262,12 @@ class FecTekModel:
 def new_model(
     vocab_size: int, config: EncoderConfig, *, use_feature_gate: bool = True, seed: int = 42
 ) -> FecTekModel:
-    """A freshly initialised model; one seed pins every weight."""
+    """A fresh float32 model (its float64 draws rounded once); one seed pins every weight."""
     if vocab_size < len(SPECIAL_IDS) + 1:
         raise ValueError(f"vocab_size must cover the reserved ids, got {vocab_size}")
     params = init_parameters(parameter_shapes(vocab_size, config), np.random.default_rng(seed))
+    for p in params.values():
+        p.data = p.data.astype(np.float32)
     return FecTekModel(config, params, use_feature_gate=use_feature_gate)
 
 
@@ -286,6 +283,7 @@ class EncodedTriple:
     negative_ids: list[list[int]]
 
 
+@np.errstate(over="raise", invalid="raise")
 def batch_loss(
     model: FecTekModel,
     triples: Sequence[EncodedTriple],
@@ -299,6 +297,7 @@ def batch_loss(
     cross-entropy of each positive against its own triple's negatives, read
     from one [Q, C] score product; with no negatives it is exactly 0.  The
     term loss is a masked BCE on both sides of each (query, positive) pair.
+    A value the parameters' dtype cannot carry raises FloatingPointError.
     """
     if not triples:
         raise ValueError("batch_loss on an empty batch")
@@ -348,16 +347,16 @@ def batch_loss(
 # -- persistence ---------------------------------------------------------------
 
 def save_model(model: FecTekModel, path: str | Path) -> None:
-    """Checkpoint the model: config scalars first, then every parameter."""
+    """Checkpoint the model: config scalars first, then every parameter as
+    float32 (a float64 model, which only `FecTekModel(...)` builds, is rounded)."""
     config = {
         "vocab_size": model.vocab_size,
         **asdict(model.config),
         "use_feature_gate": 1.0 if model.use_feature_gate else 0.0,
-        "aggregation": 0.0,  # `max`; kept so the checkpoint layout is unchanged
     }
     entries = {f"config.{name}": np.float64(value) for name, value in config.items()}
     for name, tensor in model.params.items():
-        entries[name] = tensor.data
+        entries[name] = tensor.data.astype(np.float32, copy=False)
     ckpt.save_tensors(path, entries)
 
 
@@ -386,10 +385,6 @@ def load_model(path: str | Path) -> FecTekModel:
         for f in fields(EncoderConfig)
     }
     use_feature_gate = bool(scalar("config.use_feature_gate", 0, 1))
-    if scalar("config.aggregation", 0, 1):  # 0 is `max`, 1 was `sum`
-        raise CorruptFileError(
-            f"{path}: checkpoint stores the removed `sum` aggregation; retrain it"
-        )
     try:
         config = EncoderConfig(**stored)
     except ValueError as exc:
@@ -398,7 +393,7 @@ def load_model(path: str | Path) -> FecTekModel:
     # Every entry is checked against the stored config before anything is
     # allocated, so a small file claiming a huge model fails cheaply.
     shapes = parameter_shapes(vocab_size, config)
-    config_names = ("vocab_size", *stored, "use_feature_gate", "aggregation")
+    config_names = ("vocab_size", *stored, "use_feature_gate")
     known = {f"config.{name}" for name in config_names} | shapes.keys()
     for name in entries:
         if name not in known:
@@ -412,14 +407,9 @@ def load_model(path: str | Path) -> FecTekModel:
             raise CorruptFileError(
                 f"{path}: parameter {name!r} has shape {array.shape}, expected {shape}"
             )
-        low, high = float(array.min()), float(array.max())  # no copy of the entry
-        if not (math.isfinite(low) and math.isfinite(high)):
+        if array.dtype != np.float32:
+            raise CorruptFileError(f"{path}: parameter {name!r} is {array.dtype}, not float32")
+        if not math.isfinite(float(array.min()) + float(array.max())):  # no copy of the entry
             raise CorruptFileError(f"{path}: parameter {name!r} is not finite")
-        # Every command runs the model in float32, where a larger value is inf.
-        peak = max(high, -low)
-        if peak > FLOAT32_MAX:
-            raise CorruptFileError(
-                f"{path}: parameter {name!r} has magnitude {peak:g}, beyond the float32 range"
-            )
         params[name] = Tensor(array, requires_grad=True)
     return FecTekModel(config, params, use_feature_gate=use_feature_gate)

@@ -3,10 +3,10 @@
 Dataset rows are JSON lines {"query", "positive", "negatives"}; each step
 consumes a batch of queries, builds the contrastive and term-level losses,
 clips the global gradient norm, and applies one decoupled-weight-decay Adam
-update.  Training runs in float32: `train` casts the model's parameters
-once, before it builds the optimizer, so gradients and both Adam moments
-are float32 too; the loss values it logs are Python floats, and a
-checkpoint stores the float32 values exactly as float64.  Everything
+update.  Training runs in the dtype of the model's parameters, float32
+for every model `new_model` or `load_model` makes, so gradients and both
+Adam moments are float32 too; the loss values it logs are Python floats,
+and a checkpoint stores the float32 values as they are.  Everything
 downstream of the seed is deterministic: two runs with the same seed
 produce bit-identical checkpoints.
 """
@@ -195,8 +195,15 @@ def train_step(
     lr: float,
     config: TrainerConfig,
 ) -> dict[str, float]:
-    """One forward/backward/update cycle; gradients are zeroed afterward."""
-    loss, metrics = batch_loss(model, batch, enable_term=config.enable_term_loss)
+    """One forward/backward/update cycle; gradients are zeroed afterward.
+    A forward pass the parameters' dtype cannot carry is divergence once an
+    update has run; before one, the FloatingPointError propagates."""
+    try:
+        loss, metrics = batch_loss(model, batch, enable_term=config.enable_term_loss)
+    except FloatingPointError as exc:
+        if optimizer.step_count == 0:
+            raise
+        raise TrainingDivergedError(f"{exc} in the forward pass of a training step") from exc
     for component in ("text_loss", "term_loss"):
         if not math.isfinite(metrics[component]):
             raise TrainingDivergedError(
@@ -223,7 +230,7 @@ def train(
 ) -> Path:
     """Run the full loop; returns the final checkpoint path.
 
-    Casts `model` to float32 in place first.  Writes `metrics.jsonl` (a
+    Updates `model`'s parameters in place.  Writes `metrics.jsonl` (a
     header line with every setting of the run plus the caller's `inputs`,
     then one line per step) and a checkpoint per epoch next to the final one.
     """
@@ -239,7 +246,6 @@ def train(
     n = len(encoded)
     steps_per_epoch = math.ceil(n / config.batch_queries)
     total_steps = steps_per_epoch * config.epochs
-    model.to_float32()
     optimizer = AdamW(model.params, config.weight_decay)
     rng = np.random.default_rng(config.seed)
     final_path = out / "model.ftck"

@@ -4,6 +4,7 @@ import pytest
 from fectek import gradcheck
 from fectek.autograd import Tensor
 from fectek.encoder import EncoderConfig
+from fectek.model import FecTekModel, init_parameters, parameter_shapes
 from fectek.tokenizer import Vocabulary
 
 TINY_TEXTS = [
@@ -12,6 +13,13 @@ TINY_TEXTS = [
     "how vexingly quick daft zebras jump",
     "sphinx of black quartz judge my vow",
 ]
+
+
+def float64_model(vocab_size, config, *, use_feature_gate=True, seed=42) -> FecTekModel:
+    """`new_model`'s draws kept in float64, for tests that need float64's
+    precision: bit-equality against a reference, finite differences."""
+    params = init_parameters(parameter_shapes(vocab_size, config), np.random.default_rng(seed))
+    return FecTekModel(config, params, use_feature_gate=use_feature_gate)
 
 
 @pytest.fixture

@@ -100,10 +100,12 @@ def pipeline(tmp_path_factory) -> Pipeline:
         hits = {qid: search(index, weights, 10) for qid, weights in query_weights.items()}
         return index, query_weights, hits
 
-    # `train` left the model in float32; its checkpoint holds the same
-    # weights exactly as float64, so the reference pass weighs a loaded copy.
+    # The model trains and infers in float32; the reference pass weighs a
+    # loaded copy of the same weights upcast to float64.
     model64 = load_model(final)
-    assert {p.data.dtype for p in model64.params.values()} == {np.dtype(np.float64)}
+    for p in model64.params.values():
+        assert p.data.dtype == np.float32
+        p.data = p.data.astype(np.float64)
     index64, _, hits64 = serve(
         lambda texts, n: model64.weigh([vocab.encode(text, n) for text in texts])
     )

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import fectek.autograd as ag
 import per_text_reference as ref
+from conftest import float64_model
 from fectek.autograd import Tensor
 from fectek.encoder import EncoderConfig
 from fectek.errors import ShapeError
@@ -25,23 +26,20 @@ CONFIG = EncoderConfig(
 )
 
 
-def make_model(gate=True, seed=5):
-    model = new_model(VOCAB, CONFIG, use_feature_gate=gate, seed=seed)
-    # Lift the weight head off its kink so most terms carry weight.
-    model.params["weight_head.bias"].data = np.asarray(0.3)
+def lift(model):
+    """Lift the weight head off its kink so most terms carry weight."""
+    bias = model.params["weight_head.bias"]
+    bias.data = np.asarray(0.3, dtype=bias.data.dtype)
     return model
 
 
-def to_float32(model):
-    """Cast every parameter to float32, as training and inference do."""
-    model.to_float32()
-    return model
+def make_model(gate=True, seed=5, build=float64_model):
+    return lift(build(VOCAB, CONFIG, use_feature_gate=gate, seed=seed))
 
 
-def default_width_case():
+def default_width_case(build=float64_model):
     """Default width and long texts with many repeats, as in a corpus."""
-    model = new_model(40, EncoderConfig(), seed=3)
-    model.params["weight_head.bias"].data = np.asarray(0.3)
+    model = lift(build(40, EncoderConfig(), seed=3))
     rng = np.random.default_rng(0)
     id_lists = [
         [CLS_ID, *rng.integers(4, 12, size=rng.integers(0, 120)).tolist(), SEP_ID]
@@ -119,8 +117,7 @@ class TestInference:
     def test_max_weights_bit_equal_at_default_width_in_float32(self):
         # The inference commands weigh with float32 parameters, and an encode
         # of part of a corpus must reproduce its rows of the whole encoding.
-        model, id_lists = default_width_case()
-        to_float32(model)
+        model, id_lists = default_width_case(new_model)
         with ag.no_grad():
             expected = [reference_weights(model, ids) for ids in id_lists]
         assert model.weigh(id_lists) == expected
@@ -137,7 +134,7 @@ class TestInference:
         monkeypatch.setattr(ag, "_record", spy)
         id_lists = [[CLS_ID, *[4 + i % 9] * (i % 7), SEP_ID] for i in range(20)]
         for gate in (True, False):
-            model = to_float32(make_model(gate))
+            model = make_model(gate, build=new_model)
             model.weigh(id_lists)
             with ag.no_grad():  # a padded batch, as training runs it
                 model.term_weights(model.encoder.forward(id_lists))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fectek.checkpoint import MAGIC, VERSION, load_tensors, save_tensors
+from fectek.checkpoint import ALIGN, MAGIC, VERSION, load_tensors, save_tensors
 from fectek.errors import CorruptFileError
 
 
@@ -31,14 +31,33 @@ def test_round_trip_preserves_values_shapes_order(tmp_path, rng):
 
 
 def test_round_trip_is_bit_exact(tmp_path, rng):
-    # Including values that expose any float mangling.
+    # Including values that expose any float mangling, in both dtypes.
+    edge = np.array([0.0, -0.0, 1e-300, 1e300, np.pi, -np.e])
+    entries = {"edge": edge, "edge32": np.array([0.0, -0.0, 1e-45, 3e38, np.pi], np.float32)}
+    path = tmp_path / "t.ftck"
+    save_tensors(path, entries)
+    loaded = load_tensors(path)
+    for name, original in entries.items():
+        assert loaded[name].dtype == original.dtype, name
+        assert loaded[name].tobytes() == original.tobytes(), name
+
+
+def test_float32_stays_float32_and_everything_else_becomes_float64(tmp_path):
     entries = {
-        "edge": np.array([0.0, -0.0, 1e-300, 1e300, np.pi, -np.e]),
+        "f32": np.arange(3, dtype=np.float32),
+        "f64": np.arange(3, dtype=np.float64),
+        "int": np.arange(3),
+        "f16": np.arange(3, dtype=np.float16),
+        "scalar": 2.5,
     }
     path = tmp_path / "t.ftck"
     save_tensors(path, entries)
-    loaded = load_tensors(path)["edge"]
-    assert loaded.tobytes() == entries["edge"].tobytes()
+    loaded = load_tensors(path)
+    assert {name: a.dtype.name for name, a in loaded.items()} == {
+        "f32": "float32", "f64": "float64", "int": "float64", "f16": "float64", "scalar": "float64"
+    }
+    for name, original in entries.items():
+        assert np.array_equal(loaded[name], original), name
 
 
 def test_save_is_deterministic(tmp_path, rng):
@@ -51,15 +70,16 @@ def test_save_is_deterministic(tmp_path, rng):
 
 def test_header_layout(tmp_path):
     path = tmp_path / "t.ftck"
-    save_tensors(path, {"x": np.float64(2.0)})
-    blob = path.read_bytes()
-    assert blob[:4] == MAGIC
-    version, count = struct.unpack("<II", blob[4:12])
-    assert (version, count) == (VERSION, 1)
-    name_len = struct.unpack("<H", blob[12:14])[0]
-    assert blob[14 : 14 + name_len] == b"x"
-    rank = blob[14 + name_len]
-    assert rank == 0
+    save_tensors(path, {"x": np.float64(2.0), "yy": np.array([[1.5, -1.0, 3.0]], np.float32)})
+    assert path.read_bytes() == (
+        MAGIC
+        + struct.pack("<II", 2, 2)  # version 2, two entries
+        # "x": name, dtype 1 (float64), rank 0, 7 zero bytes up to offset 24, payload
+        + struct.pack("<H", 1) + b"x" + bytes([1, 0]) + bytes(7) + struct.pack("<d", 2.0)
+        # "yy" at 32: name, dtype 0 (float32), rank 2, dims, 2 zero bytes up to 56
+        + struct.pack("<H", 2) + b"yy" + bytes([0, 2]) + struct.pack("<2Q", 1, 3) + bytes(2)
+        + struct.pack("<3f", 1.5, -1.0, 3.0)
+    )
 
 
 def test_non_contiguous_input_serializes_logical_order(tmp_path, rng):
@@ -107,7 +127,9 @@ class TestFaultInjection:
     def test_duplicate_names(self, tmp_path, rng, good_blob):
         # Two entries claiming the same name: rebuild count=2 with a doubled body.
         body = good_blob[12:]
-        first_entry_len = 2 + 1 + 1 + 2 * 8 + 6 * 8  # name_len + "w" + rank + dims + data
+        # name_len + "w" + dtype + rank + dims + padding + data: 88 bytes,
+        # so the copy's payload is aligned as the first one's.
+        first_entry_len = 2 + 1 + 1 + 1 + 2 * 8 + 7 + 6 * 8
         entry = body[:first_entry_len]
         blob = good_blob[:4] + struct.pack("<II", VERSION, 2) + entry + entry
         with pytest.raises(CorruptFileError, match="duplicate"):
@@ -131,16 +153,19 @@ class TestFaultInjection:
         # A zero dimension makes the payload empty, so only the reshape
         # can see that numpy cannot hold the shape.
         blob = MAGIC + struct.pack("<II", VERSION, 1)
-        blob += struct.pack("<H", 1) + b"w" + struct.pack("<B", len(dims))
+        blob += struct.pack("<H", 1) + b"w" + struct.pack("<BB", 1, len(dims))
         blob += struct.pack(f"<{len(dims)}Q", *dims)
+        blob += bytes(-len(blob) % ALIGN)
         path = self.write(tmp_path, blob)
         with pytest.raises(CorruptFileError, match=rf"bad\.ftck: entry 'w' .*rank {len(dims)}"):
             load_tensors(path)
 
 
-# Byte spans of {"w": [2, 3], "t": [2, 1, 2]}: magic 0-4, header 4-12, then
-# "w" at 12-80 and "t" at 80-140 (name length 2 bytes, name 1, rank 1,
-# dims 8 per axis, payload 8 per value).  Each cut ends inside one field.
+# Byte spans of {"w": float32 [2, 5], "t": float64 [2, 1, 2]}: magic 0-4,
+# header 4-12, then "w" at 12-80 and "t" at 80-144 (name length 2 bytes,
+# name 1, dtype 1, rank 1, dims 8 per axis, zero padding up to a multiple
+# of 8, payload 4 or 8 per value; "t" pads 109-112).  Each cut ends inside
+# one field.
 @pytest.mark.parametrize(
     "cut, field",
     [
@@ -148,16 +173,19 @@ class TestFaultInjection:
         (9, "header"),
         (81, "entry 1 name length"),
         (82, "entry 1 name"),
-        (83, "entry 't' rank"),
+        (83, "entry 't' dtype"),
+        (84, "entry 't' rank"),
         (96, "entry 't' dims"),
+        (110, "entry 't' padding"),
         (130, "entry 't' payload"),
     ],
 )
 def test_truncation_names_the_field(tmp_path, rng, cut, field):
     path = tmp_path / "t.ftck"
-    save_tensors(path, {"w": rng.normal(size=(2, 3)), "t": rng.normal(size=(2, 1, 2))})
+    entries = {"w": rng.normal(size=(2, 5)).astype(np.float32), "t": rng.normal(size=(2, 1, 2))}
+    save_tensors(path, entries)
     blob = path.read_bytes()
-    assert len(blob) == 140
+    assert len(blob) == 144
     path.write_bytes(blob[:cut])
     with pytest.raises(CorruptFileError) as info:
         load_tensors(path)
@@ -167,7 +195,7 @@ def test_truncation_names_the_field(tmp_path, rng, cut, field):
 def test_dims_past_any_memory_report_a_truncated_payload(tmp_path):
     path = tmp_path / "t.ftck"
     blob = MAGIC + struct.pack("<II", VERSION, 1)
-    blob += struct.pack("<H", 1) + b"w" + struct.pack("<B2Q", 2, 2**40, 2**40)
+    blob += struct.pack("<H", 1) + b"w" + struct.pack("<BB2Q", 0, 2, 2**40, 2**40) + bytes(7)
     path.write_bytes(blob)
     with pytest.raises(CorruptFileError) as info:
         load_tensors(path)
@@ -193,10 +221,17 @@ def test_dims_past_any_memory_report_a_truncated_payload(tmp_path):
 @settings(max_examples=40, deadline=None)
 def test_random_entry_sets_round_trip(tmp_path_factory, specs, seed):
     rng = np.random.default_rng(seed)
-    entries = {name: rng.normal(size=size) for name, size in specs}
+    # Alternate dtypes: a float32 payload of odd length ends at 4 mod 8.
+    entries = {
+        name: rng.normal(size=size).astype(np.float32 if i % 2 else np.float64)
+        for i, (name, size) in enumerate(specs)
+    }
     path = tmp_path_factory.mktemp("ckpt") / "t.ftck"
     save_tensors(path, entries)
     loaded = load_tensors(path)
     assert list(loaded) == list(entries)
     for name in entries:
+        assert loaded[name].dtype == entries[name].dtype
         assert np.array_equal(loaded[name], entries[name])
+        # A writable view of the file's buffer, aligned for its dtype.
+        assert loaded[name].flags.writeable and loaded[name].ctypes.data % ALIGN == 0

@@ -4,8 +4,10 @@ import argparse
 import inspect
 import io
 import json
+import math
 import struct
 import time
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 
@@ -14,7 +16,7 @@ import pytest
 
 import per_text_reference as ref
 from fectek.autograd import Tensor
-from fectek.checkpoint import MAGIC, VERSION, load_tensors, save_tensors
+from fectek.checkpoint import ALIGN, MAGIC, VERSION, load_tensors, save_tensors
 from fectek.cli import build_parser, main
 from fectek.encoder import EncoderConfig
 from fectek.evaluation import load_run
@@ -63,9 +65,11 @@ def run_cli(*argv):
 
 
 def assert_float32_values(checkpoint):
-    """Training runs in float32: every stored parameter is a float32 value."""
-    for name, p in load_model(checkpoint).params.items():
-        assert np.array_equal(p.data.astype(np.float32), p.data), (checkpoint, name)
+    """Training runs in float32, and the checkpoint stores every parameter
+    as float32; only the config scalars are float64."""
+    for name, array in load_tensors(checkpoint).items():
+        want = np.float64 if name.startswith("config.") else np.float32
+        assert array.dtype == want, (checkpoint, name)
 
 
 @pytest.fixture(scope="module")
@@ -417,8 +421,10 @@ class TestExitCodes:
             assert not (tmp_path / argv[0]).exists()
 
     def test_stored_sum_aggregation_is_4(self, workspace, tmp_path):
+        # Version 2 stores no aggregation: repeated terms always collapse by
+        # max, and an entry naming one is not part of the format.
         entries = load_tensors(workspace["checkpoint"])
-        entries["config.aggregation"] = np.float64(1.0)
+        entries["config.aggregation"] = np.float64(1.0)  # what version 1 stored for `sum`
         old = tmp_path / "sum.ftck"
         save_tensors(old, entries)
         code, _, err = run_cli(
@@ -429,7 +435,7 @@ class TestExitCodes:
             "--out", str(tmp_path / "w.jsonl"),
         )
         assert code == 4
-        assert "removed `sum` aggregation" in err
+        assert "unexpected checkpoint entry 'config.aggregation'" in err
         assert not (tmp_path / "w.jsonl").exists()
 
     def test_invalid_value_is_2(self, workspace, tmp_path):
@@ -908,7 +914,8 @@ class TestExitCodes:
             MAGIC
             + struct.pack("<IIH", VERSION, 1, 1)
             + b"w"
-            + struct.pack(f"<B{len(dims)}Q", len(dims), *dims)
+            + struct.pack(f"<BB{len(dims)}Q", 1, len(dims), *dims)
+            + bytes(-(17 + 8 * len(dims)) % ALIGN)
         )
         out = tmp_path / "weights.jsonl"
         code, _, err = run_cli(
@@ -1019,9 +1026,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("value", [1e300, -1e39])
     @pytest.mark.parametrize("command", ["encode", "search", "train"])
     def test_checkpoint_value_past_float32_is_4(self, workspace, tmp_path, command, value):
-        # Finite in the float64 file but inf once cast to float32, which
-        # every command that loads a checkpoint runs in.
+        # Only a float64 entry can hold a value float32 cannot, and a
+        # parameter entry must be float32: a float64 one exits 4 as it is.
         entries = load_tensors(workspace["checkpoint"])
+        entries["layers.0.ffn.expand.weight"] = entries["layers.0.ffn.expand.weight"].astype(float)
         entries["layers.0.ffn.expand.weight"].flat[3] = value
         broken = tmp_path / "broken.ftck"
         save_tensors(broken, entries)
@@ -1043,7 +1051,40 @@ class TestExitCodes:
             args += ("--checkpoint", str(broken))
         code, _, err = run_cli(command, "--vocab", str(workspace["vocab"]), *args)
         assert code == 4, err
-        assert "'layers.0.ffn.expand.weight'" in err and "float32" in err
+        assert "'layers.0.ffn.expand.weight' is float64, not float32" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault", ["unknown-dtype", "nonzero-padding", "version-1"])
+    def test_checkpoint_format_fault_is_4(self, workspace, tmp_path, fault):
+        entries = load_tensors(workspace["checkpoint"])
+        first = next(iter(entries))  # a rank-0 config scalar: its padding starts at 16 + name
+        blob = bytearray(workspace["checkpoint"].read_bytes())
+        if fault == "version-1":
+            # Version 1 stored every entry as float64, with no dtype byte or padding.
+            blob = MAGIC + struct.pack("<II", 1, len(entries))
+            for name, array in entries.items():
+                blob += struct.pack("<H", len(name)) + name.encode()
+                blob += struct.pack(f"<B{array.ndim}Q", array.ndim, *array.shape)
+                blob += array.astype("<f8").tobytes()
+            message = "unsupported version 1: retrain with fectek train"
+        elif fault == "unknown-dtype":
+            blob[14 + len(first)] = 7
+            message = f"entry '{first}' has unknown dtype code 7"
+        else:
+            blob[16 + len(first)] = 1
+            message = f"entry '{first}' has nonzero padding"
+        broken = tmp_path / "broken.ftck"
+        broken.write_bytes(bytes(blob))
+        out = tmp_path / "weights.jsonl"
+        code, _, err = run_cli(
+            "encode",
+            "--checkpoint", str(broken),
+            "--vocab", str(workspace["vocab"]),
+            "--corpus", str(workspace["corpus"]),
+            "--out", str(out),
+        )
+        assert code == 4, err
+        assert f"error: {broken}: {message}" in err
         assert not out.exists()
 
     def test_non_finite_gradient_norm_is_1_and_writes_no_model(
@@ -1335,3 +1376,123 @@ class TestFlagsMatchConfigs:
         assert model.use_feature_gate is False
         for f in fields(EncoderConfig):
             assert getattr(model.config, f.name) == NON_DEFAULT_SETTINGS[f.name][1], f.name
+
+
+def run_cli_quietly(*argv):
+    """`run_cli`, failing on any warning the command emits."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_cli(*argv)
+    assert not caught, [str(w.message) for w in caught]
+    return result
+
+
+def overflow_checkpoint(source, path, entry):
+    """Write `source` with `entry` scaled so its largest magnitude is the
+    float32 maximum: it loads, but a forward pass cannot carry it."""
+    entries = load_tensors(source)
+    array = entries[entry]
+    array /= np.abs(array).max()
+    array *= np.finfo(np.float32).max
+    save_tensors(path, entries)
+
+
+class TestFloat32Overflow:
+    """A checkpoint whose values float32 cannot carry through a forward pass
+    stops the command: encode, search and train --init-checkpoint exit 4.
+
+    The gate's sigmoid saturates instead of overflowing, so a gate entry
+    overflows only in its own products, which the pooled state of a short
+    text drives past the range; `encode` weighs the queries for that reason.
+    """
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "embeddings.token",
+            "layers.0.attn.value.weight",
+            "layers.0.ffn.expand.weight",
+            "layers.0.norm1.gain",
+            "feature_gate.squeeze.weight",
+            "weight_head.weight",
+        ],
+        ids=["embeddings", "attention", "ffn", "norms", "gate", "heads"],
+    )
+    @pytest.mark.parametrize("command", ["encode", "search", "train"])
+    def test_overflowing_entry_is_4_and_writes_nothing(self, workspace, tmp_path, command, entry):
+        broken = tmp_path / "broken.ftck"
+        overflow_checkpoint(workspace["checkpoint"], broken, entry)
+        out = tmp_path / "out"
+        args = {
+            "encode": ("--checkpoint", str(broken), "--corpus", str(workspace["queries"])),
+            "search": (
+                "--checkpoint", str(broken),
+                "--index", str(workspace["index"]),
+                "--queries", str(workspace["queries"]),
+            ),
+            "train": ("--init-checkpoint", str(broken), "--triples", str(workspace["triples"])),
+        }[command]
+        out_flag = "--out-dir" if command == "train" else "--out"
+        code, _, err = run_cli_quietly(
+            command, "--vocab", str(workspace["vocab"]), *args, out_flag, str(out)
+        )
+        assert code == 4, err
+        assert f"error: {broken}: overflow encountered" in err
+        assert "beyond float32" in err
+        if command == "train":  # the run directory holds its log's header, no model
+            assert not list(out.glob("*.ftck"))
+        else:
+            assert not out.exists()
+
+    def test_run_that_diverges_later_is_1(self, workspace, tmp_path):
+        # The first update at this rate moves every parameter by about 1e30,
+        # so the second step's forward pass overflows.
+        out = tmp_path / "run"
+        code, _, err = run_cli_quietly(
+            "train",
+            "--triples", str(workspace["triples"]),
+            "--vocab", str(workspace["vocab"]),
+            "--out-dir", str(out),
+            *TINY_ENCODER,
+            "--epochs", "1",
+            "--batch-queries", "2",
+            "--warmup-ratio", "0",
+            "--lr", "1e30",
+        )
+        assert code == 1, err
+        assert "error: overflow encountered" in err
+        assert "in the forward pass of a training step" in err
+        assert not list(out.glob("*.ftck"))
+
+    def test_scaled_values_encode_finite_weights_or_exit_4(self, workspace, tmp_path):
+        # One random parameter value scaled by 10^k, 1 <= k <= 38, and held
+        # within float32's range as a checkpoint must hold it.
+        rng = np.random.default_rng(15)
+        names = [n for n in load_tensors(workspace["checkpoint"]) if not n.startswith("config.")]
+        largest = float(np.finfo(np.float32).max)
+        codes = []
+        for case in range(48):
+            entries = load_tensors(workspace["checkpoint"])
+            values = entries[names[rng.integers(len(names))]].reshape(-1)
+            i = rng.integers(values.size)
+            scaled = float(values[i]) * 10.0 ** int(rng.integers(1, 39))
+            values[i] = min(max(scaled, -largest), largest)
+            broken, out = tmp_path / f"scaled{case}.ftck", tmp_path / f"weights{case}.jsonl"
+            save_tensors(broken, entries)
+            code, _, err = run_cli_quietly(
+                "encode",
+                "--checkpoint", str(broken),
+                "--vocab", str(workspace["vocab"]),
+                "--corpus", str(workspace["corpus"]),
+                "--out", str(out),
+            )
+            codes.append(code)
+            if code == 0:
+                rows = [json.loads(line) for line in out.read_text().splitlines()]
+                assert len(rows) == len(CORPUS_ROWS)
+                assert all(math.isfinite(w) for row in rows for w in row["weights"].values())
+            else:
+                assert code == 4, err
+                assert f"error: {broken}: overflow encountered" in err
+                assert not out.exists()
+        assert 0 in codes and 4 in codes, codes

@@ -15,8 +15,8 @@ def test_subsampled_run_passes_default_seed():
 
 
 def test_runs_in_float64(monkeypatch):
-    # Training casts its model to float32; the gradient check builds its own
-    # model and must keep every op and every gradient in float64.
+    # `new_model` makes float32 models; the gradient check builds its own
+    # float64 model and must keep every op and every gradient in float64.
     setup, record, accumulate = gradcheck._toy_setup, ag._record, ag._accumulate
     models, dtypes = [], set()
 

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 
 import fectek.autograd as ag
 import per_text_reference as ref
+from conftest import float64_model
 from fectek.autograd import Tensor
-from fectek.checkpoint import SAVE_BLOCK, load_tensors, save_tensors
+from fectek.checkpoint import load_tensors, save_tensors
 from fectek.encoder import EncoderConfig, dense
 from fectek.errors import CorruptFileError, ShapeError
 from fectek.model import (
-    FLOAT32_MAX,
     INIT_STD,
     EncodedTriple,
     TermWeights,
@@ -42,7 +42,8 @@ ENCODER_FIELDS = (
 
 @pytest.fixture
 def tiny_model(tiny_vocab, tiny_config):
-    return new_model(len(tiny_vocab), tiny_config, seed=5)
+    """Float64, for the exact loss values and finite differences below."""
+    return float64_model(len(tiny_vocab), tiny_config, seed=5)
 
 
 def gate_params(dim, rng):
@@ -499,8 +500,9 @@ class TestInitialisation:
         assert list(params) == list(expected)
         for name, p in params.items():
             assert p.requires_grad, name
-            assert p.data.dtype == np.float64 and p.data.shape == expected[name].shape, name
-            assert p.data.tobytes() == expected[name].tobytes(), name
+            # The float64 draws, rounded to float32 once.
+            assert p.data.dtype == np.float32 and p.data.shape == expected[name].shape, name
+            assert p.data.tobytes() == expected[name].astype(np.float32).tobytes(), name
         path = tmp_path / "model.ftck"
         save_model(model, path)
         stored = [name for name in load_tensors(path) if not name.startswith("config.")]
@@ -528,10 +530,10 @@ class TestPersistence:
         assert a.read_bytes() == b.read_bytes()
 
     def test_config_entries_lead_in_format_order(self, tiny_vocab, tiny_config, tmp_path):
-        # Format v1 pins this order; it follows the EncoderConfig field order.
+        # Format v2 pins this order; it follows the EncoderConfig field order.
         path = tmp_path / "model.ftck"
         save_model(new_model(len(tiny_vocab), tiny_config, seed=9), path)
-        assert list(load_tensors(path))[:10] == [
+        assert list(load_tensors(path))[:9] == [
             "config.vocab_size",
             "config.dim",
             "config.layers",
@@ -540,7 +542,6 @@ class TestPersistence:
             "config.max_query_len",
             "config.max_passage_len",
             "config.use_feature_gate",
-            "config.aggregation",
             "embeddings.token",
         ]
 
@@ -568,26 +569,6 @@ class TestPersistence:
         with pytest.raises(CorruptFileError, match=name):
             load_model(path)
 
-    @pytest.mark.parametrize(
-        "value, message",
-        [(1.0, "stores the removed `sum` aggregation; retrain it")]
-        + [
-            (value, r"'config.aggregation' = .* is not an integer in \[0, 1\]")
-            for value in (2.0, -1.0, 0.5, math.nan)
-        ],
-    )
-    def test_stored_aggregation_other_than_max_rejected(
-        self, tiny_vocab, tiny_config, tmp_path, value, message
-    ):
-        path = tmp_path / "model.ftck"
-        save_model(new_model(len(tiny_vocab), tiny_config, seed=9), path)
-        entries = load_tensors(path)
-        assert entries["config.aggregation"] == 0.0  # max
-        entries["config.aggregation"] = np.float64(value)
-        save_tensors(path, entries)
-        with pytest.raises(CorruptFileError, match=message):
-            load_model(path)
-
     def test_gate_flag_round_trips(self, tiny_vocab, tiny_config, tmp_path):
         model = new_model(
             len(tiny_vocab), tiny_config, use_feature_gate=False, seed=9
@@ -608,16 +589,19 @@ class TestPersistence:
             load_model(path)
 
     def test_value_past_float32_range_rejected(self, tiny_vocab, tiny_config, tmp_path):
-        # Every command runs the model in float32: the largest float32 loads,
-        # the next float64 past it is corruption.
+        # A parameter entry must be float32, so it cannot hold a value past
+        # float32's range: the largest float32 loads, a float64 entry does not.
+        largest = np.finfo(np.float32).max
         model = new_model(len(tiny_vocab), tiny_config, seed=9)
         path = tmp_path / "model.ftck"
-        model.params["embeddings.token"].data[5, 1] = FLOAT32_MAX
+        model.params["embeddings.token"].data[5, 1] = largest
         save_model(model, path)
-        assert load_model(path).params["embeddings.token"].data[5, 1] == FLOAT32_MAX
-        model.params["embeddings.token"].data[5, 1] = -np.nextafter(FLOAT32_MAX, np.inf)
-        save_model(model, path)
-        message = "'embeddings.token' has magnitude 3.40282e\\+38, beyond the float32 range"
+        assert load_model(path).params["embeddings.token"].data[5, 1] == largest
+        entries = load_tensors(path)
+        entries["embeddings.token"] = entries["embeddings.token"].astype(np.float64)
+        entries["embeddings.token"][5, 1] = -np.nextafter(np.float64(largest), np.inf)
+        save_tensors(path, entries)
+        message = "parameter 'embeddings.token' is float64, not float32"
         with pytest.raises(CorruptFileError, match=message):
             load_model(path)
 
@@ -627,6 +611,7 @@ class TestPersistence:
             ("fewer-layers-in-config", "layers.1.attn.query.weight"),
             ("extra-tensor", "junk"),
             ("unknown-config", "config.temperature"),
+            ("removed-aggregation", "config.aggregation"),  # version 1 stored `max` as 0
         ],
     )
     def test_entry_the_config_does_not_name_rejected(
@@ -652,10 +637,10 @@ class TestPersistence:
         config = EncoderConfig(
             dim=256, layers=4, heads=1, ffn_multiplier=4, max_query_len=4, max_passage_len=8
         )
-        scalars = {"vocab_size": 5, **asdict(config), "use_feature_gate": 1, "aggregation": 0}
+        scalars = {"vocab_size": 5, **asdict(config), "use_feature_gate": 1}
         entries = {f"config.{name}": np.float64(value) for name, value in scalars.items()}
-        entries["embeddings.token"] = np.zeros((5, 256))
-        entries["embeddings.position"] = np.zeros((8, 256))
+        entries["embeddings.token"] = np.zeros((5, 256), np.float32)
+        entries["embeddings.position"] = np.zeros((8, 256), np.float32)
         path = tmp_path / "model.ftck"
         save_tensors(path, entries)
         tracemalloc.start()
@@ -682,29 +667,32 @@ class TestPersistence:
             tracemalloc.stop()
         assert path.stat().st_size > largest
         assert peak <= largest + 2**20, f"peak {peak / 2**20:.1f} MiB"
-        # Float64 payloads are written from the arrays themselves.
+        # Float32 payloads are written from the arrays themselves.
         assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
 
-    def test_float32_save_allocates_no_float64_copy(self, tmp_path):
-        """A float32 model (as training leaves it) is upcast in bounded
-        blocks: no float64 copy of an entry, and the bytes of its float64
-        twin."""
+    def test_load_peaks_near_the_file_at_bert_vocabulary(self, tmp_path):
+        """The file is read once into one buffer, and every parameter is an
+        aligned, writable view of it: no entry is copied."""
         config = EncoderConfig(dim=64, layers=1, heads=2, ffn_multiplier=2)
-        model = new_model(30_522, config, seed=1)
-        model.to_float32()
         path = tmp_path / "model.ftck"
+        save_model(new_model(30_522, config, seed=1), path)
+        size = path.stat().st_size
         tracemalloc.start()
         try:
-            save_model(model, path)
+            model = load_model(path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * SAVE_BLOCK * 8 + 2**16, f"peak {peak / 2**20:.2f} MiB"
-        twin = tmp_path / "float64.ftck"
-        save_model(load_model(path), twin)
-        assert twin.read_bytes() == path.read_bytes()
-        token = model.params["embeddings.token"].data
-        assert np.array_equal(load_tensors(path)["embeddings.token"], token)
+        assert peak <= 1.1 * size, f"peak {peak} for a {size}-byte file"
+        buffers = set()
+        for name, p in model.params.items():
+            assert p.data.dtype == np.float32 and p.data.ctypes.data % 8 == 0, name
+            assert p.data.flags.writeable and not p.data.flags.owndata, name
+            base = p.data
+            while isinstance(base, np.ndarray):
+                base = base.base
+            buffers.add(id(base.obj))  # the memoryview's bytearray
+        assert len(buffers) == 1
 
     def test_load_draws_no_random_numbers(self, tiny_vocab, tiny_config, tmp_path, monkeypatch):
         model = new_model(len(tiny_vocab), tiny_config, seed=9)
