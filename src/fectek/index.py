@@ -18,16 +18,19 @@ On-disk layout (little-endian throughout), magic "FTEK":
     magic 4s | version u32 | vocab_size u64 | doc_count u64 | scale f64
     counts                               per term: its posting count, a varint
     gaps, then impacts                   per posting: a varint; then a u8 each
-    docid lengths, then docids           per doc: a varint; then UTF-8 bytes
+    docids                               per doc: UTF-8 bytes, then a newline
 
 `load` rebuilds the CSR offsets as the running sum of the counts.  A term's
 first posting stores its ordinal in place of a gap.  A varint ends at its
 first byte below 0x80, so `load` finds every end of a region at once, in a
 slice no longer than the region can be: 9 bytes a value at most, and never
 the bytes that the later regions need (a byte per impact and per docid
-length at least).  Files of other versions (version 1 put each impact after
-its gap, version 2 stored a u64 offset per term) are rejected: rebuild them
-with `fectek index`.
+newline at least).  A docid is one non-empty word without whitespace, as the
+fields of a run file are, so a newline can end it and the table is read with
+one decode and one split.  Files of other versions (version 1 put each
+impact after its gap, version 2 stored a u64 offset per term, version 3 put
+a varint length before each docid) are rejected: rebuild them with `fectek
+index`.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import numpy as np
 from .errors import CorruptFileError, DataFormatError, write_file
 
 MAGIC = b"FTEK"
-VERSION = 3
+VERSION = 4
 LEVELS = 256
 _HEADER = struct.Struct("<4sIQQd")
 
@@ -195,6 +198,9 @@ class InvertedIndex:
             except OverflowError:  # beyond int64, so outside any vocabulary
                 _reject_terms(docid, row_terms, vocab_size)
             weights.extend(row_weights)
+        if " ".join(docids).split() != docids:  # a run file splits its rows on whitespace
+            docid = next(d for d in docids if d.split() != [d])
+            raise DataFormatError(f"docid {docid!r} is empty or contains whitespace")
         term_ids = np.frombuffer(terms, dtype=np.int64)
         values = np.frombuffer(weights, dtype=np.float64)
         if len(term_ids) != len(values):
@@ -231,14 +237,12 @@ class InvertedIndex:
         if bad.size:
             term = int(np.searchsorted(self.offsets, bad[0], side="right")) - 1
             raise ValueError(f"ordinals not strictly increasing for term {term}")
-        docids = [docid.encode("utf-8") for docid in self.docids]
         parts = [
             _HEADER.pack(MAGIC, VERSION, self.vocab_size, self.doc_count, self.scale),
             _encode_varints(np.diff(self.offsets)),
             _encode_varints(gaps),
             self.impacts.astype(np.uint8),
-            _encode_varints(np.fromiter(map(len, docids), np.int64, len(docids))),
-            *docids,
+            "".join(f"{docid}\n" for docid in self.docids).encode("utf-8"),
         ]
         write_file(path, parts)
 
@@ -262,7 +266,7 @@ class InvertedIndex:
             raise CorruptFileError(f"invalid scale {scale}")
         data = np.frombuffer(blob, dtype=np.uint8)
         pos = _HEADER.size
-        end = len(blob) - doc_count  # each docid takes a length byte at least
+        end = len(blob) - doc_count  # each docid takes its newline at least
         if end < pos:
             raise CorruptFileError(f"doc count {doc_count} runs past the end of the file")
         counts, used = _decode_varints(data[pos : min(pos + 9 * vocab_size, end)], vocab_size)
@@ -286,18 +290,6 @@ class InvertedIndex:
         pos += used
         impacts = data[pos : pos + count].astype(np.int64)
         pos += count
-        lengths, used = _decode_varints(data[pos : pos + 9 * doc_count], doc_count)
-        # Clipping at the file size keeps the running sum from overflowing.
-        bounds = pos + used + np.append(0, np.cumsum(np.minimum(lengths, len(blob))))
-        # The first entry that runs past the end of the file or lacks its length.
-        short = np.append(np.flatnonzero(bounds[1:] > len(blob)), len(lengths))[0]
-        if short < doc_count:
-            raise CorruptFileError(f"docid table entry {short} truncated")
-        bounds = bounds.tolist()
-        if bounds[-1] != len(blob):
-            trailing = len(blob) - bounds[-1]
-            raise CorruptFileError(f"{trailing} trailing bytes after docid table")
-
         # A zero may only open a term's list (an ordinal 0, not a gap), so it
         # must sit at an offset.
         zero = np.flatnonzero(gaps == 0)
@@ -320,12 +312,19 @@ class InvertedIndex:
         if bad.size:
             raise CorruptFileError(f"term {term_of(bad[0])} stores a zero impact")
 
-        docids: list[str] = []
         try:
-            for start, stop in zip(bounds, bounds[1:]):
-                docids.append(blob[start:stop].decode("utf-8"))
+            text = blob[pos:].decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise CorruptFileError(f"docid table entry {len(docids)} is not UTF-8") from exc
+            entry = blob.count(b"\n", pos, pos + exc.start)
+            raise CorruptFileError(f"docid table entry {entry} is not UTF-8") from exc
+        *docids, last = text.split("\n")
+        if last:
+            raise CorruptFileError("docid table does not end in a newline")
+        if len(docids) != doc_count:
+            raise CorruptFileError(f"docid table holds {len(docids)} entries, not {doc_count}")
+        if text.split() != docids:
+            entry = next(i for i, docid in enumerate(docids) if docid.split() != [docid])
+            raise CorruptFileError(f"docid table entry {entry} is empty or contains whitespace")
         if len(set(docids)) != len(docids):
             raise CorruptFileError("duplicate docid in table")
         return cls(float(scale), docids, offsets, ordinals, impacts)

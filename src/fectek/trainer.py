@@ -255,7 +255,6 @@ def train(
     header = {
         **asdict(model.config),
         "feature_gate": model.use_feature_gate,
-        "aggregation": "max",
         **settings,
         "vocab_size": len(vocab),
         "queries": len(triples),

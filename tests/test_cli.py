@@ -5,11 +5,15 @@ import inspect
 import io
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -584,6 +588,32 @@ class TestExitCodes:
         assert "unsupported version 1: rebuild with fectek index" in err
         assert not (tmp_path / "r.tsv").exists()
 
+    def test_version_3_index_is_4(self, workspace, tmp_path):
+        # The desk index as version 3 wrote it: the same bytes up to the
+        # docid table, then a one-byte length before each docid in place of
+        # its newline.
+        blob = workspace["index"].read_bytes()
+        docids = [d.encode("utf-8") for d in InvertedIndex.load(workspace["index"]).docids]
+        table = b"".join(docid + b"\n" for docid in docids)
+        assert blob.endswith(table) and max(map(len, docids)) < 0x80
+        old = tmp_path / "v3.ftek"
+        old.write_bytes(
+            blob[:4] + (3).to_bytes(4, "little") + blob[8 : -len(table)]
+            + bytes(map(len, docids)) + b"".join(docids)
+        )
+        out = tmp_path / "r.tsv"
+        code, _, err = run_cli(
+            "search",
+            "--index", str(old),
+            "--checkpoint", str(workspace["checkpoint"]),
+            "--vocab", str(workspace["vocab"]),
+            "--queries", str(workspace["queries"]),
+            "--out", str(out),
+        )
+        assert code == 4
+        assert err == f"error: {old}: unsupported version 3: rebuild with fectek index\n"
+        assert not out.exists()
+
     def test_malformed_triples_is_4(self, workspace, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("better not be json\n")
@@ -660,6 +690,23 @@ class TestExitCodes:
         )
         assert code == 4
         assert f"error: docid 'b': {fault}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "docid", ["", "d 1", "a\tb", "x y"], ids=["empty", "space", "tab", "inner-space"]
+    )
+    def test_docid_that_is_not_one_word_is_4(self, workspace, tmp_path, docid):
+        # A run file splits its rows on whitespace, so `search` could write
+        # no row for this docid that `evaluate` reads back.
+        data = tmp_path / "weights.jsonl"
+        rows = [{"docid": "a", "weights": {"5": 1.0}}, {"docid": docid, "weights": {"6": 1.0}}]
+        data.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        out = tmp_path / "index.ftek"
+        code, _, err = run_cli(
+            "index", "--weights", str(data), "--vocab", str(workspace["vocab"]), "--out", str(out)
+        )
+        assert code == 4
+        assert err == f"error: docid {docid!r} is empty or contains whitespace\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -866,7 +913,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "damage",
-        ["missing", "wrong-shape", "fewer-layers-in-config", "extra-tensor", "unknown-config"],
+        [
+            "missing", "wrong-shape", "fewer-layers-in-config", "extra-tensor", "unknown-config",
+            "missing-config", "non-scalar-config",
+        ],
     )
     def test_damaged_checkpoint_parameter_is_4(self, workspace, tmp_path, damage):
         entries = load_tensors(workspace["checkpoint"])
@@ -876,6 +926,8 @@ class TestExitCodes:
             "fewer-layers-in-config": "unexpected checkpoint entry 'layers.1.attn.query.weight'",
             "extra-tensor": "unexpected checkpoint entry 'junk'",
             "unknown-config": "unexpected checkpoint entry 'config.temperature'",
+            "missing-config": "missing checkpoint entry 'config.heads'",
+            "non-scalar-config": "entry 'config.heads' should be scalar",
         }[damage]
         if damage == "missing":
             del entries["prob_head.weight"]
@@ -891,6 +943,10 @@ class TestExitCodes:
             }
         elif damage == "extra-tensor":
             entries["junk"] = np.zeros(3)
+        elif damage == "missing-config":
+            del entries["config.heads"]
+        elif damage == "non-scalar-config":
+            entries["config.heads"] = np.full(1, entries["config.heads"])
         else:
             entries["config.temperature"] = np.float64(1.0)
         broken = tmp_path / "broken.ftck"
@@ -944,6 +1000,8 @@ class TestExitCodes:
             ("train", ("--seed", "-1")),
             ("train", ("--init-checkpoint", "{checkpoint}", "--seed", "-1")),
             ("ablation", ("--seed", "-1")),
+            ("train", ("--negatives", "-1")),
+            ("evaluate", ("--recall-k", "0")),
         ],
     )
     def test_bad_numeric_flag_is_2_and_writes_nothing(
@@ -965,6 +1023,7 @@ class TestExitCodes:
                 "--queries", str(workspace["queries"]),
                 "--out", str(out),
             ),
+            "evaluate": ("--run", str(workspace["run_file"]), "--qrels", str(workspace["qrels"])),
         }[command]
         flags = [flag.format(**workspace) for flag in flags]
         code, _, err = run_cli(command, *inputs, *flags)
@@ -1214,6 +1273,29 @@ class TestSynthCommand:
         assert code == 2
         assert "error: terms must be at most 7225" in err
         assert not out_dir.exists()
+
+    def test_entry_points_run_as_programs(self, tmp_path):
+        # `python -m fectek` and `python -m fectek.cli` in a fresh interpreter:
+        # each passes `main`'s code to `sys.exit`.
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+        def run(module, *argv):
+            return subprocess.run(
+                [sys.executable, "-m", module, *argv], env=env, capture_output=True, text=True,
+                timeout=120,
+            )
+
+        done = run(
+            "fectek", "synth", "--out-dir", str(tmp_path), "--passages", "8", "--terms", "12",
+            "--queries", "3", "--negatives", "2",
+        )
+        assert done.returncode == 0, done.stderr
+        files = ("corpus.tsv", "queries.tsv", "qrels.tsv", "triples.jsonl")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+        for module in ("fectek", "fectek.cli"):
+            done = run(module, "frobnicate")
+            assert done.returncode == 2
+            assert "invalid choice: 'frobnicate'" in done.stderr
 
 
 class TestAblationCommand:

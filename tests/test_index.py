@@ -1,6 +1,7 @@
 """Quantization, varint codec, index persistence, and exact top-k search."""
 
 import math
+import re
 import struct
 
 import numpy as np
@@ -24,6 +25,10 @@ from fectek.index import (
 )
 
 HEADER = struct.Struct("<4sIQQd")
+# One-word docids: non-empty, with no character that `str.split` splits on.
+WORDS = st.text(
+    st.characters(codec="utf-8").filter(lambda c: not c.isspace()), min_size=1, max_size=200
+)
 
 
 def postings(index, term):
@@ -83,7 +88,7 @@ def posting_counts(index):
 
 
 def reference_file(index):
-    """The v3 file written one value at a time with `write_varint`."""
+    """The v4 file written one value at a time with `write_varint`."""
     out = bytearray(
         HEADER.pack(MAGIC, VERSION, index.vocab_size, index.doc_count, index.scale)
     )
@@ -92,14 +97,13 @@ def reference_file(index):
     for gap in stored_gaps(index):
         write_varint(out, gap)
     out += bytes(index.impacts.tolist())
-    encoded = [docid.encode("utf-8") for docid in index.docids]
-    for docid in encoded:
-        write_varint(out, len(docid))
-    return bytes(out + b"".join(encoded))
+    for docid in index.docids:
+        out += docid.encode("utf-8") + b"\n"
+    return bytes(out)
 
 
 def reference_load(blob):
-    """Plain-Python v3 reader that walks the file one byte at a time.
+    """Plain-Python v4 reader that walks the file one byte at a time.
 
     Returns (scale, offsets, ordinals, impacts, docids) as lists, or raises
     CorruptFileError: an oracle for the vectorized `InvertedIndex.load`.
@@ -138,11 +142,18 @@ def reference_load(blob):
             ordinals.append(gaps[i] + (ordinals[-1] if i > offsets[term] else 0))
             if ordinals[-1] >= doc_count or impacts[i] == 0:
                 raise CorruptFileError("bad posting")
-    lengths = [varint() for _ in range(doc_count)]
-    try:
-        docids = [take(length).decode("utf-8") for length in lengths]
-    except UnicodeDecodeError as exc:
-        raise CorruptFileError("not UTF-8") from exc
+    docids = []
+    for _ in range(doc_count):
+        line = bytearray()
+        while (byte := take(1)) != b"\n":
+            line += byte
+        try:
+            docid = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorruptFileError("not UTF-8") from exc
+        if not docid or any(c.isspace() for c in docid):
+            raise CorruptFileError("empty docid or whitespace in one")
+        docids.append(docid)
     if pos != len(blob) or len(set(docids)) != len(docids):
         raise CorruptFileError("trailing bytes or duplicate docid")
     return scale, offsets, ordinals, impacts, docids
@@ -168,16 +179,14 @@ def reference_outcome(blob):
 
 def region_bounds(index):
     """Start of each region of the saved file (header, posting counts, gaps,
-    impacts, docid lengths, docids), then the file size."""
+    impacts, docids), then the file size."""
     gaps = stored_gaps(index)
-    lengths = [len(docid.encode("utf-8")) for docid in index.docids]
     sizes = [
         HEADER.size,
         sum(map(varint_width, posting_counts(index))),
         sum(map(varint_width, gaps)),
         len(gaps),
-        sum(map(varint_width, lengths)),
-        sum(lengths),
+        sum(len(docid.encode("utf-8")) + 1 for docid in index.docids),
     ]
     return np.cumsum([0, *sizes]).tolist()
 
@@ -330,6 +339,18 @@ class TestBuild:
         with pytest.raises(DataFormatError, match="'dup'"):
             build_from(rows, 8)
 
+    @pytest.mark.parametrize(
+        "docid",
+        ["", "d 1", "a\tb", "x\ny", "\u3000", "e\x1c"],
+        ids=["empty", "space", "tab", "newline", "ideographic-space", "file-separator"],
+    )
+    def test_docid_that_is_not_one_word_rejected(self, docid):
+        # A run file splits its rows on whitespace; the index ends each docid
+        # with a newline.
+        rows = [("ok", {2: 1.0}), (docid, {3: 1.0})]
+        with pytest.raises(DataFormatError, match=re.escape(f"docid {docid!r} is empty or")):
+            build_from(rows, 8)
+
     def test_negative_weight_rejected(self):
         with pytest.raises(DataFormatError, match="negative"):
             build_from([("a", {2: -1.0})], 8)
@@ -388,10 +409,10 @@ class TestPersistence:
         assert blob[region_start : region_start + 11] == bytes.fromhex(
             "7f" "8001" "808001" "00" "0180ff02"
         )
-        # Then 16640 one-byte docid lengths and the docids, concatenated.
-        docids = region_start + 11 + 16640
-        assert blob[region_start + 11 : docids] == bytes(len(d) for d in index.docids)
-        assert blob[docids:].startswith(b"d0d1d2") and blob.endswith(b"d16639")
+        # Then the docids, each ended by a newline.
+        docids = "".join(f"{docid}\n" for docid in index.docids).encode("utf-8")
+        assert blob[region_start + 11 :] == docids
+        assert docids.startswith(b"d0\nd1\nd2\n") and docids.endswith(b"\nd16639\n")
         resaved = tmp_path / "again.ftek"
         InvertedIndex.load(path).save(resaved)
         assert resaved.read_bytes() == blob
@@ -454,7 +475,7 @@ class TestPersistence:
     @given(
         docs=st.lists(
             st.tuples(
-                st.text(max_size=200),
+                WORDS,
                 st.dictionaries(st.integers(0, 5), st.floats(0.0, 9.0), max_size=6),
             ),
             max_size=300,
@@ -462,21 +483,23 @@ class TestPersistence:
         )
     )
     @settings(max_examples=60, deadline=None)
-    def test_file_size_is_the_v3_formula(self, tmp_path_factory, docs):
+    def test_file_size_is_the_format_formula(self, tmp_path_factory, docs):
         # The header, a varint count per term, a varint gap and an impact
-        # byte per posting, and each docid after its varint length.
+        # byte per posting, and each docid with its newline.  A docid under
+        # 128 bytes takes as many bytes as in version 3, where a one-byte
+        # varint length stood in place of the newline.
         index = build_from(docs, 6)
         path = tmp_path_factory.mktemp("size") / "idx.ftek"
         index.save(path)
         lengths = [len(docid.encode("utf-8")) for docid, _ in docs]
-        size_v3 = (
+        size = (
             HEADER.size
             + sum(map(varint_width, posting_counts(index)))
             + sum(varint_width(gap) + 1 for gap in stored_gaps(index))
-            + sum(varint_width(n) + n for n in lengths)
+            + sum(n + 1 for n in lengths)
         )
-        assert path.stat().st_size == size_v3
-        assert region_bounds(index)[-1] == size_v3
+        assert path.stat().st_size == size
+        assert region_bounds(index)[-1] == size
 
     def test_one_posting_over_65536_ids_is_small_and_resaves_identically(self, tmp_path):
         # Version 2 spent 8 bytes an id on offsets: 524 KB for this index.
@@ -486,15 +509,6 @@ class TestPersistence:
         assert first.stat().st_size < 70_000
         InvertedIndex.load(first).save(second)
         assert second.read_bytes() == first.read_bytes()
-
-    def test_lone_empty_docid_round_trips(self, tmp_path):
-        # One docid, and it is empty: the docid table is a single length
-        # byte, so the gaps fill their slice exactly.
-        index = build_from([("", {0: 1.0, 3: 2.0})], 4)
-        path = tmp_path / "idx.ftek"
-        index.save(path)
-        loaded = InvertedIndex.load(path)
-        assert loaded.docids == [""] and loaded.ordinals.tolist() == [0, 0]
 
     def test_version_1_rejected(self, tmp_path):
         path = tmp_path / "idx.ftek"
@@ -514,6 +528,16 @@ class TestPersistence:
         path.write_bytes(blob + b"\x00" b"\x05" b"\x01" b"a")
         with pytest.raises(
             CorruptFileError, match="unsupported version 2: rebuild with fectek index"
+        ):
+            InvertedIndex.load(path)
+
+    def test_version_3_rejected(self, tmp_path):
+        # A version 3 file as that version wrote it: a varint length before
+        # each docid, no newline after it.
+        path = tmp_path / "idx.ftek"
+        path.write_bytes(HEADER.pack(MAGIC, 3, 2, 1, 1.0) + b"\x00\x01" b"\x00" b"\x05" b"\x01" b"a")
+        with pytest.raises(
+            CorruptFileError, match="unsupported version 3: rebuild with fectek index"
         ):
             InvertedIndex.load(path)
 
@@ -578,7 +602,7 @@ class TestFaultInjection:
         table = bytearray()
         for count in (2**63 - 1, 2**63 - 1, 3):
             write_varint(table, count)
-        blob = HEADER.pack(MAGIC, VERSION, 3, 1, 1.0) + table + b"\x00" b"\x05" b"\x01" b"a"
+        blob = HEADER.pack(MAGIC, VERSION, 3, 1, 1.0) + table + b"\x00" b"\x05" b"a\n"
         with pytest.raises(CorruptFileError, match="past the end of the file at term 0"):
             self.reload(tmp_path, blob)
 
@@ -587,7 +611,7 @@ class TestFaultInjection:
         index = InvertedIndex.load(path)
         region_start = region_bounds(index)[2]
         # Cut inside the first gap of the first term with postings, and leave
-        # enough bytes after it for every impact and docid length.
+        # enough bytes after it for every impact and docid newline.
         blob[region_start] |= 0x80
         blob[region_start + 1 :] = b"\x80" * (len(blob) - region_start - 1)
         term = int(np.flatnonzero(np.diff(index.offsets))[0])
@@ -600,7 +624,7 @@ class TestFaultInjection:
             self.reload(tmp_path, blob[:10])
 
     def test_doc_count_past_the_file(self, tmp_path, saved):
-        # A length byte per docid would not fit after the header.
+        # A newline per docid would not fit after the header.
         _, blob = saved
         blob[16:24] = struct.pack("<Q", len(blob) - 31)
         with pytest.raises(CorruptFileError, match="doc count .* past the end of the file"):
@@ -619,7 +643,7 @@ class TestFaultInjection:
 
     def test_trailing_bytes(self, tmp_path, saved):
         _, blob = saved
-        with pytest.raises(CorruptFileError, match="trailing"):
+        with pytest.raises(CorruptFileError, match="does not end in a newline"):
             self.reload(tmp_path, blob + b"\x00\x00")
 
     @staticmethod
@@ -630,19 +654,19 @@ class TestFaultInjection:
 
     def test_zero_impact_rejected(self, tmp_path):
         # One term, one posting: ordinal 0 with impact 0.
-        blob = self.assemble(1, (1,), b"\x00" b"\x00" b"\x01" b"a")
+        blob = self.assemble(1, (1,), b"\x00" b"\x00" b"a\n")
         with pytest.raises(CorruptFileError, match="zero impact"):
             self.reload(tmp_path, blob)
 
     def test_zero_gap_rejected(self, tmp_path):
         # Two postings on the same ordinal (gap 0 after the first).
-        blob = self.assemble(2, (2,), b"\x00\x00" b"\x05\x04" b"\x01\x01" b"ab")
+        blob = self.assemble(2, (2,), b"\x00\x00" b"\x05\x04" b"a\nb\n")
         with pytest.raises(CorruptFileError, match="strictly increasing"):
             self.reload(tmp_path, blob)
 
     def test_ordinal_beyond_doc_count_rejected(self, tmp_path):
         # Ordinal 2 with only 1 doc.
-        blob = self.assemble(1, (1,), b"\x02" b"\x05" b"\x01" b"a")
+        blob = self.assemble(1, (1,), b"\x02" b"\x05" b"a\n")
         with pytest.raises(CorruptFileError, match="ordinal 2 beyond doc count 1"):
             self.reload(tmp_path, blob)
 
@@ -654,7 +678,7 @@ class TestFaultInjection:
             self.reload(tmp_path, blob)
 
     def test_duplicate_docid_rejected(self, tmp_path):
-        blob = self.assemble(2, (0,), b"\x01\x01" b"aa")
+        blob = self.assemble(2, (0,), b"a\na\n")
         with pytest.raises(CorruptFileError, match="duplicate docid"):
             self.reload(tmp_path, blob)
 
@@ -663,24 +687,32 @@ class TestFaultInjection:
         # ordinals 1, -2**63, -1, 2, all below the doc count of 3.
         widest = b"\xff" * 8 + b"\x7f"
         gaps = b"\x01" + widest + widest + b"\x03"
-        blob = self.assemble(3, (4,), gaps + b"\x05" * 4 + b"\x01\x01\x01" b"abc")
+        blob = self.assemble(3, (4,), gaps + b"\x05" * 4 + b"a\nb\nc\n")
         with pytest.raises(CorruptFileError, match=f"term 0 references ordinal {2**63} "):
             self.reload(tmp_path, blob)
 
-    def test_docid_lengths_cannot_wrap_the_running_sum(self, tmp_path):
-        # Lengths 2**63 - 1, 2**63 - 1 and 5 sum to 3 modulo 2**64: an int64
-        # running sum would end exactly at the 3 bytes left in the file.
-        table = bytearray()
-        for length in (2**63 - 1, 2**63 - 1, 5):
-            write_varint(table, length)
-        blob = self.assemble(3, (0,), bytes(table) + b"abc")
-        with pytest.raises(CorruptFileError, match="docid table entry 0 truncated"):
-            self.reload(tmp_path, blob)
-
     def test_non_utf8_docid_names_entry(self, tmp_path):
-        blob = self.assemble(2, (0,), b"\x01\x01" b"a\xff")
+        blob = self.assemble(2, (0,), b"a\n" b"\xff\n")
         with pytest.raises(CorruptFileError, match="entry 1 is not UTF-8"):
             self.reload(tmp_path, blob)
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            (b"a\n\n", "entry 1 is empty or contains whitespace"),
+            (b"a\nb c\n", "entry 1 is empty or contains whitespace"),
+            (b"a\tb\nc\n", "entry 0 is empty or contains whitespace"),
+            (b"a\nb", "does not end in a newline"),
+            (b"a\nb\nc\n", "holds 3 entries, not 2"),
+            (b"ab\n", "holds 1 entries, not 2"),
+            (b"a\n\xc3\n", "entry 1 is not UTF-8"),
+        ],
+        ids=["empty", "space", "tab", "no-final-newline", "one-too-many", "one-too-few", "utf8"],
+    )
+    def test_bad_docid_table_named(self, tmp_path, table, message):
+        # Two docids and no postings: the table is the rest of the file.
+        with pytest.raises(CorruptFileError, match=message):
+            self.reload(tmp_path, self.assemble(2, (0,), table))
 
 
     @given(
@@ -696,19 +728,23 @@ class TestFaultInjection:
             st.none(),
             st.tuples(
                 st.sampled_from(["set", "cut"]),
-                st.integers(0, 5),  # the region to hit, as in `region_bounds`
+                st.integers(0, 4),  # the region to hit, as in `region_bounds`
                 st.integers(0, 2**20),
-                st.one_of(st.sampled_from([0, 1, 0x7F, 0x80, 0xFF]), st.integers(0, 255)),
+                st.one_of(
+                    st.sampled_from([0, 1, 0x0A, 0x20, 0x7F, 0x80, 0xFF]), st.integers(0, 255)
+                ),
             ),
         ),
     )
-    # Two postings of term 1 (ordinals 0 and 1), docids "é0" and "d1": term
-    # 1's count raised to 127, a zero impact, a zero gap, and a docid length
-    # one short (leaving a trailing byte).
+    # Two postings of term 1 (ordinals 0 and 1), docids "é0" and "d1"
+    # (bytes c3 a9 30 0a 64 31 0a): term 1's count raised to 127, a zero
+    # impact, a zero gap, a space for the first docid's newline, and a
+    # newline inside the "é".
     @example(doc_count=2, weights={0: {1: 1.0}, 1: {1: 2.0}}, mutation=("set", 1, 1, 0x7F))
     @example(doc_count=2, weights={0: {1: 1.0}, 1: {1: 2.0}}, mutation=("set", 3, 0, 0))
     @example(doc_count=2, weights={0: {1: 1.0}, 1: {1: 2.0}}, mutation=("set", 2, 1, 0))
-    @example(doc_count=2, weights={0: {1: 1.0}, 1: {1: 2.0}}, mutation=("set", 4, 1, 1))
+    @example(doc_count=2, weights={0: {1: 1.0}, 1: {1: 2.0}}, mutation=("set", 4, 3, 0x20))
+    @example(doc_count=2, weights={0: {1: 1.0}, 1: {1: 2.0}}, mutation=("set", 4, 1, 0x0A))
     @settings(max_examples=300, deadline=None)
     def test_load_agrees_with_reference_decoder(
         self, tmp_path_factory, doc_count, weights, mutation

@@ -244,7 +244,6 @@ class TestTrainLoop:
             "config": {
                 **asdict(tiny_config),
                 "feature_gate": True,
-                "aggregation": "max",
                 "epochs": 2,
                 "batch_queries": 2,
                 "max_negatives": 7,

@@ -31,7 +31,10 @@ def streams(draw, min_rows=0):
     """(vocab_size, rows of (docid, {key string: weight}), blank-line flags)."""
     vocab_size = draw(VOCAB_SIZES)
     count = draw(st.integers(min_rows, 8))
-    docids = draw(st.lists(st.text(max_size=4), min_size=count, max_size=count, unique=True))
+    # Docids are one word: the rule that `build` adds and the reference lacks.
+    letters = st.characters(codec="utf-8").filter(lambda c: not c.isspace())
+    words = st.text(letters, min_size=1, max_size=4)
+    docids = draw(st.lists(words, min_size=count, max_size=count, unique=True))
     terms = st.integers(0, vocab_size - 1).map(str)
     rows = [(docid, draw(st.dictionaries(terms, WEIGHTS, max_size=6))) for docid in docids]
     blanks = draw(st.lists(st.booleans(), min_size=count, max_size=count))
