@@ -255,6 +255,10 @@ def cmd_search(args: argparse.Namespace) -> int:
         raise ValueError(f"--k must be positive, got {args.k}")
     if args.tag.split() != [args.tag]:  # the run file's last whitespace-split field
         raise ValueError(f"--tag must be one word without whitespace, got {args.tag!r}")
+    try:  # the run file is written in UTF-8
+        args.tag.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"--tag must be UTF-8 text, got {args.tag!r}") from exc
     _check_out_dir(args.out)
     index = InvertedIndex.load(args.index)
     model = load_model(args.checkpoint)
@@ -315,29 +319,20 @@ _ABLATION_GRID = (
 
 
 def cmd_ablation(args: argparse.Namespace) -> int:
-    """Train the four flag combinations on one dataset and tabulate MRR@10."""
-    data = Path(args.data_dir)
-    corpus_path = data / "corpus.tsv"
-    triples_path = data / "triples.jsonl"
-    queries_path = data / "queries.tsv"
-    qrels_path = data / "qrels.tsv"
-    for path in (corpus_path, triples_path, queries_path, qrels_path):
-        if not path.exists():
-            raise FileNotFoundError(f"missing dataset file: {path}")
+    """Train the four flag combinations on one dataset and tabulate MRR@10:
+    read every input, train the rows (the first makes `--out-dir`), then write."""
     config = _config(EncoderConfig, args)
     trainer_config = _config(TrainerConfig, args)
+    data = Path(args.data_dir)
+    corpus_rows = _read_tsv_pairs(data / "corpus.tsv", "corpus")
+    vocab = Vocabulary.build([text for _, text in corpus_rows], min_freq=1)
+    triples = load_triples(data / "triples.jsonl")
+    queries = _read_tsv_pairs(data / "queries.tsv", "queries")
+    qrels = load_qrels(data / "qrels.tsv")
 
     out_root = Path(args.out_dir)
-    out_root.mkdir(parents=True, exist_ok=True)
-    corpus_rows = _read_tsv_pairs(corpus_path, "corpus")
-    vocab = Vocabulary.build([text for _, text in corpus_rows], min_freq=1)
-    vocab_path = out_root / "vocab.txt"
-    vocab.save(vocab_path)
-    triples = load_triples(triples_path)
-    queries = _read_tsv_pairs(queries_path, "queries")
-    qrels = load_qrels(qrels_path)
-
     rows = []
+    table = [f"{'config':16s} {'FCM':>4s} {'TKGM':>5s} {'MRR@10':>8s}"]
     for name, use_gate, use_guidance in _ABLATION_GRID:
         run_dir = out_root / name.replace("+", "with-")
         model = new_model(
@@ -350,20 +345,15 @@ def cmd_ablation(args: argparse.Namespace) -> int:
         index = InvertedIndex.build(stream, len(vocab))
         mrr = mrr_at_k(_rank(model, vocab, index, queries, 10), qrels, k=10)
         rows.append({"config": name, "fcm": use_gate, "tkgm": use_guidance, "mrr@10": mrr})
-
-    header = f"{'config':16s} {'FCM':>4s} {'TKGM':>5s} {'MRR@10':>8s}"
-    print(header)
-    print("-" * len(header))
-    table_lines = [header]
-    for row in rows:
-        line = (
-            f"{row['config']:16s} {'yes' if row['fcm'] else 'no':>4s} "
-            f"{'yes' if row['tkgm'] else 'no':>5s} {row['mrr@10']:>8.4f}"
+        table.append(
+            f"{name:16s} {'yes' if use_gate else 'no':>4s} "
+            f"{'yes' if use_guidance else 'no':>5s} {mrr:>8.4f}"
         )
-        print(line)
-        table_lines.append(line)
+
+    vocab.save(out_root / "vocab.txt")
     write_file(out_root / "ablation.json", [json.dumps(rows, indent=2) + "\n"])
-    write_file(out_root / "ablation.txt", [line + "\n" for line in table_lines])
+    write_file(out_root / "ablation.txt", [line + "\n" for line in table])
+    print(table[0], "-" * len(table[0]), *table[1:], sep="\n")
     print(f"table: {out_root / 'ablation.txt'}")
     return 0
 

@@ -198,9 +198,15 @@ class InvertedIndex:
             except OverflowError:  # beyond int64, so outside any vocabulary
                 _reject_terms(docid, row_terms, vocab_size)
             weights.extend(row_weights)
-        if " ".join(docids).split() != docids:  # a run file splits its rows on whitespace
+        joined = " ".join(docids)
+        if joined.split() != docids:  # a run file splits its rows on whitespace
             docid = next(d for d in docids if d.split() != [d])
             raise DataFormatError(f"docid {docid!r} is empty or contains whitespace")
+        try:  # `save` writes the docids in UTF-8
+            joined.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            docid = docids[joined.count(" ", 0, exc.start)]
+            raise DataFormatError(f"docid {docid!r} is not UTF-8 text") from exc
         term_ids = np.frombuffer(terms, dtype=np.int64)
         values = np.frombuffer(weights, dtype=np.float64)
         if len(term_ids) != len(values):

@@ -128,9 +128,9 @@ def generate(config: SynthConfig = SynthConfig()) -> SynthData:
 
 def write_dataset(out_dir: str | Path, config: SynthConfig = SynthConfig()) -> dict[str, Path]:
     """Write corpus.tsv, queries.tsv, qrels.tsv and triples.jsonl."""
+    data = generate(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    data = generate(config)
     paths = {
         "corpus": out / "corpus.tsv",
         "queries": out / "queries.tsv",

@@ -181,6 +181,11 @@ class TestRowwiseLosses:
         with pytest.raises(ValueError):
             ag.softmax_nll(Tensor(np.zeros((1, 3))), [1], np.array([[True, False, True]]))
 
+    @pytest.mark.parametrize("target", [-1, 3])
+    def test_softmax_nll_target_outside_the_row_rejected(self, target):
+        with pytest.raises(ValueError, match="outside score vector of length 3"):
+            ag.softmax_nll(Tensor(np.zeros((1, 3))), [target], np.ones((1, 3), dtype=bool))
+
     def test_softmax_nll_needs_one_target_per_row(self):
         with pytest.raises(ShapeError):
             ag.softmax_nll(Tensor(np.zeros((2, 3))), [1], np.ones((2, 3), dtype=bool))
@@ -188,6 +193,13 @@ class TestRowwiseLosses:
     def test_softmax_nll_needs_2d_scores(self):
         with pytest.raises(ShapeError, match=r"\[Q, C\].*\(3,\)"):
             ag.softmax_nll(Tensor(np.zeros(3)), [0], np.ones(3, dtype=bool))
+
+    def test_bce_shape_mismatch_rejected(self):
+        probs = Tensor(np.full((2, 3), 0.5))
+        with pytest.raises(ShapeError, match="binary_cross_entropy: shape mismatch"):
+            ag.binary_cross_entropy(probs, np.ones((2, 2)), np.ones((2, 3), dtype=bool))
+        with pytest.raises(ShapeError, match="binary_cross_entropy: shape mismatch"):
+            ag.binary_cross_entropy(probs, np.ones((2, 3)), np.ones(3, dtype=bool))
 
     def test_bce_rows_sum_their_own_means(self, rng):
         probs = rng.uniform(0.1, 0.9, (3, 4))
@@ -620,6 +632,12 @@ class TestFusedOps:
             ag.attention(rows, rows, rows, np.zeros((2, 3)), 2, 1.0)
         with pytest.raises(ShapeError, match="attention"):
             ag.attention(rows, rows, rows, np.zeros((2, 2)), 4, 1.0)
+        with pytest.raises(ShapeError, match=r"attention: mask_bias must be \[B, n\]"):
+            ag.attention(rows, rows, rows, np.zeros(4), 2, 1.0)
+        with pytest.raises(ShapeError, match=r"layer_norm: gain/bias must be \(6,\)"):
+            ag.layer_norm(rows, Tensor(np.ones(6)), Tensor(np.zeros(4)))
+        with pytest.raises(ShapeError, match=r"transpose needs a 2-d tensor, got shape \(6,\)"):
+            ag.transpose(Tensor(np.ones(6)))
 
 
 def test_every_recording_op_has_a_caller_in_the_package():

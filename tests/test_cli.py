@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -21,7 +22,7 @@ import pytest
 import per_text_reference as ref
 from fectek.autograd import Tensor
 from fectek.checkpoint import ALIGN, MAGIC, VERSION, load_tensors, save_tensors
-from fectek.cli import build_parser, main
+from fectek.cli import _ABLATION_GRID, build_parser, main
 from fectek.encoder import EncoderConfig
 from fectek.evaluation import load_run
 from fectek.index import InvertedIndex
@@ -516,6 +517,28 @@ class TestExitCodes:
         assert err == f"error: --tag must be one word without whitespace, got {tag!r}\n"
         assert not out.exists()
 
+    def test_tag_that_utf8_cannot_hold_is_2_before_any_work(
+        self, workspace, tmp_path, monkeypatch
+    ):
+        # Command-line bytes that are not UTF-8 arrive as lone surrogates.
+        def work(*args, **kwargs):
+            raise AssertionError("search started work before checking --tag")
+
+        monkeypatch.setattr(InvertedIndex, "load", work)
+        out = tmp_path / "run.tsv"
+        code, _, err = run_cli(
+            "search",
+            "--index", str(workspace["index"]),
+            "--checkpoint", str(workspace["checkpoint"]),
+            "--vocab", str(workspace["vocab"]),
+            "--queries", str(workspace["queries"]),
+            "--out", str(out),
+            "--tag", "t\udcff",
+        )
+        assert code == 2
+        assert err == "error: --tag must be UTF-8 text, got 't\\udcff'\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["encode", "search"])
     def test_id_with_whitespace_is_4(self, workspace, tmp_path, command):
         # Either id would end up in a run file, split on its whitespace.
@@ -709,6 +732,20 @@ class TestExitCodes:
         assert err == f"error: docid {docid!r} is empty or contains whitespace\n"
         assert not out.exists()
 
+    def test_docid_that_utf8_cannot_hold_is_4(self, workspace, tmp_path):
+        # json.loads turns the escape "\ud800" into a lone surrogate, which
+        # the index's UTF-8 docid table cannot hold.
+        data = tmp_path / "weights.jsonl"
+        rows = [{"docid": "a", "weights": {"5": 1.0}}, {"docid": "d\ud800", "weights": {}}]
+        data.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        out = tmp_path / "index.ftek"
+        code, _, err = run_cli(
+            "index", "--weights", str(data), "--vocab", str(workspace["vocab"]), "--out", str(out)
+        )
+        assert code == 4
+        assert err == "error: docid 'd\\ud800' is not UTF-8 text\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command, row",
         [
@@ -893,6 +930,20 @@ class TestExitCodes:
         assert code == 4
         assert f"error: {empty}: empty vocabulary file" in err
         assert not out.exists()
+
+    def test_vocabulary_of_reserved_ids_only_is_2_before_training(self, workspace, tmp_path):
+        header_only = tmp_path / "vocab.txt"
+        header_only.write_text("#fectek-vocab v1 min_freq=1\n")
+        out_dir = tmp_path / "run"
+        code, _, err = run_cli(
+            "train",
+            "--triples", str(workspace["triples"]),
+            "--vocab", str(header_only),
+            "--out-dir", str(out_dir),
+        )
+        assert code == 2
+        assert "error: vocab_size must cover the reserved ids, got 4" in err
+        assert not out_dir.exists()
 
     def test_index_vocabulary_size_mismatch_is_4(self, workspace, tmp_path):
         vocab_size = len(Vocabulary.load(workspace["vocab"]))
@@ -1329,7 +1380,14 @@ class TestAblationCommand:
             "+term-guidance",
             "full",
         ]
-        assert (out_dir / "ablation.txt").exists()
+        # ablation.txt holds the printed table without its separator.
+        assert (out_dir / "ablation.txt").read_text().splitlines() == [lines[0], *lines[2:6]]
+        # README's example table has the printed header, separator and row names.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        example = re.search(r"fectek ablation .*?```\n\n```\n(.*?)```", readme, flags=re.S)
+        example = example.group(1).splitlines()
+        assert example[:2] == lines[:2]
+        assert [r.split()[0] for r in example[2:]] == [name for name, *_ in _ABLATION_GRID]
         report = json.loads((out_dir / "ablation.json").read_text())
         assert [row["config"] for row in report] == [
             "baseline",
@@ -1359,13 +1417,58 @@ class TestAblationCommand:
         assert not out_dir.exists()
 
     def test_missing_dataset_file_is_3(self, tmp_path):
+        out_dir = tmp_path / "out"
         code, _, err = run_cli(
             "ablation",
             "--data-dir", str(tmp_path),
-            "--out-dir", str(tmp_path / "out"),
+            "--out-dir", str(out_dir),
         )
         assert code == 3
-        assert "missing dataset file" in err
+        assert str(tmp_path / "corpus.tsv") in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "name, content, code, message",
+        [
+            ("corpus.tsv", None, 3, "No such file or directory: '{path}'"),
+            ("triples.jsonl", None, 3, "No such file or directory: '{path}'"),
+            ("queries.tsv", None, 3, "No such file or directory: '{path}'"),
+            ("qrels.tsv", None, 3, "No such file or directory: '{path}'"),
+            ("corpus.tsv", "d1 has no tab\n", 4, "{path}:1: expected '<id>\\t<text>'"),
+            ("triples.jsonl", "{\n", 4, "{path}:1: invalid JSON"),
+            ("queries.tsv", "q1 has no tab\n", 4, "{path}:1: expected '<id>\\t<text>'"),
+            ("qrels.tsv", "q1 0 d1\n", 4, "{path}:1: expected 'qid 0 docid relevance'"),
+            ("corpus.tsv", "d1\t!!! ...\n", 2, "vocab_size must cover the reserved ids"),
+        ],
+        ids=[
+            "missing-corpus", "missing-triples", "missing-queries", "missing-qrels",
+            "bad-corpus", "bad-triples", "bad-queries", "bad-qrels", "corpus-without-words",
+        ],
+    )
+    def test_bad_dataset_leaves_no_out_dir(
+        self, workspace, tmp_path, name, content, code, message
+    ):
+        data = tmp_path / "data"
+        data.mkdir()
+        for key, file in [
+            ("corpus", "corpus.tsv"),
+            ("triples", "triples.jsonl"),
+            ("queries", "queries.tsv"),
+            ("qrels", "qrels.tsv"),
+        ]:
+            (data / file).write_bytes(workspace[key].read_bytes())
+        path = data / name
+        if content is None:
+            path.unlink()
+        else:
+            path.write_text(content)
+        out_dir = tmp_path / "out"
+        got, _, err = run_cli(
+            "ablation", "--data-dir", str(data), "--out-dir", str(out_dir), *TINY_ENCODER
+        )
+        assert got == code
+        assert message.format(path=path) in err
+        assert not out_dir.exists()
 
 
 def field_names(*classes):

@@ -68,6 +68,10 @@ class TestRecall:
         assert recall_at_k(run, qrels, k=1) == 0.0
         assert recall_at_k(run, qrels, k=2) == 1.0
 
+    def test_empty_qrels_rejected(self):
+        with pytest.raises(DataFormatError, match="empty qrels"):
+            recall_at_k({}, {})
+
 
 class TestQrelsFile:
     def test_parses_and_keeps_positive_rows(self, tmp_path):

@@ -334,6 +334,11 @@ class TestBuild:
         assert index.scale == 1.0
         assert index.doc_count == 2
 
+    @pytest.mark.parametrize("vocab_size", [0, -1])
+    def test_vocab_size_must_be_positive(self, vocab_size):
+        with pytest.raises(ValueError, match="vocab_size must be positive"):
+            build_from([("a", {})], vocab_size)
+
     def test_duplicate_docid_named(self):
         rows = [("dup", {2: 1.0}), ("dup", {3: 1.0})]
         with pytest.raises(DataFormatError, match="'dup'"):
@@ -349,6 +354,13 @@ class TestBuild:
         # with a newline.
         rows = [("ok", {2: 1.0}), (docid, {3: 1.0})]
         with pytest.raises(DataFormatError, match=re.escape(f"docid {docid!r} is empty or")):
+            build_from(rows, 8)
+
+    def test_docid_that_utf8_cannot_hold_rejected(self):
+        # JSON's "\ud800" escape decodes to a lone surrogate; the index
+        # stores its docids in UTF-8.
+        rows = [("ok", {2: 1.0}), ("d\ud800", {3: 1.0}), ("z\udcff", {})]
+        with pytest.raises(DataFormatError, match=re.escape("docid 'd\\ud800' is not UTF-8")):
             build_from(rows, 8)
 
     def test_negative_weight_rejected(self):
@@ -383,6 +395,16 @@ class TestPersistence:
         assert np.array_equal(loaded.offsets, index.offsets)
         assert np.array_equal(loaded.ordinals, index.ordinals)
         assert np.array_equal(loaded.impacts, index.impacts)
+
+    @pytest.mark.parametrize("ordinals", [[1, 1], [1, 0]], ids=["repeated", "decreasing"])
+    def test_save_refuses_ordinals_that_do_not_increase(self, tmp_path, ordinals):
+        # Term 0 is empty and term 1 holds both postings.
+        index = build_from([("a", {1: 1.0}), ("b", {1: 1.0})], 2)
+        index.ordinals = np.array(ordinals)
+        path = tmp_path / "idx.ftek"
+        with pytest.raises(ValueError, match="ordinals not strictly increasing for term 1"):
+            index.save(path)
+        assert not path.exists()
 
     def test_save_bytes_deterministic(self, tmp_path, rng):
         rows = random_corpus(rng, docs=10, terms=8)

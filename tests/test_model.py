@@ -421,6 +421,10 @@ class TestLosses:
         _, alone = batch_loss(tiny_model, [other], enable_term=False)
         assert metrics["text_loss"] == pytest.approx(alone["text_loss"] / 2, abs=1e-12)
 
+    def test_empty_batch_rejected(self, tiny_model):
+        with pytest.raises(ValueError, match="empty batch"):
+            batch_loss(tiny_model, [])
+
     def test_batch_loss_averages_over_triples(
         self, tiny_model, tiny_vocab, tiny_config
     ):
@@ -507,6 +511,11 @@ class TestInitialisation:
         save_model(model, path)
         stored = [name for name in load_tensors(path) if not name.startswith("config.")]
         assert stored == list(params)
+
+    def test_vocabulary_of_reserved_ids_only_rejected(self, tiny_config):
+        # Ids 0-3 are reserved, so a model needs at least one more.
+        with pytest.raises(ValueError, match="must cover the reserved ids, got 4"):
+            new_model(4, tiny_config)
 
 
 class TestPersistence:
