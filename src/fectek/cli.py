@@ -123,18 +123,6 @@ def _config(cls, args: argparse.Namespace):
     return cls(**{name: value for name, value in given.items() if value is not None})
 
 
-def _weigh(
-    model: FecTekModel, vocab: Vocabulary, texts: list[str], max_len: int
-) -> list[dict[int, float]]:
-    """Term weights of each text cut to `max_len` tokens, in input order.
-
-    Inference runs in the parameters' dtype: float32 for every model a
-    command loads or makes.  The index keeps 8-bit impacts, so float64's
-    extra precision would not survive into it.
-    """
-    return model.weigh([vocab.encode(text, max_len) for text in texts])
-
-
 def _check_out_dir(path: str) -> None:
     """Raise the error that writing `path` would, if its directory is missing
     or it is a directory, before a command does its work; `path` stays as is."""
@@ -154,7 +142,7 @@ def _rank(
     k: int,
 ) -> dict[str, list[tuple[str, float]]]:
     """Top-k (docid, score) hits for each query id."""
-    weights = _weigh(model, vocab, [text for _, text in queries], model.config.max_query_len)
+    weights = model.weigh([vocab.encode(text, model.config.max_query_len) for _, text in queries])
     results = {}
     for (qid, _), row in zip(queries, weights):
         results[qid] = [(hit.docid, hit.value) for hit in findex.search(index, row, k)]
@@ -217,7 +205,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
     vocab = Vocabulary.load(args.vocab)
     _check_vocab_match(model, vocab, str(args.checkpoint))
     rows = _read_tsv_pairs(args.corpus, "corpus")
-    weights = _weigh(model, vocab, [text for _, text in rows], model.config.max_passage_len)
+    weights = model.weigh([vocab.encode(text, model.config.max_passage_len) for _, text in rows])
     # json.dumps writes the int term ids as decimal strings, in their ascending order.
     lines = (json.dumps({"docid": d, "weights": w}) + "\n" for (d, _), w in zip(rows, weights))
     write_file(args.out, lines)
@@ -329,6 +317,7 @@ def cmd_ablation(args: argparse.Namespace) -> int:
     triples = load_triples(data / "triples.jsonl")
     queries = _read_tsv_pairs(data / "queries.tsv", "queries")
     qrels = load_qrels(data / "qrels.tsv")
+    passage_ids = [vocab.encode(text, config.max_passage_len) for _, text in corpus_rows]
 
     out_root = Path(args.out_dir)
     rows = []
@@ -340,7 +329,7 @@ def cmd_ablation(args: argparse.Namespace) -> int:
         )
         run_config = replace(trainer_config, enable_term_loss=use_guidance)
         train(model, triples, vocab, run_config, run_dir, {"ablation": name})
-        weights = _weigh(model, vocab, [text for _, text in corpus_rows], config.max_passage_len)
+        weights = model.weigh(passage_ids)
         stream = ((docid, w, w.values()) for (docid, _), w in zip(corpus_rows, weights))
         index = InvertedIndex.build(stream, len(vocab))
         mrr = mrr_at_k(_rank(model, vocab, index, queries, 10), qrels, k=10)

@@ -24,12 +24,13 @@ class DataFormatError(FecTekError):
 
 @contextlib.contextmanager
 def open_text(path: str | Path) -> Iterator[TextIO]:
-    """`open(path, encoding="utf-8")` whose decoding errors name the file and line.
+    """`open(path, encoding="utf-8-sig")`, whose decoding errors name the file and line.
 
-    Valid files are read exactly as `open` reads them; only after a failure
-    are the raw bytes decoded again to find the first bad byte.
+    A leading byte-order mark is skipped; the rest is read exactly as `open`
+    reads it.  Only after a failure are the raw bytes decoded again to find
+    the first bad byte.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError:

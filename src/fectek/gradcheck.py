@@ -20,6 +20,7 @@ from . import autograd as ag
 from .encoder import EncoderConfig
 from .model import EncodedTriple, FecTekModel, batch_loss, init_parameters, parameter_shapes
 from .tokenizer import Vocabulary
+from .trainer import TrainingTriple, encode_triples
 
 _WORDS = [
     "amber", "basalt", "cedar", "delta", "ember", "fjord", "garnet",
@@ -101,20 +102,13 @@ def _toy_setup() -> tuple[FecTekModel, list[EncodedTriple]]:
         picks = rng.choice(len(_WORDS), size=n, replace=False)
         return " ".join(_WORDS[i] for i in picks)
 
-    triples: list[EncodedTriple] = []
+    triples: list[TrainingTriple] = []
     for _ in range(_BATCH_DRAW + 1):
         triples = [
-            EncodedTriple(
-                query_ids=vocab.encode(text(3, 5), config.max_query_len),
-                positive_ids=vocab.encode(text(6, 10), config.max_passage_len),
-                negative_ids=[
-                    vocab.encode(text(6, 10), config.max_passage_len)
-                    for _ in range(2)
-                ],
-            )
+            TrainingTriple(text(3, 5), text(6, 10), [text(6, 10) for _ in range(2)])
             for _ in range(2)
         ]
-    return model, triples
+    return model, encode_triples(triples, vocab, config.max_query_len, config.max_passage_len, 2)
 
 
 def relative_error(analytic: float, numeric: float) -> float:

@@ -242,8 +242,11 @@ class FecTekModel:
 
         Texts run in chunks of at most `CHUNK_TEXTS` of exactly equal length,
         so no forward pass pads and each text's weights are bit-identical to
-        weighing it alone, whatever else is in the list.  A value the
-        parameters' dtype cannot carry raises FloatingPointError.
+        weighing it alone, whatever else is in the list.  Inference runs in
+        the parameters' dtype, float32 for every model a command loads or
+        makes: the index keeps 8-bit impacts, so float64's extra precision
+        would not survive into it.  A value that dtype cannot carry raises
+        FloatingPointError.
         """
         out: list[dict[int, float]] = [{} for _ in id_lists]
         by_length: dict[int, list[int]] = {}

@@ -44,9 +44,12 @@ class Vocabulary:
     """Immutable token-to-id mapping with four reserved leading ids."""
 
     def __init__(self, tokens: list[str], min_freq: int = 1):
-        for t in tokens:
-            if t in RESERVED_TOKENS:
-                raise DataFormatError(f"reserved token {t!r} cannot enter the vocabulary")
+        # Each token must be a distinct lowercase alphanumeric run, so no
+        # reserved token can enter.  Whole-list checks: lowercasing the joined
+        # text changes it exactly when it changes some token.
+        text = "".join(tokens)
+        if not all(map(str.isalnum, tokens)) or text.lower() != text:
+            raise DataFormatError("vocabulary tokens must be lowercase alphanumeric runs")
         self.min_freq = int(min_freq)
         self._id_to_token: list[str] = list(RESERVED_TOKENS) + list(tokens)
         self._token_to_id: dict[str, int] = {
@@ -105,16 +108,11 @@ class Vocabulary:
             min_freq = int(m.group(1))
         except (AttributeError, ValueError):
             raise DataFormatError(f"{path}: bad vocabulary header {header!r}") from None
-        # Whole-list checks; lowercasing the joined text changes it exactly
-        # when it changes some token.
-        text = "".join(tokens)
-        if (
-            not all(map(str.isalnum, tokens))
-            or text.lower() != text
-            or len(set(tokens)) < len(tokens)
-        ):
+        try:
+            return cls(tokens, min_freq=min_freq)
+        except DataFormatError:
             _raise_first_bad_line(path, tokens)
-        return cls(tokens, min_freq=min_freq)
+            raise
 
 
 def _raise_first_bad_line(path: str | Path, tokens: list[str]) -> None:

@@ -22,7 +22,7 @@ import pytest
 
 import fectek.autograd as ag
 from fectek.autograd import Tensor
-from fectek.cli import _weigh, main
+from fectek.cli import main
 from fectek.encoder import EncoderConfig
 from fectek.errors import FecTekError
 from fectek.evaluation import mrr_at_k
@@ -91,11 +91,11 @@ def pipeline(tmp_path_factory) -> Pipeline:
     )  # term-guidance loss on
     final = train(model, triples, vocab, trainer_config, tmp_path_factory.mktemp("synth-run"))
 
-    def serve(weigh):
-        passages = weigh([text for _, text in data.corpus], config.max_passage_len)
+    def serve(model):
+        passages = model.weigh([vocab.encode(t, config.max_passage_len) for _, t in data.corpus])
         stream = ((docid, w, w.values()) for (docid, _), w in zip(data.corpus, passages))
         index = InvertedIndex.build(stream, len(vocab))
-        queries = weigh([text for _, text in data.queries], config.max_query_len)
+        queries = model.weigh([vocab.encode(t, config.max_query_len) for _, t in data.queries])
         query_weights = {qid: weights for (qid, _), weights in zip(data.queries, queries)}
         hits = {qid: search(index, weights, 10) for qid, weights in query_weights.items()}
         return index, query_weights, hits
@@ -106,10 +106,8 @@ def pipeline(tmp_path_factory) -> Pipeline:
     for p in model64.params.values():
         assert p.data.dtype == np.float32
         p.data = p.data.astype(np.float64)
-    index64, _, hits64 = serve(
-        lambda texts, n: model64.weigh([vocab.encode(text, n) for text in texts])
-    )
-    index, query_weights, hits = serve(lambda texts, n: _weigh(model, vocab, texts, n))
+    index64, _, hits64 = serve(model64)
+    index, query_weights, hits = serve(model)
 
     run = {qid: [(h.docid, h.value) for h in hs] for qid, hs in hits.items()}
     qrels = {qid: {docid} for qid, docid in data.qrels}

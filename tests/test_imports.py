@@ -1,5 +1,7 @@
 """Every module of the package reads each name it imports, imports only the
-standard library and numpy, and names every function and class it defines.
+standard library and numpy, and names every function and class it defines;
+it writes files only through `write_file` and reads text only through
+`open_text`.
 
 AST walks, so the checks need no linter: a name bound by an import must be
 read somewhere in its module, or be re-exported through `__all__`.
@@ -154,6 +156,25 @@ DIRECT_WRITES_OK = {
 }
 
 
+def open_modes(call: ast.Call) -> list[ast.expr] | None:
+    """The mode arguments of an `open`, `io.open` or `<path>.open` call
+    (empty when it gives none), or None for any other call."""
+    func = call.func
+    if isinstance(func, ast.Name) and func.id == "open":
+        position = 1
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        is_io = isinstance(func.value, ast.Name) and func.value.id == "io"
+        position = 1 if is_io else 0
+    else:
+        return None
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"]
+    return modes + call.args[position : position + 1]
+
+
+def is_literal(mode: ast.expr) -> bool:
+    return isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+
+
 def direct_writes(source: str) -> list[str]:
     """Calls in `source` that write a file without `write_file`: `open` or
     `io.open` with a mode that can write (or one that is not a literal),
@@ -166,20 +187,31 @@ def direct_writes(source: str) -> list[str]:
         if isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
             found.append(f".{func.attr}(")
             continue
-        if isinstance(func, ast.Name) and func.id == "open":
-            position = 1
-        elif isinstance(func, ast.Attribute) and func.attr == "open":
-            is_io = isinstance(func.value, ast.Name) and func.value.id == "io"
-            position = 1 if is_io else 0
-        else:
+        for mode in open_modes(node) or []:
+            if not is_literal(mode) or set(mode.value) & set("wax+"):
+                found.append(ast.unparse(node))
+    return found
+
+
+def text_reads(source: str) -> list[str]:
+    """Calls in `source` that read a file as text without `open_text`: an
+    `open`, `io.open` or `<path>.open` with no mode, a text mode that can
+    read or a mode that is not a literal, and any `.read_text`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
             continue
-        modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
-        modes += node.args[position : position + 1]
-        for mode in modes:
-            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
-                found.append(ast.unparse(node))
-            elif set(mode.value) & set("wax+"):
-                found.append(ast.unparse(node))
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "read_text":
+            found.append(".read_text(")
+            continue
+        modes = open_modes(node)
+        if modes is None:
+            continue
+        if not modes or any(
+            not is_literal(mode) or ("b" not in mode.value and set(mode.value) & set("r+"))
+            for mode in modes
+        ):
+            found.append(ast.unparse(node))
     return found
 
 
@@ -191,6 +223,46 @@ def test_only_write_file_writes_files():
         for call in direct_writes(path.read_text(encoding="utf-8"))
     }
     assert writes == set(DIRECT_WRITES_OK)
+
+
+def test_only_open_text_reads_text():
+    reads = [
+        (path.name, call)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "errors.py"
+        for call in text_reads(path.read_text(encoding="utf-8"))
+    ]
+    assert reads == []
+
+
+def test_text_read_checker_flags_every_text_read_idiom():
+    source = (
+        "import io\n"
+        "from pathlib import Path\n"
+        "open(p, 'rb')\n"
+        "open(p, 'w', encoding='utf-8')\n"
+        "open(p, mode='r+b')\n"
+        "Path(p).read_bytes()\n"
+        "Path(p).open('ab')\n"
+        "open(p)\n"
+        "open(p, encoding='utf-8')\n"
+        "open(p, 'rt')\n"
+        "open(p, mode='w+')\n"
+        "io.open(p, 'r', encoding='utf-8')\n"
+        "Path(p).open()\n"
+        "Path(p).read_text(encoding='utf-8')\n"
+        "open(p, m)\n"
+    )
+    assert text_reads(source) == [
+        "open(p)",
+        "open(p, encoding='utf-8')",
+        "open(p, 'rt')",
+        "open(p, mode='w+')",
+        "io.open(p, 'r', encoding='utf-8')",
+        "Path(p).open()",
+        ".read_text(",
+        "open(p, m)",
+    ]
 
 
 def test_write_checker_flags_every_write_idiom():

@@ -1,6 +1,7 @@
 """Fuzzed text inputs: every file parser returns, or raises a FecTekError that
 names the file it read."""
 
+import codecs
 import json
 
 import pytest
@@ -64,7 +65,10 @@ lines = st.one_of(
 documents = st.one_of(
     st.binary(max_size=200),
     st.builds(
-        lambda header, rows, newline, tail: (header + newline.join(rows)).encode() + tail,
+        lambda bom, header, rows, newline, tail: (
+            bom + (header + newline.join(rows)).encode() + tail
+        ),
+        st.sampled_from([b"", codecs.BOM_UTF8]),
         st.sampled_from(
             [
                 "",

@@ -3,9 +3,10 @@
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fectek import tokenizer
 from fectek.errors import DataFormatError
 from fectek.tokenizer import (
     CLS_ID,
@@ -70,9 +71,16 @@ class TestVocabulary:
         vocab = Vocabulary.build(["alpha"])
         assert vocab.lookup("missing") == UNK_ID
 
-    def test_reserved_token_in_text_rejected(self):
+    @pytest.mark.parametrize(
+        "tokens",
+        [["[PAD]"], ["Alpha"], ["a b"], [""], ["a_b"]],
+        ids=["reserved", "uppercase", "space", "empty", "underscore"],
+    )
+    def test_reserved_token_in_text_rejected(self, tokens):
+        # Direct construction is as strict as loading: each token must be
+        # a lowercase alphanumeric run, which no reserved token is.
         with pytest.raises(DataFormatError):
-            Vocabulary(["[PAD]"], min_freq=1)
+            Vocabulary(tokens, min_freq=1)
 
     def test_duplicate_token_rejected(self):
         with pytest.raises(DataFormatError):
@@ -179,12 +187,24 @@ class TestPersistence:
         with pytest.raises(DataFormatError, match=":2: .* is not one lowercase alphanumeric token"):
             Vocabulary.load(path)
 
-    def test_any_tokenizer_output_loads(self, tmp_path):
-        vocab = Vocabulary.build(["Ünïcode straße 42 über ΣΑΣ x2y"])
-        path = tmp_path / "vocab.txt"
+    @given(text=st.text())
+    @example(text="Ünïcode straße 42 über ΣΑΣ x2y")
+    @settings(max_examples=200, deadline=None)
+    def test_any_tokenizer_output_loads(self, tmp_path_factory, text):
+        vocab = Vocabulary.build([text])
+        path = tmp_path_factory.getbasetemp() / "any-text-vocab.txt"
         vocab.save(path)
         loaded = Vocabulary.load(path)
         assert len(loaded) == len(vocab)
+        tokens = tokenize(text)
+        assert [loaded.lookup(t) for t in tokens] == [vocab.lookup(t) for t in tokens]
+
+    def test_constructor_error_stands_if_no_line_is_named(self, tmp_path, monkeypatch):
+        path = tmp_path / "vocab.txt"
+        path.write_text("#fectek-vocab v1 min_freq=1\nAlpha\n", encoding="utf-8")
+        monkeypatch.setattr(tokenizer, "_raise_first_bad_line", lambda path, tokens: None)
+        with pytest.raises(DataFormatError, match="lowercase alphanumeric runs"):
+            Vocabulary.load(path)
 
 
 class TestCoverage:
