@@ -6,12 +6,12 @@ every term id and weight in one vectorized pass, maps every weight to an 8-bit
 impact with a single document-side scale (`max weight / 255`) and stably
 sorts the nonzero impacts by term (a radix sort up to 65,536 ids) into flat
 CSR arrays: term t's postings are `ordinals[offsets[t]:offsets[t + 1]]` and
-the matching `impacts`, by ascending ordinal.  Search merges the query's posting lists with one stable sort of
-their ordinals and sums each document's integer impact products, then sorts
-only the candidates at or above the k-th largest score.  Its cost grows with
-the postings touched, not with the document count, and the top k is exact:
-identical to brute-force scoring of every document, with ties broken by
-ascending ordinal.
+the matching `impacts`, by ascending ordinal.  Search merges the query's
+posting lists with one sort of 64-bit (ordinal, impact product) keys and sums
+each document's integer products, then sorts only the candidates at or above
+the k-th largest score.  Its cost grows with the postings touched, not with
+the document count, and the top k is exact: identical to brute-force scoring
+of every document, with ties broken by ascending ordinal.
 
 On-disk layout (little-endian throughout), magic "FTEK":
 
@@ -140,11 +140,16 @@ def _reject_terms(docid: str, terms: Iterable[int], vocab_size: int) -> None:
     )
 
 
+def _list_starts(offsets: np.ndarray) -> np.ndarray:
+    """Index of the first posting of each non-empty term list."""
+    starts = offsets[:-1]
+    return starts[starts < offsets[1:]]
+
+
 def _first_postings(offsets: np.ndarray) -> np.ndarray:
     """Mask of the postings that open a term's list (an ordinal, not a gap)."""
-    starts = offsets[:-1]
     first = np.zeros(int(offsets[-1]), dtype=bool)
-    first[starts[starts < offsets[1:]]] = True
+    first[_list_starts(offsets)] = True
     return first
 
 
@@ -304,12 +309,16 @@ class InvertedIndex:
             raise CorruptFileError(f"term {term_of(bad[0])} postings not strictly increasing")
         # doc_count is below the file size now, so the clipped sums cannot
         # overflow, and a clipped posting still lands at or past doc_count.
-        clipped = np.minimum(gaps, doc_count)
-        sums = np.append(0, np.cumsum(clipped))
-        ordinals = sums[1:] - np.repeat(sums[offsets[:-1]], counts)
+        # Each list's first posting takes back the sum of the list before
+        # it, so one running sum restarts at every list.
+        ordinals = np.minimum(gaps, doc_count)
+        starts = _list_starts(offsets)
+        ordinals[starts[1:]] -= np.add.reduceat(ordinals, starts)[:-1]
+        np.cumsum(ordinals, out=ordinals)
         bad = np.flatnonzero(ordinals >= doc_count)
         if bad.size:
-            ordinal = int(ordinals[bad[0]] - clipped[bad[0]]) + int(gaps[bad[0]])
+            gap = int(gaps[bad[0]])
+            ordinal = int(ordinals[bad[0]]) - min(gap, doc_count) + gap
             raise CorruptFileError(
                 f"term {term_of(bad[0])} references ordinal {ordinal} "
                 f"beyond doc count {doc_count}"
@@ -344,9 +353,9 @@ def search(
     The query side is quantized with its own scale (max query weight / 255);
     float scores are the integer scores times both scales.  Term ids outside
     the vocabulary match nothing, but their weights still set that scale.
-    Work is a merge sort of the touched postings plus a sort of the
-    candidates tied with or above the k-th score, so no array is sized by
-    the document count.
+    Work is one sort of the touched postings' (ordinal, product) keys plus
+    a sort of the candidates tied with or above the k-th score, so no array
+    is sized by the document count.
     """
     if k <= 0 or not query_weights:
         return []
@@ -362,19 +371,21 @@ def search(
     if not lists:
         return []
 
-    ordinals = np.concatenate([index.ordinals[span] for span, _ in lists])
-    if not ordinals.size:
+    keys = np.concatenate([index.ordinals[span] for span, _ in lists])
+    if not keys.size:
         return []
-    products = np.concatenate(
-        [index.impacts[span] * query_impact for span, query_impact in lists]
-    )
-    # Each list ascends, so a stable sort (timsort) merges the runs; each
-    # candidate's score is then the sum over its run of equal ordinals.
-    order = np.argsort(ordinals, kind="stable")
-    ordinals = ordinals[order]
+    # One sort of the keys `ordinal << 16 | product` merges the lists.  A
+    # product is at most 255 * 255 < 2**16, so it never carries into the
+    # ordinal, and an ordinal is below doc_count, which `load` bounds by the
+    # file size: far below 2**47, so no key overflows.  Each candidate's
+    # score is then the sum over its run of equal ordinals.
+    keys <<= 16
+    keys |= np.concatenate([index.impacts[span] * query_impact for span, query_impact in lists])
+    keys.sort()
+    ordinals = keys >> 16
     starts = np.flatnonzero(np.concatenate(([True], ordinals[1:] != ordinals[:-1])))
     candidates = ordinals[starts]
-    scores = np.add.reduceat(products[order], starts)
+    scores = np.add.reduceat(keys & 0xFFFF, starts)
     if len(scores) > k:
         # Everything at or above the k-th largest score, ties at it included.
         keep = np.flatnonzero(scores >= np.partition(scores, -k)[-k])

@@ -44,6 +44,8 @@ class Vocabulary:
     """Immutable token-to-id mapping with four reserved leading ids."""
 
     def __init__(self, tokens: list[str], min_freq: int = 1):
+        if min_freq < 0:  # `save` would write a header that `load` rejects
+            raise ValueError(f"min_freq cannot be negative, got {min_freq}")
         # Each token must be a distinct lowercase alphanumeric run, so no
         # reserved token can enter.  Whole-list checks: lowercasing the joined
         # text changes it exactly when it changes some token.
@@ -72,8 +74,6 @@ class Vocabulary:
     def build(cls, texts: Iterable[str], min_freq: int = 1) -> "Vocabulary":
         """Count tokens over `texts` and keep those seen at least `min_freq`
         times, ordered by descending frequency then alphabetically."""
-        if min_freq < 0:
-            raise ValueError(f"min_freq cannot be negative, got {min_freq}")
         counts: Counter[str] = Counter()
         for text in texts:
             counts.update(tokenize(text))

@@ -1,3 +1,6 @@
+import gc
+import sys
+
 import numpy as np
 import pytest
 
@@ -67,3 +70,33 @@ def corrupt_gradient(monkeypatch):
         monkeypatch.setattr(Tensor, "backward", faulty_backward)
 
     return corrupt
+
+
+@pytest.fixture
+def python_events():
+    """`python_events(action)` counts the Python and C calls `sys.setprofile`
+    sees while `action()` runs, with the garbage collector off: its Python
+    callbacks (hypothesis has one) would add calls unrelated to the work.
+    A first, uncounted run pays the one-time set-up (lazy imports, caches),
+    so the count does not depend on which test ran before."""
+
+    def count_events(action) -> int:
+        action()
+        events = 0
+
+        def count(frame, event, arg):
+            nonlocal events
+            events += 1
+
+        collecting = gc.isenabled()
+        gc.disable()
+        sys.setprofile(count)
+        try:
+            action()
+        finally:
+            sys.setprofile(None)
+            if collecting:
+                gc.enable()
+        return events
+
+    return count_events

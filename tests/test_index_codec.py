@@ -3,9 +3,6 @@
 same errors, and no Python work that grows with the postings in `save` or
 `load`."""
 
-import gc
-import sys
-
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -72,29 +69,7 @@ def test_decode_any_bytes_as_the_reference_does(blob, count):
     assert_decoders_agree(np.frombuffer(blob, np.uint8), count)
 
 
-def save_load_events(index, path):
-    """Python and C calls seen by `sys.setprofile` while saving and loading,
-    with the garbage collector off (its callbacks are unrelated calls)."""
-    events = 0
-
-    def count(frame, event, arg):
-        nonlocal events
-        events += 1
-
-    collecting = gc.isenabled()
-    gc.disable()
-    sys.setprofile(count)
-    try:
-        index.save(path)
-        InvertedIndex.load(path)
-    finally:
-        sys.setprofile(None)
-        if collecting:
-            gc.enable()
-    return events
-
-
-def test_no_python_work_per_posting(tmp_path):
+def test_no_python_work_per_posting(tmp_path, python_events):
     """Two indexes over the same 52 terms and 200 documents, with 1,202 or
     10,202 postings.  Every stored gap, ordinal and docid length is one
     byte, except term 50's second gap (199) in both, and term 51, in every
@@ -109,7 +84,13 @@ def test_no_python_work_per_posting(tmp_path):
     for name, rows in (("narrow", narrow), ("wide", wide)):
         stream = ((f"d{i:03d}", terms, [1 + t / 64 for t in terms]) for i, terms in enumerate(rows))
         index = InvertedIndex.build(stream, vocab_size)
-        counts.append((len(index.ordinals), save_load_events(index, tmp_path / f"{name}.ftek")))
+        path = tmp_path / f"{name}.ftek"
+
+        def save_load():
+            index.save(path)
+            InvertedIndex.load(path)
+
+        counts.append((len(index.ordinals), python_events(save_load)))
     (few_postings, few), (many_postings, many) = counts
     assert (few_postings, many_postings) == (1_202, 10_202)
     assert abs(many - few) <= 10, (few, many)

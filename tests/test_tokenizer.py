@@ -86,6 +86,16 @@ class TestVocabulary:
         with pytest.raises(DataFormatError):
             Vocabulary(["alpha", "alpha"], min_freq=1)
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: Vocabulary(["alpha"], min_freq=-1), lambda: Vocabulary.build(["a"], -1)],
+        ids=["init", "build"],
+    )
+    def test_negative_min_freq_rejected(self, make):
+        # `save` writes the header that `load` reads, which has no sign.
+        with pytest.raises(ValueError, match="min_freq cannot be negative, got -1"):
+            make()
+
     def test_len_counts_reserved(self):
         vocab = Vocabulary.build(["a b c"])
         assert len(vocab) == 4 + 3

@@ -3,10 +3,8 @@ replaced (`weight_stream_reference`): identical index bytes for valid
 streams, the same error for a file with one fault, and no Python work that
 grows with the postings of a row."""
 
-import gc
 import json
 import math
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -166,29 +164,7 @@ def test_build_rejects_rows_with_unequal_columns():
         InvertedIndex.build([("a", [1, 2], [1.0])], 4)
 
 
-def profile_events(path, vocab_size):
-    """Python and C calls seen by `sys.setprofile` while parsing and building,
-    with the garbage collector off: its Python callbacks (hypothesis has
-    one) would add calls unrelated to the rows."""
-    events = 0
-
-    def count(frame, event, arg):
-        nonlocal events
-        events += 1
-
-    collecting = gc.isenabled()
-    gc.disable()
-    sys.setprofile(count)
-    try:
-        InvertedIndex.build(_iter_weight_stream(path), vocab_size)
-    finally:
-        sys.setprofile(None)
-        if collecting:
-            gc.enable()
-    return events
-
-
-def test_no_python_work_per_posting(tmp_path):
+def test_no_python_work_per_posting(tmp_path, python_events):
     """200 rows over the same 50 ids, with 5 or 50 terms a row: every id is
     new once in both files, so the call counts differ only if some call runs
     per posting (the per-posting parse made 3.4x as many on the wider file)."""
@@ -198,5 +174,9 @@ def test_no_python_work_per_posting(tmp_path):
     wide_rows = [{str(j): 1 + j / 64 for j in range(50)} for i in range(rows)]
     write(narrow, [(f"d{i}", row) for i, row in enumerate(narrow_rows)])
     write(wide, [(f"d{i}", row) for i, row in enumerate(wide_rows)])
-    few, many = profile_events(narrow, 50), profile_events(wide, 50)
+
+    def events(path):
+        return python_events(lambda: InvertedIndex.build(_iter_weight_stream(path), 50))
+
+    few, many = events(narrow), events(wide)
     assert abs(many - few) <= rows, (few, many)
