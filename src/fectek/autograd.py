@@ -68,10 +68,6 @@ class Tensor:
         self._backward = None
         self._op = ""
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
     def item(self) -> float:
         return float(self.data)
 
@@ -147,8 +143,6 @@ def _accumulate(t: Tensor, grad: np.ndarray, fresh: bool = False) -> None:
     be a view; C order keeps later summations independent of the layout it
     arrived in.
     """
-    if not t.requires_grad:
-        return
     if t.grad is None:
         t.grad = grad if fresh else np.array(grad, dtype=t.data.dtype, order="C")
     else:
@@ -435,8 +429,6 @@ def attention(q, k, v, mask_bias, heads: int, scale: float) -> Tensor:
         if v.requires_grad:
             dv = np.matmul(weights.swapaxes(-1, -2), g)
             _accumulate(v, merge(dv), fresh=True)
-        if not (q.requires_grad or k.requires_grad):
-            return
         dlogits = np.matmul(g, vh.swapaxes(-1, -2))
         # Softmax backward, then the scale: weights * (g - sum(g * weights)).
         inner = (dlogits * weights).sum(axis=-1, keepdims=True)

@@ -14,7 +14,7 @@ Layout, all little-endian:
         payload  prod(dims) values of the dtype (row-major)
 
 Float32 arrays are stored as float32, anything else as float64.  A load
-returns writable views of one buffer; version 1 (all float64) is refused.
+returns writable views of one buffer; any other version is refused.
 Writes are deterministic for a given entry order, so save/load/save
 round-trips to identical bytes.
 """

@@ -225,6 +225,8 @@ def cmd_index(args: argparse.Namespace) -> int:
             yield row
 
     index = InvertedIndex.build(rows(), len(vocab))
+    if not index.doc_count:
+        raise DataFormatError(f"{args.weights}: no rows in weights file")
     index.save(args.out)
     kept = len(index.impacts)
     saturated = int((index.impacts == findex.LEVELS - 1).sum())

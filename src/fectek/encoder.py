@@ -84,9 +84,6 @@ class EncodedBatch:
     hidden: Tensor
     real_mask: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.token_ids)
-
 
 class ContextEncoder:
     """Token + position embeddings followed by `layers` transformer blocks,

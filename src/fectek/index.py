@@ -27,10 +27,8 @@ slice no longer than the region can be: 9 bytes a value at most, and never
 the bytes that the later regions need (a byte per impact and per docid
 newline at least).  A docid is one non-empty word without whitespace, as the
 fields of a run file are, so a newline can end it and the table is read with
-one decode and one split.  Files of other versions (version 1 put each
-impact after its gap, version 2 stored a u64 offset per term, version 3 put
-a varint length before each docid) are rejected: rebuild them with `fectek
-index`.
+one decode and one split.  Files of any other version are rejected: rebuild
+them with `fectek index`.
 """
 
 from __future__ import annotations

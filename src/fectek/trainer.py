@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ class TrainingTriple:
 
     query: str
     positive: str
-    negatives: list[str] = field(default_factory=list)
+    negatives: list[str]
 
 
 def load_triples(path: str | Path) -> list[TrainingTriple]:

@@ -867,6 +867,8 @@ class TestExitCodes:
                 "index", '{"docid": "a", "weights": {"7": true}}\n', 1, id="weights-bool"
             ),
             pytest.param("index", '\n["a", {}]\n', 2, id="weights-blank-line-first"),
+            pytest.param("index", "", None, id="weights-empty"),
+            pytest.param("index", "\n\n\n", None, id="weights-only-blank-lines"),
             pytest.param("train", "[1, 2]\n", 1, id="triples-array-row"),
             pytest.param("train", "\n[1, 2]\n", 2, id="triples-blank-line-first"),
         ],

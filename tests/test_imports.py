@@ -4,7 +4,7 @@ it writes files only through `write_file` and reads text only through
 `open_text`.
 
 AST walks, so the checks need no linter: a name bound by an import must be
-read somewhere in its module, or be re-exported through `__all__`.
+read somewhere in its module.
 """
 
 import ast
@@ -32,10 +32,6 @@ def unused_imports(source: str) -> list[str]:
                 bound[alias.asname or alias.name] = node.lineno
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            read |= set(ast.literal_eval(node.value))
     return [f"{name} (line {line})" for name, line in bound.items() if name not in read]
 
 
@@ -78,7 +74,7 @@ def test_import_checker_flags_every_third_party_form():
     assert foreign_imports(source) == ["scipy.sparse", "pytest_benchmark", "torch"]
 
 
-def test_checker_flags_unused_and_keeps_read_or_exported_names():
+def test_checker_flags_unused_and_exported_names():
     source = (
         "from __future__ import annotations\n"
         "import os.path\n"
@@ -89,7 +85,7 @@ def test_checker_flags_unused_and_keeps_read_or_exported_names():
         "def f(x: Sequence[int]):\n"
         "    return os.path.join(*x)\n"
     )
-    assert unused_imports(source) == ["SE (line 4)"]
+    assert unused_imports(source) == ["SE (line 4)", "save_model (line 5)"]
     assert unused_imports("from collections.abc import Sequence\n") == ["Sequence (line 1)"]
 
 

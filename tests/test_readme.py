@@ -5,7 +5,8 @@ Each line of the walkthrough's `sh` blocks runs in a fresh directory: a
 `mkdir -p` line through `Path.mkdir`.  A `# ...` line is the output the
 command before it must print.  Any other line fails the test, so a step
 that needs a shell cannot creep into the walkthrough.  The file-format
-section must state the version each binary format is written in.
+section must state the version each binary format is written in, and the
+package layout must name every module of the package.
 """
 
 import io
@@ -62,3 +63,11 @@ def test_file_formats_state_the_current_versions():
     section = section.split("\n## ", 1)[0]
     assert f"**Index** (`.idx`, version {index.VERSION})" in section
     assert f"**Checkpoint** (`.ftck`, version {checkpoint.VERSION})" in section
+
+
+def test_package_layout_names_every_module():
+    section = README.read_text(encoding="utf-8").split("## Package layout", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, flags=re.S).group(1)
+    listed = re.findall(r"^  (\w+)\.py ", block, flags=re.M)
+    modules = {p.stem for p in Path(index.__file__).parent.glob("*.py")}
+    assert sorted(listed) == sorted(modules - {"__init__", "__main__"})
