@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import errno
 import json
-import math
 import os
 import sys
 from dataclasses import fields, replace
@@ -25,7 +24,7 @@ from .gradcheck import TOLERANCE, run_gradient_check
 from .index import InvertedIndex
 from .model import FecTekModel, load_model, new_model
 from .synth import SynthConfig, write_dataset
-from .tokenizer import Vocabulary, vocabulary_coverage
+from .tokenizer import RESERVED_TOKENS, Vocabulary, vocabulary_coverage
 from .trainer import TrainerConfig, load_triples, train
 
 
@@ -149,6 +148,14 @@ def _rank(
     return results
 
 
+def _build_vocab(corpus: str | Path, texts: list[str], min_freq: int) -> Vocabulary:
+    """The vocabulary of `texts`, which must keep at least one token."""
+    vocab = Vocabulary.build(texts, min_freq=min_freq)
+    if len(vocab) == len(RESERVED_TOKENS):
+        raise DataFormatError(f"{corpus}: no token occurs at least {min_freq} times")
+    return vocab
+
+
 def _check_vocab_match(model: FecTekModel, vocab: Vocabulary, source: str) -> None:
     if model.vocab_size != len(vocab):
         raise DataFormatError(
@@ -163,7 +170,7 @@ def _check_vocab_match(model: FecTekModel, vocab: Vocabulary, source: str) -> No
 def cmd_build_vocab(args: argparse.Namespace) -> int:
     rows = _read_tsv_pairs(args.corpus, "corpus")
     texts = [text for _, text in rows]
-    vocab = Vocabulary.build(texts, min_freq=args.min_freq)
+    vocab = _build_vocab(args.corpus, texts, args.min_freq)
     vocab.save(args.out)
     coverage = vocabulary_coverage(vocab, texts)
     print(f"vocabulary: {len(vocab)} ids ({coverage:.1%} corpus coverage) -> {args.out}")
@@ -225,12 +232,12 @@ def cmd_index(args: argparse.Namespace) -> int:
             yield row
 
     index = InvertedIndex.build(rows(), len(vocab))
-    if not index.doc_count:
-        raise DataFormatError(f"{args.weights}: no rows in weights file")
-    index.save(args.out)
     kept = len(index.impacts)
+    if not kept:  # an index with no posting answers no query
+        raise DataFormatError(f"{args.weights}: no weight rounds to a nonzero impact")
+    index.save(args.out)
     saturated = int((index.impacts == findex.LEVELS - 1).sum())
-    per_posting = os.path.getsize(args.out) / kept if kept else math.inf
+    per_posting = os.path.getsize(args.out) / kept
     print(
         f"index: {index.doc_count} docs, {kept} postings kept, "
         f"{weights - kept} weights dropped at impact 0, "
@@ -315,7 +322,7 @@ def cmd_ablation(args: argparse.Namespace) -> int:
     trainer_config = _config(TrainerConfig, args)
     data = Path(args.data_dir)
     corpus_rows = _read_tsv_pairs(data / "corpus.tsv", "corpus")
-    vocab = Vocabulary.build([text for _, text in corpus_rows], min_freq=1)
+    vocab = _build_vocab(data / "corpus.tsv", [text for _, text in corpus_rows], 1)
     triples = load_triples(data / "triples.jsonl")
     queries = _read_tsv_pairs(data / "queries.tsv", "queries")
     qrels = load_qrels(data / "qrels.tsv")

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import struct
 from array import array
-from collections.abc import Iterable
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,7 +50,7 @@ LEVELS = 256
 _HEADER = struct.Struct("<4sIQQd")
 
 # (docid, term ids, weights) rows; each row's two columns have equal length.
-WeightStream = Iterable[tuple[str, Iterable[int], Iterable[float]]]
+WeightStream = Iterable[tuple[str, Collection[int], Collection[float]]]
 
 
 # -- varint codec -------------------------------------------------------------
@@ -195,6 +195,8 @@ class InvertedIndex:
                 raise DataFormatError(f"duplicate docid {docid!r} in weight stream")
             seen.add(docid)
             docids.append(docid)
+            if len(row_terms) != len(row_weights):
+                raise ValueError(f"docid {docid!r}: a row needs as many weights as term ids")
             lengths.append(len(row_terms))
             try:
                 terms.extend(row_terms)
@@ -212,8 +214,6 @@ class InvertedIndex:
             raise DataFormatError(f"docid {docid!r} is not UTF-8 text") from exc
         term_ids = np.frombuffer(terms, dtype=np.int64)
         values = np.frombuffer(weights, dtype=np.float64)
-        if len(term_ids) != len(values):
-            raise ValueError("every row needs as many weights as term ids")
         ends = np.cumsum(lengths)
         bad = np.flatnonzero((term_ids < 0) | (term_ids >= vocab_size))
         if bad.size:
@@ -234,8 +234,14 @@ class InvertedIndex:
         # Ids below vocab_size fit its smallest dtype: a radix sort up to 16 bits.
         narrow = term_ids[kept].astype(np.min_scalar_type(vocab_size))
         kept = kept[np.argsort(narrow, kind="stable")]
-        offsets = np.searchsorted(term_ids[kept], np.arange(vocab_size + 1))
-        return cls(step, docids, offsets, ordinals[kept], impacts[kept])
+        kept_terms, ordinals = term_ids[kept], ordinals[kept]
+        # Sorted by term, then by ordinal: a repeated posting sits next to its twin.
+        twins = np.flatnonzero((np.diff(kept_terms) == 0) & (np.diff(ordinals) == 0))
+        if twins.size:
+            docid, term = docids[ordinals[twins[0]]], int(kept_terms[twins[0]])
+            raise DataFormatError(f"docid {docid!r} names term {term} more than once")
+        offsets = np.searchsorted(kept_terms, np.arange(vocab_size + 1))
+        return cls(step, docids, offsets, ordinals, impacts[kept])
 
     # -- persistence ----
 

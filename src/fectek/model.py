@@ -95,11 +95,6 @@ class TermWeights:
         """Collapse [B, n] position weights onto `terms`, a sorted array
         holding every scorable id of `token_ids` (default: exactly those)."""
         ids = np.asarray(token_ids)
-        if position_weights.data.shape != ids.shape:
-            raise ShapeError(
-                f"position weights shape {position_weights.data.shape} does not "
-                f"match token ids shape {ids.shape}"
-            )
         scorable = scorable_mask(ids)
         if terms is None:
             terms = np.unique(ids[scorable])
@@ -185,11 +180,6 @@ def feature_gates(params: dict[str, Tensor], hidden: Tensor, real_mask: np.ndarr
     n_real = real_mask.sum(axis=1)
     if not n_real.all():
         raise ShapeError("feature gate needs at least one real position per text")
-    dim = len(params["feature_gate.excite.bias"].data)
-    if hidden.data.ndim != 3 or hidden.data.shape[2] != dim:
-        raise ShapeError(
-            f"feature gate built for width {dim}, got hidden shape {hidden.data.shape}"
-        )
     # Mean over real positions as a constant [1, n] row times each
     # text's [n, d] states: pad rows contribute nothing.
     pool = real_mask[:, None, :] / n_real[:, None, None]
@@ -302,8 +292,6 @@ def batch_loss(
     term loss is a masked BCE on both sides of each (query, positive) pair.
     A value the parameters' dtype cannot carry raises FloatingPointError.
     """
-    if not triples:
-        raise ValueError("batch_loss on an empty batch")
     n = len(triples)
     sizes = [1 + len(t.negative_ids) for t in triples]
     positives = np.cumsum([0, *sizes[:-1]])

@@ -108,6 +108,8 @@ class Vocabulary:
             min_freq = int(m.group(1))
         except (AttributeError, ValueError):
             raise DataFormatError(f"{path}: bad vocabulary header {header!r}") from None
+        if not tokens:  # only the reserved ids: no text can be weighed
+            raise DataFormatError(f"{path}: vocabulary holds no token")
         try:
             return cls(tokens, min_freq=min_freq)
         except DataFormatError:

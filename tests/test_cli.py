@@ -856,6 +856,7 @@ class TestExitCodes:
             pytest.param("build-vocab", " \ta\n", 1, id="tsv-blank-id"),
             pytest.param("build-vocab", "\n\n\n", None, id="tsv-only-blank-lines"),
             pytest.param("build-vocab", "\nd1 no tab\n", 2, id="tsv-blank-line-first"),
+            pytest.param("build-vocab", "d1\t!!! ???\n", None, id="tsv-no-token"),
             pytest.param("index", '["a", {}]\n', 1, id="weights-array-row"),
             pytest.param(
                 "index", '{"docid": "a", "weights": {"abc": 1.0}}\n', 1, id="weights-term-abc"
@@ -869,6 +870,15 @@ class TestExitCodes:
             pytest.param("index", '\n["a", {}]\n', 2, id="weights-blank-line-first"),
             pytest.param("index", "", None, id="weights-empty"),
             pytest.param("index", "\n\n\n", None, id="weights-only-blank-lines"),
+            pytest.param(
+                "index", '{"docid": "a", "weights": {}}\n', None, id="weights-no-posting"
+            ),
+            pytest.param(
+                "index",
+                '{"docid": "a", "weights": {}}\n{"docid": "b", "weights": {"5": 0.0}}\n',
+                None,
+                id="weights-only-zero-weights",
+            ),
             pytest.param("train", "[1, 2]\n", 1, id="triples-array-row"),
             pytest.param("train", "\n[1, 2]\n", 2, id="triples-blank-line-first"),
         ],
@@ -933,7 +943,7 @@ class TestExitCodes:
         assert f"error: {empty}: empty vocabulary file" in err
         assert not out.exists()
 
-    def test_vocabulary_of_reserved_ids_only_is_2_before_training(self, workspace, tmp_path):
+    def test_vocabulary_of_reserved_ids_only_is_4_before_training(self, workspace, tmp_path):
         header_only = tmp_path / "vocab.txt"
         header_only.write_text("#fectek-vocab v1 min_freq=1\n")
         out_dir = tmp_path / "run"
@@ -943,8 +953,8 @@ class TestExitCodes:
             "--vocab", str(header_only),
             "--out-dir", str(out_dir),
         )
-        assert code == 2
-        assert "error: vocab_size must cover the reserved ids, got 4" in err
+        assert code == 4
+        assert f"error: {header_only}: vocabulary holds no token" in err
         assert not out_dir.exists()
 
     def test_index_vocabulary_size_mismatch_is_4(self, workspace, tmp_path):
@@ -1440,7 +1450,7 @@ class TestAblationCommand:
             ("triples.jsonl", "{\n", 4, "{path}:1: invalid JSON"),
             ("queries.tsv", "q1 has no tab\n", 4, "{path}:1: expected '<id>\\t<text>'"),
             ("qrels.tsv", "q1 0 d1\n", 4, "{path}:1: expected 'qid 0 docid relevance'"),
-            ("corpus.tsv", "d1\t!!! ...\n", 2, "vocab_size must cover the reserved ids"),
+            ("corpus.tsv", "d1\t!!! ...\n", 4, "{path}: no token occurs at least 1 times"),
         ],
         ids=[
             "missing-corpus", "missing-triples", "missing-queries", "missing-qrels",

@@ -58,6 +58,20 @@ def brute_force(index, query_weights, k):
     ]
 
 
+def rows_brute_force(rows, query_weights):
+    """(docid, score) of every matching (docid, terms, weights) row, ranked as
+    `search` ranks: each entry of a row scores on its own, no index involved."""
+    step = quantization_step(max((w for _, _, ws in rows for w in ws), default=0.0))
+    qimp = quantize_weights(query_weights, quantization_step(max(query_weights.values())))
+    scored = []
+    for ordinal, (docid, terms, weights) in enumerate(rows):
+        impacts = quantize_value(np.asarray(weights, dtype=np.float64), step).tolist()
+        score = sum(qimp.get(t, 0) * i for t, i in zip(terms, impacts))
+        if score > 0:
+            scored.append((-score, ordinal, docid))
+    return [(docid, -neg) for neg, _, docid in sorted(scored)]
+
+
 def write_varint(out, value):
     """Append an unsigned LEB128 varint (7 payload bits per byte)."""
     while value >= 0x80:
@@ -927,6 +941,51 @@ class TestSearch:
                 for (_, _, gv), (_, _, wv) in zip(got, ranked):
                     assert gv == pytest.approx(wv, rel=1e-12)
         assert cut_inside_a_tie >= 6
+
+    # Rows as a caller may hand them to `build`: a term may repeat, and the
+    # weight list may be one shorter or one longer than the term list.
+    @given(
+        rows=st.lists(
+            st.lists(st.integers(0, 5), max_size=4).flatmap(
+                lambda terms: st.tuples(
+                    st.just(terms),
+                    st.lists(
+                        st.sampled_from(TIED_LEVELS),
+                        min_size=max(0, len(terms) - 1),
+                        max_size=len(terms) + 1,
+                    ),
+                )
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    @example(rows=[([5, 6], [1.0]), ([7], [2.0, 0.5])])
+    @example(rows=[([5, 5], [1.0, 2.0])])
+    @example(rows=[([5, 5], [1.0, 0.0])])
+    @settings(max_examples=200, deadline=None)
+    def test_build_names_a_bad_row_or_matches_brute_force(self, tmp_path_factory, rows):
+        rows = [(f"doc{d}", terms, weights) for d, (terms, weights) in enumerate(rows)]
+        bad = {
+            docid
+            for docid, terms, weights in rows
+            if len(terms) != len(weights) or len(set(terms)) < len(terms)
+        }
+        try:
+            index = InvertedIndex.build(rows, 8)
+        except (ValueError, DataFormatError) as exc:
+            named = re.match(r"docid '(doc\d+)'", str(exc))
+            assert named and named[1] in bad, exc
+            return
+        path = tmp_path_factory.mktemp("rows") / "idx.ftek"
+        index.save(path)
+        loaded = InvertedIndex.load(path)
+        for name in ("offsets", "ordinals", "impacts"):
+            assert np.array_equal(getattr(loaded, name), getattr(index, name))
+        queries = [{t: 1.0} for t in range(8)] + [{t: 1.0 + t for t in range(8)}]
+        for query in queries:
+            got = [(h.docid, h.score) for h in search(loaded, query, len(rows))]
+            assert got == rows_brute_force(rows, query)
 
     @pytest.mark.parametrize("stray", [-1, 4, 2**70])
     def test_out_of_vocabulary_terms_are_skipped_but_set_the_query_step(self, stray):

@@ -147,6 +147,8 @@ class TestTermWeightVector:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ShapeError):
             one_text([CLS_ID, 8, SEP_ID], Tensor(np.zeros((1, 2))))
+        with pytest.raises(ShapeError):
+            TermWeights.from_positions(np.array([CLS_ID, 8, SEP_ID]), Tensor(np.zeros(3)))
 
     def test_rows_of_a_batch_and_shared_columns(self):
         ids = np.array([[CLS_ID, 8, 9, SEP_ID], [CLS_ID, 9, 9, SEP_ID]])
@@ -266,6 +268,8 @@ class TestFeatureGate:
         params = gate_params(16, rng)
         with pytest.raises(ShapeError):
             feature_gates(params, Tensor(rng.normal(size=(1, 3, 8))), np.ones((1, 3), dtype=bool))
+        with pytest.raises(ShapeError):
+            feature_gates(params, Tensor(rng.normal(size=(3, 16))), np.ones((1, 3), dtype=bool))
 
 
 class TestTermWeights:
